@@ -18,7 +18,6 @@ from .dsl import DslSyntaxError, UnknownIdentifier, dsl_coloring, evaluate, pars
 from .erdos import (
     ErdosTree,
     HomogeneousReport,
-    WordIndex,
     build_erdos,
     check_erdos_property,
     extract_homogeneous,
@@ -27,8 +26,6 @@ from .erdos import (
     to_word_tree,
 )
 from .stability import (
-    StableAnalysis,
-    analyze_stability,
     branch_approx,
     branch_census,
     color_census,
@@ -39,7 +36,6 @@ from .trees import (
     ColorTree,
     FiniteColorTree,
     OracleColorTree,
-    RestrictedTree,
     children,
     full_tree,
     in_restricted,

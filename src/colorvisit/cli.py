@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from . import export
 from .colorings import builtin_coloring, load_table
 from .dsl import dsl_coloring
-from .erdos import build_erdos, homog_pipeline
+from .erdos import homog_pipeline
 from .suites import SUITES, run_suite
 from .trees import builtin_tree, load_tree
 from .visit import enumerate_visit
@@ -109,15 +109,18 @@ def cmd_homog(args: argparse.Namespace) -> int:
     if args.emit == "json":
         _write(path, export.report_json(report))
     elif args.emit == "dot":
-        tree = build_erdos(coloring, args.horizon)
-        _write(path, export.erdos_dot(tree, report))
+        _write(path, export.erdos_dot(report.tree, report))
     else:
         _write(path, export.report_text(report))
+    sizes = " ".join(f"H{i}={len(c)}" for i, c in enumerate(report.classes))
+    verified = report.verified
+    # the report holds the comparison tree, which the trace does not need;
+    # freeing it first keeps it out of the trace dump's peak memory
+    del report
     if args.trace_out:
         _write(Path(args.trace_out), export.visit_trace_json(visit))
-    sizes = " ".join(f"H{i}={len(c)}" for i, c in enumerate(report.classes))
-    print(f"homog: {sizes} verified={str(report.verified).lower()}, wrote {path}")
-    if not report.verified:
+    print(f"homog: {sizes} verified={str(verified).lower()}, wrote {path}")
+    if not verified:
         print("verification failed: extracted sets are not monochromatic",
               file=sys.stderr)
         return 3

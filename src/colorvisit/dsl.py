@@ -147,10 +147,20 @@ def _tokenize(source: str) -> list[_Token]:
 # --- parser --------------------------------------------------------------------
 
 
+# Deepest expression the parser accepts.  Each bracketed or otherwise nested
+# expression and each operator of a left-associative chain is one level, so
+# parsing, printing and evaluation stay well inside Python's recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; every rule returns its syntax tree and the height
+    of that tree."""
+
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.index = 0
+        self.nesting = 0
 
     @property
     def current(self) -> _Token:
@@ -160,6 +170,11 @@ class _Parser:
         tok = self.current
         found = tok.text if tok.kind != "end" else "end of input"
         return DslSyntaxError(tok.pos, frozenset(expected), found)
+
+    def _deeper(self, depth: int) -> int:
+        if depth >= MAX_DEPTH:
+            raise self._fail({f"an expression at most {MAX_DEPTH} levels deep"})
+        return depth + 1
 
     def _take(self, kind: str) -> _Token:
         if self.current.kind != kind:
@@ -177,57 +192,66 @@ class _Parser:
         self.index += 1
 
     def parse(self) -> Expr:
-        expr = self.expr()
+        expr, _ = self.expr()
         if self.current.kind != "end":
             raise self._fail({"end of input"})
         return expr
 
-    def expr(self) -> Expr:
-        return self.cond()
+    def expr(self) -> tuple[Expr, int]:
+        self.nesting = self._deeper(self.nesting)
+        parsed = self.cond()
+        self.nesting -= 1
+        return parsed
 
-    def cond(self) -> Expr:
+    def cond(self) -> tuple[Expr, int]:
         if self._at_keyword("if"):
             self.index += 1
-            cond = self.cmp()
+            cond, d_cond = self.cmp()
             self._take_keyword("then")
-            then = self.expr()
+            then, d_then = self.expr()
             self._take_keyword("else")
-            orelse = self.expr()
-            return If(cond, then, orelse)
+            orelse, d_else = self.expr()
+            return If(cond, then, orelse), self._deeper(max(d_cond, d_then, d_else))
         return self.cmp()
 
-    def cmp(self) -> Expr:
-        left = self.sum()
+    def cmp(self) -> tuple[Expr, int]:
+        left, depth = self.sum()
         if self.current.kind in ("<", "<=", "==", "!="):
             op = self.current.kind
             self.index += 1
-            return Cmp(op, left, self.sum())
-        return left
+            right, d_right = self.sum()
+            return Cmp(op, left, right), self._deeper(max(depth, d_right))
+        return left, depth
 
-    def sum(self) -> Expr:
-        node = self.term()
+    def sum(self) -> tuple[Expr, int]:
+        node, depth = self.term()
         while self.current.kind in ("+", "-"):
             op = self.current.kind
             self.index += 1
-            node = BinOp(op, node, self.term())
-        return node
+            right, d_right = self.term()
+            node, depth = BinOp(op, node, right), self._deeper(max(depth, d_right))
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.factor()
         while self.current.kind in ("*", "/", "%"):
             op = self.current.kind
             self.index += 1
-            node = BinOp(op, node, self.factor())
-        return node
+            right, d_right = self.factor()
+            node, depth = BinOp(op, node, right), self._deeper(max(depth, d_right))
+        return node, depth
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
         tok = self.current
         if tok.kind == "nat":
             self.index += 1
-            return Lit(int(tok.text))
+            return Lit(int(tok.text)), 1
         if tok.kind == "-":
             self.index += 1
-            return Neg(self.factor())
+            self.nesting = self._deeper(self.nesting)
+            operand, depth = self.factor()
+            self.nesting -= 1
+            return Neg(operand), self._deeper(depth)
         if tok.kind == "(":
             self.index += 1
             inner = self.expr()
@@ -236,15 +260,15 @@ class _Parser:
         if tok.kind == "name":
             if tok.text in ("x", "y"):
                 self.index += 1
-                return Var(tok.text)
+                return Var(tok.text), 1
             if tok.text in ("min", "max"):
                 self.index += 1
                 self._take("(")
-                left = self.expr()
+                left, d_left = self.expr()
                 self._take(",")
-                right = self.expr()
+                right, d_right = self.expr()
                 self._take(")")
-                return BinOp(tok.text, left, right)
+                return BinOp(tok.text, left, right), self._deeper(max(d_left, d_right))
             if tok.text in ("if", "then", "else"):
                 raise self._fail({"number", "x", "y", "min", "max", "(", "-"})
             raise UnknownIdentifier(tok.text, tok.pos)
@@ -253,7 +277,8 @@ class _Parser:
 
 def parse(source: str) -> Expr:
     """Parse a coloring expression; raises :class:`DslSyntaxError` or
-    :class:`UnknownIdentifier` on bad input, never loops."""
+    :class:`UnknownIdentifier` on bad input, never loops.  Expressions deeper
+    than :data:`MAX_DEPTH` are syntax errors."""
     return _Parser(_tokenize(source)).parse()
 
 

@@ -11,8 +11,9 @@ smaller endpoints of same-colored chain edges form a monochromatic set.
 
 Translating nodes to the words of their root-path edge colors turns the
 structure into a finite color tree (children are color-unique, so the
-translation is a bijection); the priority visit then picks out a branch
-whose edges yield the extracted sets.
+translation is a bijection); the priority visit runs on that word tree, and
+the root path of the node it visits last is the branch whose edges yield
+the extracted sets.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .colorings import Coloring
-from .stability import branch_approx, branch_census
 from .trees import FiniteColorTree
 from .visit import Visit, enumerate_visit
-from .words import ROOT, Word, full_priority, is_prefix, validate_priority
+from .words import ROOT, Word, full_priority, validate_priority
 
 
 class ErdosError(ValueError):
@@ -34,12 +34,6 @@ class ErdosError(ValueError):
 class NonContiguousInsert(ErdosError):
     def __init__(self, n: int, size: int) -> None:
         super().__init__(f"expected insertion of {size}, got {n}")
-
-
-class WordNotInIndex(ErdosError):
-    def __init__(self, w: Word) -> None:
-        self.word = w
-        super().__init__(f"word {w} does not name a tree node")
 
 
 @dataclass
@@ -117,40 +111,21 @@ def check_erdos_property(tree: ErdosTree, coloring: Coloring) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class WordIndex:
-    """Bijection between tree nodes and their root-path color words."""
+def to_word_tree(tree: ErdosTree) -> FiniteColorTree:
+    """The finite color tree of root-path color words.
 
-    node_word: tuple[Word, ...]
-    word_node: dict[Word, int]
-
-    def word_of(self, n: int) -> Word:
-        return self.node_word[n]
-
-    def node_of(self, w: Word) -> int:
-        try:
-            return self.word_node[w]
-        except KeyError:
-            raise WordNotInIndex(w) from None
-
-
-def to_word_tree(tree: ErdosTree) -> tuple[FiniteColorTree, WordIndex]:
-    """The finite color tree of root-path color words, plus the bijection.
-
-    Children are color-unique, so distinct nodes get distinct words and any
-    word-tree subtree translates back to a node-tree subtree.
+    Children are color-unique, so distinct nodes get distinct words, and a
+    word names its node through ``tree.children`` one letter at a time.
     """
     node_word: list[Word] = [ROOT] * tree.size
     for n in range(1, tree.size):
         node_word[n] = node_word[tree.parent[n]] + (tree.edge_color[n],)
-    word_node = {w: n for n, w in enumerate(node_word)}
-    color_tree = FiniteColorTree(k=tree.k, nodes=frozenset(node_word))
-    return color_tree, WordIndex(tuple(node_word), word_node)
+    return FiniteColorTree(k=tree.k, nodes=frozenset(node_word))
 
 
 @dataclass(frozen=True)
 class HomogeneousReport:
-    """Candidate monochromatic sets read off one branch.
+    """Candidate monochromatic sets read off one branch of ``tree``.
 
     ``classes[i]`` holds the smaller endpoints of branch edges with color
     ``i``; the classes are pairwise disjoint and their union is the branch
@@ -160,37 +135,45 @@ class HomogeneousReport:
     what a finite run cannot do.
     """
 
-    k: int
-    size: int
+    tree: ErdosTree
     branch_nodes: tuple[int, ...]
     classes: tuple[frozenset[int], ...]
     verified: bool
-    census: dict[int, int]
+
+    @property
+    def k(self) -> int:
+        return self.tree.k
+
+    @property
+    def size(self) -> int:
+        return self.tree.size
+
+    @property
+    def census(self) -> dict[int, int]:
+        """Branch edges per color, which is the size of each class."""
+        return {i: len(c) for i, c in enumerate(self.classes)}
 
 
 def extract_homogeneous(
     tree: ErdosTree,
-    branch_words: Sequence[Word],
-    index: WordIndex,
+    branch_nodes: Sequence[int],
     coloring: Coloring,
 ) -> HomogeneousReport:
     """Split a branch into per-color candidate sets and verify them.
 
-    ``branch_words`` must be a one-letter-at-a-time prefix chain in the word
-    tree (as produced by the branch approximation); each consecutive pair
-    of branch nodes ``x`` below ``y`` with edge color ``i`` puts ``x`` into
-    class ``i``.  Verification re-checks every pair inside every class
-    against the coloring and never hides a failure.
+    ``branch_nodes`` must be a chain of tree nodes, each the parent of the
+    next; each consecutive pair ``x`` above ``y`` with edge color ``i`` puts
+    ``x`` into class ``i``.  Verification re-checks every pair inside every
+    class against the coloring and never hides a failure.
     """
-    for earlier, later in zip(branch_words, branch_words[1:]):
-        if len(later) != len(earlier) + 1 or not is_prefix(earlier, later):
-            raise ErdosError(
-                f"branch words must grow one letter at a time: {earlier} -> {later}"
-            )
-    nodes = tuple(index.node_of(w) for w in branch_words)
+    nodes = tuple(branch_nodes)
+    if nodes and not 0 <= nodes[0] < tree.size:
+        raise ErdosError(f"branch node {nodes[0]} is not in the tree")
     classes: list[set[int]] = [set() for _ in range(tree.k)]
-    for w, x in zip(branch_words[1:], nodes):
-        classes[w[-1]].add(x)
+    for x, y in zip(nodes, nodes[1:]):
+        if not 0 < y < tree.size or tree.parent[y] != x:
+            raise ErdosError(f"branch node {y} is not a child of {x}")
+        classes[tree.edge_color[y]].add(x)
     verified = True
     for i, cls in enumerate(classes):
         members = sorted(cls)
@@ -199,12 +182,10 @@ def extract_homogeneous(
                 if coloring(a, b) != i:
                     verified = False
     return HomogeneousReport(
-        k=tree.k,
-        size=tree.size,
+        tree=tree,
         branch_nodes=nodes,
         classes=tuple(frozenset(c) for c in classes),
         verified=verified,
-        census=branch_census(tuple(branch_words), tree.k),
     )
 
 
@@ -214,8 +195,8 @@ def homog_pipeline(
     budget: int,
     priority: Optional[Sequence[int]] = None,
 ) -> tuple[HomogeneousReport, Visit]:
-    """Build the comparison tree, visit its word tree, approximate the
-    branch, and extract the candidate sets.
+    """Build the comparison tree, visit its word tree, take the root path of
+    the last visited node as the branch, and extract the candidate sets.
 
     The priority must list all k colors (default ``<0, ..., k-1>``); the
     visit always starts at the empty word.
@@ -229,10 +210,11 @@ def homog_pipeline(
                 f"pipeline priority must list all {coloring.k} colors, got {prio}"
             )
     tree = build_erdos(coloring, size)
-    word_tree, index = to_word_tree(tree)
-    visit = enumerate_visit(word_tree, prio, ROOT, budget)
-    branch = branch_approx(visit)
-    report = extract_homogeneous(tree, branch, index, coloring)
+    visit = enumerate_visit(to_word_tree(tree), prio, ROOT, budget)
+    leaf = 0
+    for c in visit.order[-1]:
+        leaf = tree.children[leaf][c]
+    report = extract_homogeneous(tree, tree.path_to_root(leaf), coloring)
     return report, visit
 
 

@@ -11,7 +11,7 @@ import json
 from .erdos import ErdosTree, HomogeneousReport
 from .stability import branch_approx, stable_indices
 from .visit import Visit
-from .words import Word
+from .words import Word, word_str
 
 # Fill colors for per-class node highlighting in DOT output, cycled.
 _PALETTE = (
@@ -54,10 +54,6 @@ def _node_id(w: Word) -> str:
     return "n" + "".join(f"_{c}" for c in w)
 
 
-def _node_label(w: Word) -> str:
-    return "<" + ",".join(str(c) for c in w) + ">"
-
-
 def visit_dot(visit: Visit) -> str:
     """One DOT node per enumerated word, edges labeled by the final letter,
     stable nodes double-bordered and branch nodes filled."""
@@ -66,7 +62,7 @@ def visit_dot(visit: Visit) -> str:
     present = set(visit.order)
     lines = ["digraph visit {", "  rankdir=TB;"]
     for w in visit.order:
-        attrs = [f'label="{_node_label(w)}"']
+        attrs = [f'label="{word_str(w)}"']
         if w in branch:
             attrs.append("style=filled")
             attrs.append("fillcolor=lightblue")
@@ -90,8 +86,8 @@ def visit_text(visit: Visit) -> str:
         f"k={visit.tree.k} priority={list(visit.priority)} root={list(visit.root)}",
         f"entries={len(visit.order)} terminated={visit.terminated}",
         f"stable indices: {list(stable)}",
-        "branch: " + " ".join(_node_label(w) for w in branch),
-        "order: " + " ".join(_node_label(w) for w in visit.order),
+        "branch: " + " ".join(word_str(w) for w in branch),
+        "order: " + " ".join(word_str(w) for w in visit.order),
     ]
     return "\n".join(lines) + "\n"
 

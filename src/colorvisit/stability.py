@@ -11,7 +11,6 @@ asserts it on engineered families where the limit is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .visit import Visit
@@ -59,27 +58,6 @@ def branch_approx_of(order: Sequence[Word], root: Word) -> tuple[Word, ...]:
 
 def branch_approx(visit: Visit) -> tuple[Word, ...]:
     return branch_approx_of(visit.order, visit.root)
-
-
-@dataclass(frozen=True)
-class StableAnalysis:
-    """A visit bundled with its horizon-stable indices and branch chain.
-
-    The indexed entries are pairwise prefix-comparable and the branch is a
-    prefix chain starting at the visit root.
-    """
-
-    visit: Visit
-    stable: tuple[int, ...]
-    branch: tuple[Word, ...]
-
-
-def analyze_stability(visit: Visit) -> StableAnalysis:
-    return StableAnalysis(
-        visit=visit,
-        stable=stable_indices(visit),
-        branch=branch_approx(visit),
-    )
 
 
 def color_census(entries: Iterable[Word], k: int) -> dict[int, int]:

@@ -143,28 +143,6 @@ def in_restricted(
     return tree.contains(node)
 
 
-@dataclass(frozen=True)
-class RestrictedTree:
-    """The subtree of ``base`` above ``root`` whose extra letters all come
-    from the priority list's color set, as a membership view.
-
-    Words stay absolute (spelled from the base tree's root), so the view can
-    be visited directly with ``root`` as the visit root.
-    """
-
-    base: "ColorTree"
-    root: Word
-    priority: Word
-    nodes: None = None
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    def contains(self, w: Word) -> bool:
-        return in_restricted(self.base, self.priority, self.root, w)
-
-
 # --- built-in oracle families -------------------------------------------------
 
 def unary_tree() -> OracleColorTree:

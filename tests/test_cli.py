@@ -1,5 +1,6 @@
 """Command-line contract: flags, exit codes, file outputs, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import sys
 import pytest
 
 from colorvisit.cli import main
-from colorvisit.colorings import sum_mod_coloring
-from colorvisit.erdos import build_erdos, homog_pipeline
+from colorvisit.colorings import Coloring, sum_mod_coloring
+from colorvisit.erdos import homog_pipeline
 from colorvisit.export import (
     erdos_dot,
     report_dict,
@@ -78,17 +79,13 @@ def test_cli_priority_must_cover_all_colors(tree_file, capsys):
 
 def test_homog_unverified_report_exits_3(monkeypatch, tmp_path):
     from colorvisit import cli as cli_module
-    from colorvisit.erdos import HomogeneousReport, homog_pipeline
+    from colorvisit.erdos import homog_pipeline
 
     real = homog_pipeline
 
     def rigged(coloring, size, budget, priority=None):
         report, visit = real(coloring, size, budget, priority)
-        broken = HomogeneousReport(
-            k=report.k, size=report.size, branch_nodes=report.branch_nodes,
-            classes=report.classes, verified=False, census=report.census,
-        )
-        return broken, visit
+        return dataclasses.replace(report, verified=False), visit
 
     monkeypatch.setattr(cli_module, "homog_pipeline", rigged)
     out = tmp_path / "r.json"
@@ -158,6 +155,39 @@ def test_homog_syntax_error_exit(capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
+def test_homog_rejects_too_deep_expressions(capsys):
+    shapes = [
+        "(" * 2000 + "x" + ")" * 2000,
+        "0+" + "-" * 3000 + "x",
+        "if x < y then " * 800 + "x" + " else y" * 800,
+        "x" + "+1" * 899,
+    ]
+    for expr in shapes:
+        assert main(["homog", "--coloring", expr, "--k", "2",
+                     "--horizon", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: syntax error") and err.count("\n") == 1
+
+
+def test_homog_dot_builds_the_tree_once(monkeypatch, tmp_path):
+    calls = [0]
+    real = Coloring.__call__
+
+    def counting(self, x, y):
+        calls[0] += 1
+        return real(self, x, y)
+
+    monkeypatch.setattr(Coloring, "__call__", counting)
+    per_emit = {}
+    for emit in ("json", "dot"):
+        calls[0] = 0
+        assert main(["homog", "--coloring", "if x < y then x else y", "--k", "3",
+                     "--horizon", "200", "--emit", emit,
+                     "--out", str(tmp_path / f"homog.{emit}")]) == 0
+        per_emit[emit] = calls[0]
+    assert per_emit["dot"] == per_emit["json"]
+
+
 def test_homog_requires_k_with_expression():
     assert main(["homog", "--coloring", "x"]) == 2
 
@@ -177,11 +207,10 @@ def test_check_pass_and_unknown_suite(capsys):
 def test_exports_render_reports():
     coloring = sum_mod_coloring(2)
     report, visit = homog_pipeline(coloring, 20, 200)
-    tree = build_erdos(coloring, 20)
     data = report_dict(report)
     assert set(data) == {"k", "N", "branch", "H", "verified", "census"}
     assert report_json(report).endswith("\n")
-    dot = erdos_dot(tree, report)
+    dot = erdos_dot(report.tree, report)
     assert dot.startswith("digraph erdos {") and "penwidth=2" in dot
     trace = visit_trace(visit)
     assert set(trace) == {

@@ -19,6 +19,7 @@ from colorvisit.dsl import (
     DslSyntaxError,
     If,
     Lit,
+    MAX_DEPTH,
     Neg,
     UnknownIdentifier,
     Var,
@@ -187,3 +188,18 @@ def test_table_rejects_conflicts_and_bad_colors():
         table_from_dict({"k": 2, "pairs": [[1, 1, 0]]})
     with pytest.raises(ColoringError):
         table_from_dict({"pairs": []})
+
+
+def test_depth_limit_counts_nesting_and_chains():
+    shapes = [
+        lambda d: "x" + "+1" * (d - 1),
+        lambda d: "-" * (d - 1) + "x",
+        lambda d: "(" * (d - 1) + "x" + ")" * (d - 1),
+        lambda d: "if x then " * (d - 1) + "x" + " else y" * (d - 1),
+    ]
+    for shape in shapes:
+        expr = parse(shape(MAX_DEPTH))
+        assert parse(to_text(expr)) == expr
+        evaluate(expr, 1, 2)
+        with pytest.raises(DslSyntaxError):
+            parse(shape(MAX_DEPTH + 1))

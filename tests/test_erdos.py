@@ -9,7 +9,6 @@ from colorvisit.erdos import (
     ErdosError,
     ErdosTree,
     NonContiguousInsert,
-    WordNotInIndex,
     build_erdos,
     check_erdos_property,
     extract_homogeneous,
@@ -19,6 +18,7 @@ from colorvisit.erdos import (
     to_word_tree,
 )
 from colorvisit.oracles import ancestor_formula_relation, random_coloring
+from colorvisit.stability import branch_approx, branch_census
 from colorvisit.words import full_priority
 
 
@@ -112,14 +112,14 @@ def test_ancestor_formula_agrees_with_descent():
 
 def test_word_tree_examples():
     chain = build_erdos(constant_coloring(0, 2), 3)
-    words, index = to_word_tree(chain)
+    words = to_word_tree(chain)
     assert words.nodes == frozenset({(), (0,), (0, 0)})
-    assert index.node_of((0, 0)) == 2
+    assert [chain.edge_color[n] for n in chain.path_to_root(2)[1:]] == [0, 0]
 
-    parity, index = to_word_tree(build_erdos(sum_mod_coloring(2), 5))
+    parity = to_word_tree(build_erdos(sum_mod_coloring(2), 5))
     assert parity.nodes == frozenset({(), (1,), (0,), (1, 0), (0, 0)})
 
-    single, _ = to_word_tree(build_erdos(sum_mod_coloring(2), 1))
+    single = to_word_tree(build_erdos(sum_mod_coloring(2), 1))
     assert single.nodes == frozenset({()})
 
 
@@ -128,19 +128,13 @@ def test_word_index_is_a_bijection():
     for _ in range(10):
         coloring = random_coloring(rng.randrange(2**32), 3, 30)
         tree = build_erdos(coloring, 30)
-        _, index = to_word_tree(tree)
-        for n in range(tree.size):
-            assert index.node_of(index.word_of(n)) == n
-        with pytest.raises(WordNotInIndex):
-            index.node_of((0,) * 40)
+        assert len(to_word_tree(tree).nodes) == tree.size
 
 
 def test_extract_constant_full_branch():
     coloring = constant_coloring(0, 2)
     tree = build_erdos(coloring, 6)
-    words, index = to_word_tree(tree)
-    branch = tuple((0,) * i for i in range(6))
-    report = extract_homogeneous(tree, branch, index, coloring)
+    report = extract_homogeneous(tree, range(6), coloring)
     assert sorted(report.classes[0]) == [0, 1, 2, 3, 4]
     assert report.classes[1] == frozenset()
     assert report.verified is True
@@ -149,9 +143,7 @@ def test_extract_constant_full_branch():
 def test_extract_even_chain_under_parity():
     coloring = sum_mod_coloring(2)
     tree = build_erdos(coloring, 20)
-    words, index = to_word_tree(tree)
-    branch = tuple((0,) * i for i in range(10))  # nodes 0,2,4,...,18
-    report = extract_homogeneous(tree, branch, index, coloring)
+    report = extract_homogeneous(tree, range(0, 20, 2), coloring)
     assert sorted(report.classes[0]) == [0, 2, 4, 6, 8, 10, 12, 14, 16]
     assert report.verified is True
 
@@ -159,8 +151,7 @@ def test_extract_even_chain_under_parity():
 def test_extract_single_node_branch():
     coloring = sum_mod_coloring(2)
     tree = build_erdos(coloring, 5)
-    _, index = to_word_tree(tree)
-    report = extract_homogeneous(tree, ((),), index, coloring)
+    report = extract_homogeneous(tree, (0,), coloring)
     assert all(cls == frozenset() for cls in report.classes)
     assert report.verified is True
 
@@ -168,9 +159,11 @@ def test_extract_single_node_branch():
 def test_extract_rejects_non_chain():
     coloring = sum_mod_coloring(2)
     tree = build_erdos(coloring, 5)
-    _, index = to_word_tree(tree)
+    assert tree.parent == [None, 0, 0, 1, 2]
     with pytest.raises(ErdosError):
-        extract_homogeneous(tree, ((), (0, 0)), index, coloring)
+        extract_homogeneous(tree, (0, 3), coloring)
+    with pytest.raises(ErdosError):
+        extract_homogeneous(tree, (5,), coloring)
 
 
 def test_report_classes_partition_branch():
@@ -226,8 +219,9 @@ def test_pipeline_verified_on_random_colorings():
 
 
 def test_census_equals_class_sizes():
-    report, _ = homog_pipeline(sum_mod_coloring(2), 50, 500)
+    report, visit = homog_pipeline(sum_mod_coloring(2), 50, 500)
     assert report.census == {i: len(c) for i, c in enumerate(report.classes)}
+    assert report.census == branch_census(branch_approx(visit), 2)
 
 
 def test_every_natural_appears_once_with_parent_below():

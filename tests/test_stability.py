@@ -96,13 +96,3 @@ def test_census_counts_match_visit_length():
     visit = enumerate_visit(unary_tree(), (0,), (), budget=42)
     census = visit_census(visit)
     assert sum(census.values()) == len(visit.order) - 1
-
-
-def test_analysis_bundle(binary_depth2):
-    from colorvisit.stability import analyze_stability
-
-    visit = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
-    analysis = analyze_stability(visit)
-    assert analysis.stable == stable_indices(visit)
-    assert analysis.branch == branch_approx(visit)
-    assert analysis.visit is visit

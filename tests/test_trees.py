@@ -176,22 +176,3 @@ def test_counting_tree_children_on_oracle():
     kids = children(tree, (1,))
     assert kids == [(0, (1, 0)), (1, (1, 1))]
     assert tree.probes == 3
-
-
-def test_restricted_tree_view_matches_predicate(binary_depth2):
-    from colorvisit.trees import RestrictedTree
-
-    view = RestrictedTree(binary_depth2, (1,), (0,))
-    for w in sorted(binary_depth2.nodes):
-        assert view.contains(w) == in_restricted(binary_depth2, (0,), (1,), w)
-    assert view.k == 2 and view.nodes is None
-
-
-def test_restricted_tree_view_is_visitable(binary_depth2):
-    from colorvisit.trees import RestrictedTree
-    from colorvisit.visit import enumerate_visit
-
-    view = RestrictedTree(binary_depth2, (1,), (0,))
-    visit = enumerate_visit(view, (0,), (1,), budget=10)
-    assert visit.terminated
-    assert set(visit.order) == {(1,), (1, 0)}
