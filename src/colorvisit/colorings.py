@@ -3,15 +3,17 @@
 A coloring assigns a color below ``k`` to every unordered pair of distinct
 naturals.  Symmetry is structural: every evaluation canonicalizes its
 arguments to ``(min, max)`` before consulting the underlying pair function,
-so ``coloring(x, y) == coloring(y, x)`` holds by construction.  Colorings
-are pure and immutable; sharing them across threads is safe.
+so ``coloring(x, y) == coloring(y, x)`` holds by construction.
+:meth:`Coloring.row` colors the pairs of one smaller endpoint with many
+larger ones in a single call.  Colorings are pure and immutable; sharing
+them across threads is safe.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 
 class ColoringError(ValueError):
@@ -44,10 +46,24 @@ class Coloring:
         lo, hi = (x, y) if x < y else (y, x)
         color = int(self.pair_color(lo, hi))
         if not 0 <= color < self.k:
-            raise ColoringError(
-                f"{self.name} produced color {color} outside 0..{self.k - 1}"
-            )
+            raise self._out_of_range(color)
         return color
+
+    def row(self, lo: int, his: Sequence[int]) -> list[int]:
+        """``[self(lo, hi) for hi in his]`` for an ascending ``his`` above
+        ``lo``, with one range check for the whole row."""
+        if his and his[0] <= lo:
+            raise ColoringError(f"row of {lo} must lie above it, got {his[0]}")
+        pair_color = self.pair_color
+        colors = [int(pair_color(lo, hi)) for hi in his]
+        if colors and (min(colors) < 0 or max(colors) >= self.k):
+            raise self._out_of_range(next(c for c in colors if not 0 <= c < self.k))
+        return colors
+
+    def _out_of_range(self, color: int) -> ColoringError:
+        return ColoringError(
+            f"{self.name} produced color {color} outside 0..{self.k - 1}"
+        )
 
 
 def constant_coloring(value: int, k: int) -> Coloring:

@@ -19,12 +19,17 @@ division and remainder are totalized at zero (``t / 0 == 0`` and
 A coloring built from an expression evaluates it at ``(min(x, y),
 max(x, y))`` and reduces the result modulo the color count, which makes it
 symmetric and total by construction.
+
+:func:`evaluate` is the reference interpreter that defines these semantics.
+Colorings run :func:`compile_expr` instead, which turns the parsed syntax
+tree into one Python function, generated from the tree's literals,
+variables and operators only, so each pair costs one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .colorings import Coloring
 
@@ -394,12 +399,84 @@ def evaluate(expr: Expr, x: int, y: int, strict: bool = False) -> int:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+# --- compilation ---------------------------------------------------------------
+
+
+def _div_total(t: int, d: int) -> int:
+    return t // d if d else 0
+
+
+def _mod_total(t: int, d: int) -> int:
+    return t % d if d else t
+
+
+def _div_strict(t: int, d: int) -> int:
+    if d == 0:
+        raise DivisionByZero("division")
+    return t // d
+
+
+def _mod_strict(t: int, d: int) -> int:
+    if d == 0:
+        raise DivisionByZero("remainder")
+    return t % d
+
+
+def _source(expr: Expr) -> str:
+    """Python source with the semantics of :func:`evaluate`, built only from
+    integer literals, ``x``, ``y``, fixed operators and the helper names, so
+    no text of the original expression reaches the compiler."""
+    if isinstance(expr, Lit):
+        return f"({int(expr.value)!r})"
+    if isinstance(expr, Var):
+        return "x" if expr.name == "x" else "y"
+    if isinstance(expr, Neg):
+        return f"(-{_source(expr.operand)})"
+    if isinstance(expr, Cmp) and expr.op in ("<", "<=", "==", "!="):
+        return f"({_source(expr.left)} {expr.op} {_source(expr.right)})"
+    if isinstance(expr, If):
+        cond, then, orelse = map(_source, (expr.cond, expr.then, expr.orelse))
+        return f"({then} if {cond} else {orelse})"
+    if isinstance(expr, BinOp):
+        left, right = _source(expr.left), _source(expr.right)
+        if expr.op in ("min", "max"):
+            return f"{expr.op}({left}, {right})"
+        if expr.op in ("+", "-", "*"):
+            return f"({left} {expr.op} {right})"
+        if expr.op in ("/", "%"):
+            if isinstance(expr.right, Lit) and expr.right.value != 0:
+                return f"({left} {'//' if expr.op == '/' else '%'} {right})"
+            return f"{'_div' if expr.op == '/' else '_mod'}({left}, {right})"
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def compile_source(expr: Expr, k: int) -> str:
+    """The source :func:`compile_expr` compiles: a lambda of ``x`` and
+    ``y`` reducing the expression modulo ``k``."""
+    return f"lambda x, y: {_source(expr)} % ({int(k)!r})"
+
+
+def compile_expr(expr: Expr, strict: bool, k: int) -> Callable[[int, int], int]:
+    """One Python function ``(lo, hi) -> evaluate(expr, lo, hi, strict) % k``.
+
+    Comparisons give bools, which take part in the arithmetic as 0 and 1;
+    the final reduction modulo ``k`` makes the result a plain int.  The
+    source is compiled in a namespace with no builtins besides ``min``,
+    ``max`` and the division helpers.
+    """
+    namespace = {
+        "__builtins__": {},
+        "min": min,
+        "max": max,
+        "_div": _div_strict if strict else _div_total,
+        "_mod": _mod_strict if strict else _mod_total,
+    }
+    return eval(compile(compile_source(expr, k), "<coloring>", "eval"), namespace)
+
+
 def dsl_coloring(source: str | Expr, k: int, strict: bool = False) -> Coloring:
     """Wrap an expression as a total symmetric coloring with ``k`` colors."""
     expr = parse(source) if isinstance(source, str) else source
-    text = to_text(expr)
     return Coloring(
-        k=k,
-        pair_color=lambda lo, hi: evaluate(expr, lo, hi, strict) % k,
-        name=f"dsl({text})",
+        k=k, pair_color=compile_expr(expr, strict, k), name=f"dsl({to_text(expr)})"
     )

@@ -9,6 +9,11 @@ of ``x``, the edge ``{x, y}`` has color ``i``.  Consequently any chain in
 the tree is colored, pair by pair, by the edge colors along it, and the
 smaller endpoints of same-colored chain edges form a monochromatic set.
 
+:func:`insert` is the reference construction.  :func:`build_erdos` grows
+the same tree top-down, one coloring row per node: each node colors every
+number below it at once and splits them by color among its children.
+Verification of the extracted sets also runs a row per class member.
+
 Translating nodes to the words of their root-path edge colors turns the
 structure into a finite color tree (children are color-unique, so the
 translation is a bijection); the priority visit runs on that word tree, and
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .colorings import Coloring
+from .colorings import Coloring, ColoringError
 from .trees import FiniteColorTree
 from .visit import Visit, enumerate_visit
 from .words import ROOT, Word, full_priority, validate_priority
@@ -40,8 +45,9 @@ class NonContiguousInsert(ErdosError):
 class ErdosTree:
     """Rooted tree on 0..size-1 with at most one child per color per node.
 
-    Grown strictly by :func:`insert`; parents always precede children
-    numerically.  Treat instances as immutable once construction finishes.
+    Built by :func:`build_erdos` or by :func:`insert`; parents always
+    precede children numerically.  Treat instances as immutable once
+    construction finishes.
     """
 
     k: int
@@ -87,9 +93,46 @@ def insert(tree: ErdosTree, n: int, coloring: Coloring) -> ErdosTree:
 
 
 def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
-    """Insert 1..size-1 in order, starting from the singleton tree {0}."""
+    """The tree that inserting 1..size-1 in order builds, grown top-down.
+
+    The numbers below node ``x`` are the larger ones that agree with ``x``
+    on the color of every edge to x's ancestors.  ``x`` colors them in one
+    :meth:`Coloring.row` and splits them by color: the smallest member of
+    each color class is x's child of that color and the rest stay below
+    that child.  This evaluates the same pairs as insertion, one per node
+    and ancestor, and meets each node's children in the order insertion
+    attaches them.  When the coloring fails, the tree is built again by
+    insertion so that the error raised is the first one insertion meets.
+    """
     if size < 1:
         raise ErdosError(f"size {size} must be at least 1")
+    parent: list[Optional[int]] = [None] * size
+    edge_color: list[Optional[int]] = [None] * size
+    children: list[dict[int, int]] = [{} for _ in range(size)]
+    work = [(0, list(range(1, size)))]
+    try:
+        while work:
+            x, below = work.pop()
+            groups: dict[int, list[int]] = {}
+            for n, i in zip(below, coloring.row(x, below)):
+                group = groups.get(i)
+                if group is None:
+                    groups[i] = [n]
+                else:
+                    group.append(n)
+            for i, group in groups.items():
+                child = group[0]
+                parent[child], edge_color[child] = x, i
+                children[x][i] = child
+                work.append((child, group[1:]))
+    except (ColoringError, ArithmeticError):
+        build_by_insertion(coloring, size)
+        raise
+    return ErdosTree(coloring.k, parent, edge_color, children)
+
+
+def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:
+    """Reference build: :func:`insert` 1..size-1 in order into {0}."""
     tree = ErdosTree(k=coloring.k)
     for n in range(1, size):
         insert(tree, n, coloring)
@@ -177,10 +220,10 @@ def extract_homogeneous(
     verified = True
     for i, cls in enumerate(classes):
         members = sorted(cls)
-        for a_idx, a in enumerate(members):
-            for b in members[a_idx + 1 :]:
-                if coloring(a, b) != i:
-                    verified = False
+        for j in range(len(members) - 1):
+            row = coloring.row(members[j], members[j + 1 :])
+            if row.count(i) != len(row):
+                verified = False
     return HomogeneousReport(
         tree=tree,
         branch_nodes=nodes,

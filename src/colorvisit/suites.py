@@ -15,7 +15,13 @@ from typing import Callable, Iterator, Optional
 
 from .colorings import Coloring, builtin_coloring
 from .dsl import dsl_coloring
-from .erdos import build_erdos, check_erdos_property, homog_pipeline, to_word_tree
+from .erdos import (
+    build_by_insertion,
+    build_erdos,
+    check_erdos_property,
+    homog_pipeline,
+    to_word_tree,
+)
 from .oracles import (
     ALL_VISITS_NODE_CAP,
     TreeGenParams,
@@ -181,7 +187,8 @@ def suite_expansions(seed: int, cases: int) -> SuiteResult:
 
 
 def suite_erdos(seed: int, cases: int) -> SuiteResult:
-    """Construction property, formula agreement, and distinct node words."""
+    """Construction property, agreement of the row-wise build with
+    insertion, formula agreement, and distinct node words."""
     rng = random.Random(seed)
     ran = 0
     for _ in range(cases):
@@ -190,6 +197,15 @@ def suite_erdos(seed: int, cases: int) -> SuiteResult:
         size = rng.randint(2, 64)
         coloring = random_coloring(rng.randrange(2**32), k, size)
         tree = build_erdos(coloring, size)
+        reference = build_by_insertion(coloring, size)
+        if tree != reference or [list(c.items()) for c in tree.children] != [
+            list(c.items()) for c in reference.children
+        ]:
+            return SuiteResult(
+                "erdos", False, ran,
+                f"row-wise build differs from insertion: k={k} size={size} "
+                f"coloring={coloring.name}",
+            )
         if not check_erdos_property(tree, coloring):
             return SuiteResult(
                 "erdos", False, ran,

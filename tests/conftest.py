@@ -8,6 +8,7 @@ from typing import Callable
 import pytest
 
 import colorvisit
+from colorvisit.colorings import Coloring
 from colorvisit.oracles import complete_tree
 from colorvisit.trees import FiniteColorTree, OracleColorTree, validate_tree
 
@@ -45,6 +46,27 @@ def cli_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, inherited]) if inherited else src
     return env
+
+
+@pytest.fixture
+def pair_evaluations(monkeypatch) -> list[int]:
+    """One-element list counting the pairs every coloring evaluates, one
+    per ``Coloring.__call__`` and ``len(his)`` per ``Coloring.row``; tests
+    reset it by assigning ``[0]``."""
+    count = [0]
+    call, row = Coloring.__call__, Coloring.row
+
+    def counting_call(self, x, y):
+        count[0] += 1
+        return call(self, x, y)
+
+    def counting_row(self, lo, his):
+        count[0] += len(his)
+        return row(self, lo, his)
+
+    monkeypatch.setattr(Coloring, "__call__", counting_call)
+    monkeypatch.setattr(Coloring, "row", counting_row)
+    return count
 
 
 @pytest.fixture

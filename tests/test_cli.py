@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from colorvisit.cli import main
-from colorvisit.colorings import Coloring, sum_mod_coloring
+from colorvisit.colorings import sum_mod_coloring
 from colorvisit.erdos import homog_pipeline
 from colorvisit.export import (
     erdos_dot,
@@ -169,23 +169,16 @@ def test_homog_rejects_too_deep_expressions(capsys):
         assert err.startswith("error: syntax error") and err.count("\n") == 1
 
 
-def test_homog_dot_builds_the_tree_once(monkeypatch, tmp_path):
-    calls = [0]
-    real = Coloring.__call__
-
-    def counting(self, x, y):
-        calls[0] += 1
-        return real(self, x, y)
-
-    monkeypatch.setattr(Coloring, "__call__", counting)
+def test_homog_dot_builds_the_tree_once(pair_evaluations, tmp_path):
     per_emit = {}
     for emit in ("json", "dot"):
-        calls[0] = 0
+        pair_evaluations[0] = 0
         assert main(["homog", "--coloring", "if x < y then x else y", "--k", "3",
                      "--horizon", "200", "--emit", emit,
                      "--out", str(tmp_path / f"homog.{emit}")]) == 0
-        per_emit[emit] = calls[0]
-    assert per_emit["dot"] == per_emit["json"]
+        per_emit[emit] = pair_evaluations[0]
+    # 19 900 build pairs (one chain) and 6 501 verified pairs
+    assert per_emit == {"json": 26_401, "dot": 26_401}
 
 
 def test_homog_requires_k_with_expression():

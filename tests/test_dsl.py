@@ -1,11 +1,13 @@
 import json
 import random
+import re
 import string
 
 import pytest
 from hypothesis import given, strategies as st
 
 from colorvisit.colorings import (
+    Coloring,
     ColoringError,
     TableIncomplete,
     UnknownBuiltin,
@@ -23,6 +25,8 @@ from colorvisit.dsl import (
     Neg,
     UnknownIdentifier,
     Var,
+    compile_expr,
+    compile_source,
     dsl_coloring,
     evaluate,
     parse,
@@ -90,6 +94,16 @@ def test_division_conventions():
     # floor semantics on negatives
     assert evaluate(parse("-7 / 2"), 0, 1) == -4
     assert evaluate(parse("-7 % 2"), 0, 1) == 1
+    # the compiled evaluator keeps every convention, literal divisor or not
+    sources = ["x / 0", "x % 0", "x / y", "x % y", "(x + 3) % (y - 1)",
+               "-7 / 2", "-7 % 2", "-7 / y", "-7 % y", "x / -(y)"]
+    for source in sources:
+        for strict in (False, True):
+            for x, y in ((7, 0), (7, 1), (7, 2), (0, 3)):
+                for k in (2, 5, 10**9):
+                    assert compiled_or_error(
+                        parse(source), x, y, strict, k
+                    ) == reference_or_error(parse(source), x, y, strict, k)
 
 
 def test_coloring_rejects_equal_endpoints():
@@ -190,16 +204,106 @@ def test_table_rejects_conflicts_and_bad_colors():
         table_from_dict({"pairs": []})
 
 
+def reference_or_error(expr, x, y, strict, k):
+    try:
+        return evaluate(expr, x, y, strict) % k
+    except DivisionByZero:
+        return DivisionByZero
+
+
+def compiled_or_error(expr, x, y, strict, k):
+    try:
+        color = compile_expr(expr, strict, k)(x, y)
+    except DivisionByZero:
+        return DivisionByZero
+    assert type(color) is int
+    return color
+
+
 def test_depth_limit_counts_nesting_and_chains():
     shapes = [
         lambda d: "x" + "+1" * (d - 1),
         lambda d: "-" * (d - 1) + "x",
         lambda d: "(" * (d - 1) + "x" + ")" * (d - 1),
         lambda d: "if x then " * (d - 1) + "x" + " else y" * (d - 1),
+        lambda d: "min(" * (d - 1) + "x" + ", y)" * (d - 1),
+        lambda d: "x / (" * (d - 1) + "y" + ")" * (d - 1),
     ]
     for shape in shapes:
         expr = parse(shape(MAX_DEPTH))
         assert parse(to_text(expr)) == expr
-        evaluate(expr, 1, 2)
+        for strict in (False, True):
+            for x, y in ((0, 1), (1, 2), (7, 3)):
+                assert compiled_or_error(expr, x, y, strict, 3) == reference_or_error(
+                    expr, x, y, strict, 3
+                )
         with pytest.raises(DslSyntaxError):
             parse(shape(MAX_DEPTH + 1))
+
+
+# every token compile_source may emit; user text never reaches the compiler
+SOURCE_TOKENS = re.compile(
+    r"lambda x, y: (?:\d+|_div|_mod|min|max|if|else|x|y|<=|==|!=|//|[-+*%<(), ])+"
+)
+
+st_point = st.one_of(st.just(0), st.integers(0, 10**9))
+
+
+@given(
+    expr=st_expr,
+    x=st_point,
+    y=st_point,
+    strict=st.booleans(),
+    k=st.integers(1, 5),
+)
+def test_compiled_evaluator_agrees_with_reference(expr, x, y, strict, k):
+    assert compiled_or_error(expr, x, y, strict, k) == reference_or_error(
+        expr, x, y, strict, k
+    )
+    assert SOURCE_TOKENS.fullmatch(compile_source(expr, k))
+
+
+def test_compiled_evaluator_has_no_builtins():
+    fn = compile_expr(parse("min(x, y) / (y - x)"), False, 3)
+    assert fn.__globals__["__builtins__"] == {}
+    assert set(fn.__globals__) == {"__builtins__", "min", "max", "_div", "_mod"}
+    assert compile_source(parse("x / 2 + y % 0 - 3 / (y - x)"), 4) == (
+        "lambda x, y: (((x // (2)) + _mod(y, (0))) - _div((3), (y - x))) % (4)"
+    )
+
+
+ROW_COLORINGS = [
+    builtin_coloring("constant:1", 3),
+    builtin_coloring("sum-mod", 3),
+    builtin_coloring("diff-mod", 4),
+    builtin_coloring("block:4", 2),
+    table_from_dict({"k": 3, "pairs": [[x, y, (x * y + 1) % 3]
+                                       for x in range(12) for y in range(x + 1, 12)]}),
+    dsl_coloring("if x < y then x / (y - 5) else y", 3),
+]
+
+
+@pytest.mark.parametrize("coloring", ROW_COLORINGS, ids=lambda c: c.name)
+def test_row_equals_pairwise_calls(coloring):
+    for lo in range(11):
+        for start in range(lo + 1, 12):
+            his = list(range(start, 12))
+            assert coloring.row(lo, his) == [coloring(lo, hi) for hi in his]
+    assert coloring.row(3, []) == []
+
+
+def test_row_errors_match_pairwise_calls():
+    table = ROW_COLORINGS[4]
+    with pytest.raises(TableIncomplete) as info:
+        table.row(2, [5, 11, 12])
+    assert info.value.pair == (2, 12)
+    with pytest.raises(ColoringError, match="must lie above"):
+        table.row(5, [5, 6])
+    wild = Coloring(k=2, pair_color=lambda lo, hi: 5)
+    with pytest.raises(ColoringError) as single:
+        wild(0, 1)
+    with pytest.raises(ColoringError) as row:
+        wild.row(0, [1, 2])
+    assert str(row.value) == str(single.value) == (
+        "coloring produced color 5 outside 0..1"
+    )

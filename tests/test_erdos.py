@@ -4,11 +4,20 @@ import random
 
 import pytest
 
-from colorvisit.colorings import constant_coloring, sum_mod_coloring
+from colorvisit.cli import main
+from colorvisit.colorings import (
+    Coloring,
+    TableIncomplete,
+    constant_coloring,
+    sum_mod_coloring,
+    table_coloring,
+)
+from colorvisit.dsl import DivisionByZero, dsl_coloring
 from colorvisit.erdos import (
     ErdosError,
     ErdosTree,
     NonContiguousInsert,
+    build_by_insertion,
     build_erdos,
     check_erdos_property,
     extract_homogeneous,
@@ -70,6 +79,65 @@ def test_build_rejects_empty():
         build_erdos(sum_mod_coloring(2), 0)
 
 
+def assert_same_tree(tree, reference):
+    assert tree == reference
+    assert [list(kids.items()) for kids in tree.children] == [
+        list(kids.items()) for kids in reference.children
+    ]
+
+
+def test_build_equals_insertion_on_random_tables():
+    rng = random.Random(12)
+    for _ in range(200):
+        k = rng.choice([2, 3, 4])
+        size = rng.randint(1, 80)
+        coloring = random_coloring(rng.randrange(2**32), k, max(size, 2))
+        assert_same_tree(build_erdos(coloring, size), build_by_insertion(coloring, size))
+
+
+ZERO_DIVISOR_EXPRESSIONS = [
+    "x / (y - x - 3)",
+    "(x * y) % (y - 2 * x)",
+    "if x % (y % 4) < 2 then y / (x % 3) else x",
+    "min(x, y / (x - 7)) + y % (y / 5)",
+]
+
+
+def test_build_equals_insertion_on_zero_divisor_expressions():
+    for source in ZERO_DIVISOR_EXPRESSIONS:
+        for k in (2, 3, 4):
+            coloring = dsl_coloring(source, k)
+            for size in (1, 2, 17, 60):
+                assert_same_tree(
+                    build_erdos(coloring, size), build_by_insertion(coloring, size)
+                )
+
+
+def test_build_raises_the_error_insertion_meets_first():
+    # insertion meets the missing pair (1, 2) before (0, 3); a row of 0
+    # alone would meet (0, 3) first
+    table = table_coloring({(0, 1): 0, (0, 2): 0, (0, 4): 1}, 2)
+    with pytest.raises(TableIncomplete) as info:
+        build_erdos(table, 5)
+    assert info.value.pair == (1, 2)
+    strict = dsl_coloring(
+        "if x == 1 then y / 0 else if y == 3 then x % 0 else 0", 2, strict=True
+    )
+    with pytest.raises(DivisionByZero, match="division"):
+        build_erdos(strict, 5)
+
+
+def test_pair_evaluation_counts(pair_evaluations, tmp_path):
+    coloring = dsl_coloring("if x < y then x else y", 3)
+    assert build_erdos(coloring, 30).parent == [None] + list(range(29))
+    assert pair_evaluations[0] == 30 * 29 // 2
+    pair_evaluations[0] = 0
+    assert main(["homog", "--coloring", "if x < y then x else y", "--k", "3",
+                 "--horizon", "30", "--out", str(tmp_path / "homog.json")]) == 0
+    # the build's 435 pairs plus 2 * C(10, 2) + C(9, 2) verified pairs
+    assert pair_evaluations[0] == 561
+
+
 def test_erdos_property_holds_for_construction():
     rng = random.Random(17)
     for _ in range(20):
@@ -88,8 +156,6 @@ def test_erdos_property_detects_violation():
     tree.children[0][0] = 1
     tree.children += [{0: 2}, {}]
     bad = {(0, 1): 0, (1, 2): 0, (0, 2): 1}
-    from colorvisit.colorings import table_coloring
-
     assert check_erdos_property(tree, table_coloring(bad, 2)) is False
 
 
@@ -138,6 +204,16 @@ def test_extract_constant_full_branch():
     assert sorted(report.classes[0]) == [0, 1, 2, 3, 4]
     assert report.classes[1] == frozenset()
     assert report.verified is True
+
+
+def test_extract_verification_checks_every_pair():
+    tree = build_erdos(constant_coloring(0, 2), 6)
+    for a in range(5):
+        for b in range(a + 1, 5):
+            one_off = Coloring(k=2, pair_color=lambda lo, hi: int((lo, hi) == (a, b)))
+            report = extract_homogeneous(tree, range(6), one_off)
+            assert sorted(report.classes[0]) == [0, 1, 2, 3, 4]
+            assert report.verified is False
 
 
 def test_extract_even_chain_under_parity():
