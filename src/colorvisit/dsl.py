@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .colorings import Coloring
+from .colorings import Coloring, ColoringError
 
 
 class DslSyntaxError(ValueError):
@@ -476,6 +476,8 @@ def compile_expr(expr: Expr, strict: bool, k: int) -> Callable[[int, int], int]:
 
 def dsl_coloring(source: str | Expr, k: int, strict: bool = False) -> Coloring:
     """Wrap an expression as a total symmetric coloring with ``k`` colors."""
+    if k < 1:
+        raise ColoringError(f"color count k={k} must be at least 1")
     expr = parse(source) if isinstance(source, str) else source
     return Coloring(
         k=k, pair_color=compile_expr(expr, strict, k), name=f"dsl({to_text(expr)})"

@@ -1,17 +1,21 @@
 """Canonical JSON and DOT rendering for visits and homogeneity reports.
 
 All JSON is dumped with sorted keys and fixed separators so that identical
-runs produce byte-identical files.
+runs produce byte-identical files.  The visit trace is written out in that
+same canonical form directly: each entry's word is rendered once from its
+parent's rendering, through ``Visit.parent``, so the cost is the size of the
+output rather than one encoder step per letter.  ``oracles.visit_trace``
+keeps the dict the trace encodes as the reference.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
 from .erdos import ErdosTree, HomogeneousReport
-from .stability import branch_approx, stable_indices
+from .stability import branch_approx_of, stable_indices
 from .visit import Visit
-from .words import Word, word_str
 
 # Fill colors for per-class node highlighting in DOT output, cycled.
 _PALETTE = (
@@ -33,61 +37,81 @@ def dumps_canonical(obj: object) -> str:
 # --- visit traces --------------------------------------------------------------
 
 
-def visit_trace(visit: Visit) -> dict:
-    """Trace schema: k, priority, root, order, terminated, stable, branch."""
-    return {
-        "k": visit.tree.k,
-        "priority": list(visit.priority),
-        "root": list(visit.root),
-        "order": [list(w) for w in visit.order],
-        "terminated": visit.terminated,
-        "stable": list(stable_indices(visit)),
-        "branch": [list(w) for w in branch_approx(visit)],
-    }
+def _open_lists(visit: Visit) -> list[str]:
+    """Each entry's word as a JSON list without its closing bracket
+    (``"[1,0"``), built from its parent's: one concatenation per entry."""
+    out = ["[" + ",".join(map(str, visit.root))]
+    order = visit.order
+    for i in range(1, len(order)):
+        above = out[visit.parent[i]]
+        out.append(above + ("," if len(above) > 1 else "") + str(order[i][-1]))
+    return out
+
+
+def _list_pieces(opened: Sequence[str]) -> list[str]:
+    """The JSON list of the words whose open renderings are ``opened``, as
+    pieces for one final join, so that no intermediate copy is made."""
+    pieces = ["["]
+    for item in opened:
+        pieces += (item, "],")
+    pieces[-1] = "]]"
+    return pieces
+
+
+def _json_ints(values: Sequence[int]) -> str:
+    return "[" + ",".join(map(str, values)) + "]"
 
 
 def visit_trace_json(visit: Visit) -> str:
-    return dumps_canonical(visit_trace(visit))
-
-
-def _node_id(w: Word) -> str:
-    return "n" + "".join(f"_{c}" for c in w)
+    """Trace schema: k, priority, root, order, terminated, stable, branch;
+    byte for byte ``dumps_canonical`` of that dict, with each word rendered
+    once from its parent's rendering instead of letter by letter."""
+    opened = _open_lists(visit)
+    return "".join([
+        '{"branch":', *_list_pieces(branch_approx_of(opened, visit.parent)),
+        ',"k":', str(visit.tree.k),
+        ',"order":', *_list_pieces(opened),
+        ',"priority":', _json_ints(visit.priority),
+        ',"root":', _json_ints(visit.root),
+        ',"stable":', _json_ints(stable_indices(visit)),
+        ',"terminated":', "true" if visit.terminated else "false",
+        "}\n",
+    ])
 
 
 def visit_dot(visit: Visit) -> str:
     """One DOT node per enumerated word, edges labeled by the final letter,
     stable nodes double-bordered and branch nodes filled."""
-    stable = {visit.order[m] for m in stable_indices(visit)}
-    branch = set(branch_approx(visit))
-    present = set(visit.order)
+    stable = set(stable_indices(visit))
+    branch = set(branch_approx_of(range(len(visit.order)), visit.parent))
+    letters = [opened[1:] for opened in _open_lists(visit)]
+    ids = ["n_" + ls.replace(",", "_") if ls else "n" for ls in letters]
     lines = ["digraph visit {", "  rankdir=TB;"]
-    for w in visit.order:
-        attrs = [f'label="{word_str(w)}"']
-        if w in branch:
+    for i, ls in enumerate(letters):
+        attrs = [f'label="<{ls}>"']
+        if i in branch:
             attrs.append("style=filled")
             attrs.append("fillcolor=lightblue")
-        if w in stable:
+        if i in stable:
             attrs.append("peripheries=2")
-        lines.append(f"  {_node_id(w)} [{', '.join(attrs)}];")
-    for w in visit.order:
-        if w and w[:-1] in present:
-            lines.append(
-                f'  {_node_id(w[:-1])} -> {_node_id(w)} [label="{w[-1]}"];'
-            )
+        lines.append(f"  {ids[i]} [{', '.join(attrs)}];")
+    for i in range(1, len(ids)):
+        lines.append(
+            f'  {ids[visit.parent[i]]} -> {ids[i]} [label="{visit.order[i][-1]}"];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def visit_text(visit: Visit) -> str:
     """Short human-readable summary of a run."""
-    stable = stable_indices(visit)
-    branch = branch_approx(visit)
+    shown = [f"<{opened[1:]}>" for opened in _open_lists(visit)]
     lines = [
         f"k={visit.tree.k} priority={list(visit.priority)} root={list(visit.root)}",
         f"entries={len(visit.order)} terminated={visit.terminated}",
-        f"stable indices: {list(stable)}",
-        "branch: " + " ".join(word_str(w) for w in branch),
-        "order: " + " ".join(word_str(w) for w in visit.order),
+        f"stable indices: {list(stable_indices(visit))}",
+        "branch: " + " ".join(branch_approx_of(shown, visit.parent)),
+        "order: " + " ".join(shown),
     ]
     return "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .colorings import Coloring, table_coloring
 from .trees import ColorTree, FiniteColorTree, in_restricted
-from .visit import check_visit
+from .visit import Visit, check_visit
 from .words import ROOT, Word, is_proper_prefix, lex_compare
 
 ALL_VISITS_NODE_CAP = 25
@@ -93,6 +93,25 @@ def brute_stable_indices(order: Sequence[Word]) -> tuple[int, ...]:
         for m in range(len(order))
         if all(is_proper_prefix(order[m], order[n]) for n in range(m + 1, len(order)))
     )
+
+
+def visit_trace(visit: Visit) -> dict:
+    """The visit trace schema as a dict, with the stable indices and the
+    branch computed from the words alone (quadratic):
+    ``export.visit_trace_json`` must equal its canonical dump byte for
+    byte."""
+    deepest = visit.order[-1]
+    return {
+        "k": visit.tree.k,
+        "priority": list(visit.priority),
+        "root": list(visit.root),
+        "order": [list(w) for w in visit.order],
+        "terminated": visit.terminated,
+        "stable": list(brute_stable_indices(visit.order)),
+        "branch": [
+            list(deepest[:i]) for i in range(len(visit.root), len(deepest) + 1)
+        ],
+    }
 
 
 def ancestor_formula_relation(coloring: Coloring, size: int) -> set[tuple[int, int]]:

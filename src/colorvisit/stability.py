@@ -7,57 +7,67 @@ shrinks toward the truly stable nodes as the budget grows, and the prefix
 chain through the deepest horizon-stable entry approximates that branch
 from above.  None of this is assumed anywhere: the package only ever
 asserts it on engineered families where the limit is known.
+
+Both are read off a visit's parent array (``Visit.parent``) in linear
+time, without comparing words: parents come before their children in a
+visit order, so the descendants of ``order[m]`` within the order all lie at
+or after m.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .visit import Visit
-from .words import Word, common_prefix
+from .words import Word
+
+T = TypeVar("T")
 
 
-def stable_indices_of(order: Sequence[Word]) -> tuple[int, ...]:
-    """All m with ``order[m]`` a proper prefix of every later entry.
+def stable_indices_of(parent: Sequence[int]) -> tuple[int, ...]:
+    """All m with ``order[m]`` a proper prefix of every later entry, given
+    a visit order's parent array.
 
-    Single right-to-left scan tracking the common prefix and the minimum
-    length of the entries seen so far.
+    m qualifies exactly when the subtree of ``order[m]`` within the order
+    holds all ``n - m`` entries from m on; one right-to-left pass adds each
+    entry's subtree size to its parent's.
     """
-    if not order:
+    n = len(parent)
+    if not n:
         raise ValueError("order must be nonempty")
-    out = [len(order) - 1]
-    lcp = order[-1]
-    min_len = len(order[-1])
-    for m in range(len(order) - 2, -1, -1):
-        w = order[m]
-        if len(w) < min_len and lcp[: len(w)] == w:
-            out.append(m)
-        lcp = common_prefix(lcp, w)
-        min_len = min(min_len, len(w))
-    out.reverse()
-    return tuple(out)
+    size = [1] * n
+    for i in range(n - 1, 0, -1):
+        size[parent[i]] += size[i]
+    return tuple(m for m in range(n) if size[m] == n - m)
 
 
 def stable_indices(visit: Visit) -> tuple[int, ...]:
-    return stable_indices_of(visit.order)
+    return stable_indices_of(visit.parent)
 
 
-def branch_approx_of(order: Sequence[Word], root: Word) -> tuple[Word, ...]:
-    """All prefixes, from the root inclusive, of the deepest horizon-stable
-    entry, in increasing length.
+def branch_approx_of(entries: Sequence[T], parent: Sequence[int]) -> tuple[T, ...]:
+    """The items of ``entries`` along the root path of the last entry, from
+    the root, given a visit order's parent array.
 
     Horizon-stable entries form a prefix chain ending at the final entry, so
-    the deepest one is ``order[-1]`` and the approximation is its ancestor
-    chain down to the root.
+    the deepest one is the last entry and the approximation is its ancestor
+    chain down to the root.  ``entries`` is indexed like the order: the
+    order's words give the branch words, ``range(len(parent))`` their
+    indices.
     """
-    if not order:
+    if not parent:
         raise ValueError("order must be nonempty")
-    deepest = order[-1]
-    return tuple(deepest[:i] for i in range(len(root), len(deepest) + 1))
+    chain = []
+    i = len(parent) - 1
+    while i >= 0:
+        chain.append(entries[i])
+        i = parent[i]
+    chain.reverse()
+    return tuple(chain)
 
 
 def branch_approx(visit: Visit) -> tuple[Word, ...]:
-    return branch_approx_of(visit.order, visit.root)
+    return branch_approx_of(visit.order, visit.parent)
 
 
 def color_census(entries: Iterable[Word], k: int) -> dict[int, int]:
@@ -65,9 +75,9 @@ def color_census(entries: Iterable[Word], k: int) -> dict[int, int]:
 
     An edge is counted for every entry after the first whose one-letter-
     shorter parent appeared earlier in the sequence; the edge color is the
-    entry's final letter.  On a visit order this counts every enumerated
-    edge; on a branch chain it counts the consecutive-pair letters.  All
-    colors 0..k-1 are present in the result, possibly with count 0.
+    entry's final letter.  On a branch chain it counts the consecutive-pair
+    letters.  All colors 0..k-1 are present in the result, possibly with
+    count 0.
     """
     counts = {c: 0 for c in range(k)}
     seen: set[Word] = set()
@@ -79,7 +89,12 @@ def color_census(entries: Iterable[Word], k: int) -> dict[int, int]:
 
 
 def visit_census(visit: Visit) -> dict[int, int]:
-    return color_census(visit.order, visit.tree.k)
+    """``color_census`` of a visit order: every entry after the root is a
+    child of an earlier one, so each counts its last letter."""
+    counts = {c: 0 for c in range(visit.tree.k)}
+    for w in visit.order[1:]:
+        counts[w[-1]] += 1
+    return counts
 
 
 def branch_census(branch: Sequence[Word], k: int) -> dict[int, int]:

@@ -147,14 +147,16 @@ def in_restricted(
 
 def unary_tree() -> OracleColorTree:
     """The infinite single-color chain: every word over {0}."""
-    return OracleColorTree(k=1, membership=lambda w: all(c == 0 for c in w))
+    return OracleColorTree(k=1, membership=lambda w: not any(w))
 
 
 def full_tree(k: int) -> OracleColorTree:
     """The complete infinite k-ary tree: every word over 0..k-1."""
     if k < 1:
         raise TreeError(f"color count k={k} must be at least 1")
-    return OracleColorTree(k=k, membership=lambda w: all(0 <= c < k for c in w))
+    return OracleColorTree(
+        k=k, membership=lambda w: not w or (min(w) >= 0 and max(w) < k)
+    )
 
 
 _BUILTIN_TREES = {"unary": unary_tree}

@@ -22,6 +22,10 @@ Two faces of the same discipline live here:
 
 Every step of the machine needs only finitely many membership probes, so
 oracle-backed (potentially infinite) trees can be visited under a budget.
+The machine's frames hold order indices, not words: it records each
+emitted entry's parent index as it goes, and :class:`Visit` carries that
+array so the stable indices, the branch and the exports are read off it
+instead of comparing words.
 """
 
 from __future__ import annotations
@@ -252,9 +256,11 @@ class Visit:
     ``order`` starts at the root, has no repetitions, is prefix-closed above
     the root, stays inside the restricted subtree of the priority's colors,
     and every entry after the first is a child (by one letter, with a
-    priority color) of an earlier entry.  ``terminated`` is True iff the
-    enumeration ended because the visit got complete, not because the budget
-    ran out.  Immutable and safe to share.
+    priority color) of an earlier entry.  ``parent[i]`` is the index in
+    ``order`` of ``order[i][:-1]`` (always below i), and ``parent[0]`` is -1
+    for the root.  ``terminated`` is True iff the enumeration ended because
+    the visit got complete, not because the budget ran out.  Immutable and
+    safe to share.
     """
 
     tree: ColorTree
@@ -262,23 +268,25 @@ class Visit:
     priority: Word
     order: tuple[Word, ...]
     terminated: bool
+    parent: tuple[int, ...]
 
 
 @dataclass
 class _Frame:
-    """One open visit on the decomposition stack.
+    """One open visit on the decomposition stack, over order indices.
 
     While the inner visit for the tail priority is running, the frame sits
     below it and ``m_entries`` is None.  Once the inner visit completes, its
     entry list is frozen into ``m_entries``, all expansions in the lowest
-    color are precomputed, and segments are opened one at a time.
+    color are precomputed as (base index, head word) pairs, bases taken in
+    lexicographic order of their words, and segments are opened one at a
+    time.
     """
 
     priority: Word
-    root: Word
-    entries: list[Word] = field(default_factory=list)
-    m_entries: Optional[tuple[Word, ...]] = None
-    expansions: Optional[list[Word]] = None
+    entries: list[int] = field(default_factory=list)
+    m_entries: Optional[tuple[int, ...]] = None
+    expansions: Optional[list[tuple[int, Word]]] = None
     seg_index: int = 0
 
 
@@ -286,8 +294,10 @@ class VisitMachine:
     """Incremental generator of the unique priority-visit, one node per step.
 
     The machine mirrors the recursive structure of the visit as a stack of
-    open frames; every emitted word is appended to the enclosing frames'
-    entry lists through absorption when inner frames close.  Determinism is
+    open frames; every emitted entry's index is appended to the enclosing
+    frames' entry lists through absorption when inner frames close.
+    ``order`` lists the words emitted so far (the root first) and
+    ``parent`` their parent indices, as in :class:`Visit`.  Determinism is
     structural: the one-step extension of a visit is unique, and no step
     iterates over an unordered container.
     """
@@ -298,52 +308,57 @@ class VisitMachine:
         self.root = tuple(root)
         if not tree.contains(self.root):
             raise RootNotInTree(self.root)
+        self.order: list[Word] = [self.root]
+        self.parent: list[int] = [-1]
         self._stack: list[_Frame] = []
         self._complete = False
-        self._push_chain(self.priority, self.root)
+        self._push_chain(self.priority, 0)
 
     @property
     def complete(self) -> bool:
         return self._complete
 
-    def _push_chain(self, priority: Word, root: Word) -> None:
+    def _push_chain(self, priority: Word, head: int) -> None:
         # Opening a visit opens its inner visit too, down to the empty
-        # priority whose whole enumeration is just the root.
+        # priority whose whole enumeration is just the head.
         for i in range(len(priority) + 1):
-            self._stack.append(_Frame(priority=priority[i:], root=root))
-        self._stack[-1].entries = [root]
+            self._stack.append(_Frame(priority=priority[i:]))
+        self._stack[-1].entries = [head]
 
     def next_word(self) -> Optional[Word]:
         """Emit the next node of the enumeration, or None once complete."""
         if self._complete:
             return None
         stack = self._stack
+        order = self.order
         while stack:
             top = stack[-1]
             if top.priority:
                 if top.expansions is None:
                     d0 = top.priority[0]
-                    top.expansions = [
-                        base + (d0,)
-                        for base in sorted(top.m_entries)
-                        if self.tree.contains(base + (d0,))
-                    ]
+                    top.expansions = []
+                    for base in sorted(top.m_entries, key=order.__getitem__):
+                        head = order[base] + (d0,)
+                        if self.tree.contains(head):
+                            top.expansions.append((base, head))
                 if top.seg_index < len(top.expansions):
-                    head = top.expansions[top.seg_index]
+                    base, head = top.expansions[top.seg_index]
                     top.seg_index += 1
-                    self._push_chain(rotate(top.priority), head)
+                    self.parent.append(base)
+                    order.append(head)
+                    self._push_chain(rotate(top.priority), len(order) - 1)
                     return head
             # top is complete: close it and absorb its entries upward
             closed = stack.pop()
             if not stack:
                 self._complete = True
                 return None
-            parent = stack[-1]
-            if parent.m_entries is None:
-                parent.m_entries = tuple(closed.entries)
-                parent.entries = closed.entries
+            outer = stack[-1]
+            if outer.m_entries is None:
+                outer.m_entries = tuple(closed.entries)
+                outer.entries = closed.entries
             else:
-                parent.entries.extend(closed.entries)
+                outer.entries.extend(closed.entries)
         self._complete = True
         return None
 
@@ -362,20 +377,18 @@ def enumerate_visit(
     if budget < 1:
         raise VisitError(f"budget {budget} must be at least 1")
     machine = VisitMachine(tree, priority, root)
-    order: list[Word] = [machine.root]
     terminated = False
-    while len(order) < budget:
-        w = machine.next_word()
-        if w is None:
+    while len(machine.order) < budget:
+        if machine.next_word() is None:
             terminated = True
             break
-        order.append(w)
     return Visit(
         tree=tree,
         root=machine.root,
         priority=machine.priority,
-        order=tuple(order),
+        order=tuple(machine.order),
         terminated=terminated,
+        parent=tuple(machine.parent),
     )
 
 

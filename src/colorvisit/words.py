@@ -47,16 +47,6 @@ def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
     return -1 if len(a) < len(b) else 1
 
 
-def common_prefix(a: Word, b: Word) -> Word:
-    """Longest word that is a prefix of both arguments."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return a[:n]
-
-
 def validate_priority(colors: Iterable[int], k: int) -> Word:
     """Check a priority list against a color count and return it as a tuple.
 

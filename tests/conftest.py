@@ -6,11 +6,13 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
+from hypothesis import strategies as st
 
 import colorvisit
 from colorvisit.colorings import Coloring
-from colorvisit.oracles import complete_tree
+from colorvisit.oracles import TreeGenParams, complete_tree, random_tree
 from colorvisit.trees import FiniteColorTree, OracleColorTree, validate_tree
+from colorvisit.visit import Visit, enumerate_visit
 
 
 @dataclass
@@ -31,6 +33,26 @@ class CountingTree:
     def contains(self, w) -> bool:
         self.probes += 1
         return self.inner.contains(w)
+
+
+@st.composite
+def st_visits(draw) -> Visit:
+    """Visits of random finite trees: k from 1 to 3, a root drawn from the
+    tree, a priority that may be empty or list only some colors, and a
+    budget that may cut the visit short or leave room to finish it."""
+    tree = random_tree(draw(st.builds(
+        TreeGenParams,
+        k=st.integers(1, 3),
+        max_depth=st.integers(0, 5),
+        max_nodes=st.integers(1, 30),
+        branching=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )))
+    root = draw(st.sampled_from(sorted(tree.nodes)))
+    colors = draw(st.permutations(range(tree.k)))
+    priority = tuple(colors[: draw(st.integers(0, tree.k))])
+    budget = draw(st.integers(1, len(tree.nodes) + 1))
+    return enumerate_visit(tree, priority, root, budget)
 
 
 @pytest.fixture

@@ -15,10 +15,10 @@ from colorvisit.export import (
     report_dict,
     report_json,
     visit_dot,
-    visit_trace,
+    visit_text,
     visit_trace_json,
 )
-from colorvisit.oracles import complete_tree
+from colorvisit.oracles import complete_tree, visit_trace
 from colorvisit.trees import save_tree
 from colorvisit.visit import enumerate_visit
 
@@ -109,6 +109,50 @@ def test_visit_dot_output(tree_file, tmp_path):
     assert 'label="<1,0>"' in text and "->" in text
 
 
+def test_visit_dot_and_text_from_an_inner_root(binary_depth2):
+    visit = enumerate_visit(binary_depth2, (0, 1), (1,), budget=100)
+    assert visit_dot(visit) == (
+        "digraph visit {\n"
+        "  rankdir=TB;\n"
+        '  n_1 [label="<1>", style=filled, fillcolor=lightblue, peripheries=2];\n'
+        '  n_1_1 [label="<1,1>"];\n'
+        '  n_1_0 [label="<1,0>", style=filled, fillcolor=lightblue, peripheries=2];\n'
+        '  n_1 -> n_1_1 [label="1"];\n'
+        '  n_1 -> n_1_0 [label="0"];\n'
+        "}\n"
+    )
+    assert visit_text(visit) == (
+        "k=2 priority=[0, 1] root=[1]\n"
+        "entries=3 terminated=True\n"
+        "stable indices: [0, 2]\n"
+        "branch: <1> <1,0>\n"
+        "order: <1> <1,1> <1,0>\n"
+    )
+
+
+def test_visit_dot_and_text_of_a_cut_visit(binary_depth2):
+    visit = enumerate_visit(binary_depth2, (1, 0), (), budget=4)
+    assert visit_dot(visit) == (
+        "digraph visit {\n"
+        "  rankdir=TB;\n"
+        '  n [label="<>", style=filled, fillcolor=lightblue, peripheries=2];\n'
+        '  n_0 [label="<0>"];\n'
+        '  n_0_0 [label="<0,0>"];\n'
+        '  n_1 [label="<1>", style=filled, fillcolor=lightblue, peripheries=2];\n'
+        '  n -> n_0 [label="0"];\n'
+        '  n_0 -> n_0_0 [label="0"];\n'
+        '  n -> n_1 [label="1"];\n'
+        "}\n"
+    )
+    assert visit_text(visit) == (
+        "k=2 priority=[1, 0] root=[]\n"
+        "entries=4 terminated=False\n"
+        "stable indices: [0, 3]\n"
+        "branch: <> <1>\n"
+        "order: <> <0> <0,0> <1>\n"
+    )
+
+
 def test_homog_writes_report(tmp_path):
     out = tmp_path / "report.json"
     trace = tmp_path / "trace.json"
@@ -183,6 +227,15 @@ def test_homog_dot_builds_the_tree_once(pair_evaluations, tmp_path):
 
 def test_homog_requires_k_with_expression():
     assert main(["homog", "--coloring", "x"]) == 2
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_homog_expression_rejects_color_counts_below_one(k, capsys):
+    expected = f"error: color count k={k} must be at least 1\n"
+    assert main(["homog", "--coloring", "x", "--k", k]) == 2
+    assert capsys.readouterr().err == expected
+    assert main(["homog", "--builtin", "sum-mod", "--k", k]) == 2
+    assert capsys.readouterr().err == expected
 
 
 def test_homog_bad_horizon():

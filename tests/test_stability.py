@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from colorvisit.oracles import brute_stable_indices
 from colorvisit.stability import (
@@ -11,45 +11,51 @@ from colorvisit.stability import (
     stable_indices_of,
     visit_census,
 )
-from colorvisit.trees import unary_tree
+from colorvisit.trees import unary_tree, validate_tree
 from colorvisit.visit import enumerate_visit
+
+from conftest import st_visits
 
 GOLDEN = ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
 
-st_order = st.lists(
-    st.lists(st.integers(0, 2), max_size=5).map(tuple), min_size=1, max_size=12
-)
-
 
 def test_stable_on_chain_every_index():
-    assert stable_indices_of([(), (0,), (0, 0)]) == (0, 1, 2)
+    visit = enumerate_visit(unary_tree(), (0,), (), budget=3)
+    assert visit.parent == (-1, 0, 1)
+    assert stable_indices(visit) == (0, 1, 2)
 
 
-def test_stable_on_golden_order():
+def test_stable_on_golden_order(binary_depth2):
     # the root vacuously dominates everything, and the last entry always
     # qualifies; nothing in between survives the 0/1 subtree switch
-    assert stable_indices_of(GOLDEN) == (0, 6)
+    visit = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
+    assert visit.order == GOLDEN
+    assert stable_indices(visit) == (0, 6)
     assert brute_stable_indices(GOLDEN) == (0, 6)
 
 
 def test_stable_drops_overtaken_sibling():
-    order = [(), (0,), (0, 0), (0, 1)]
-    assert stable_indices_of(order) == (0, 1, 3)
+    tree = validate_tree([(), (0,), (0, 0), (0, 1)], 2)
+    visit = enumerate_visit(tree, (0, 1), (), budget=10)
+    assert visit.order == ((), (0,), (0, 0), (0, 1))
+    assert stable_indices(visit) == (0, 1, 3)
 
 
 def test_stable_rejects_empty():
     with pytest.raises(ValueError):
-        stable_indices_of([])
+        stable_indices_of(())
+    with pytest.raises(ValueError):
+        branch_approx_of((), ())
 
 
-@given(order=st_order)
-def test_stable_matches_brute_force(order):
-    assert stable_indices_of(order) == brute_stable_indices(order)
+@given(visit=st_visits())
+def test_stable_matches_brute_force(visit):
+    assert stable_indices(visit) == brute_stable_indices(visit.order)
 
 
-@given(order=st_order)
-def test_stable_last_index_always_included(order):
-    assert stable_indices_of(order)[-1] == len(order) - 1
+@given(visit=st_visits())
+def test_stable_last_index_always_included(visit):
+    assert stable_indices(visit)[-1] == len(visit.order) - 1
 
 
 def test_stable_entries_form_a_prefix_chain_on_visits(binary_depth2):
@@ -60,11 +66,26 @@ def test_stable_entries_form_a_prefix_chain_on_visits(binary_depth2):
         assert b[: len(a)] == a and len(a) < len(b)
 
 
-def test_branch_examples():
-    assert branch_approx_of([()], ()) == ((),)
-    assert branch_approx_of(GOLDEN, ()) == ((), (1,), (1, 0))
-    chain = tuple((0,) * i for i in range(5))
-    assert branch_approx_of(chain, ()) == chain
+def test_branch_examples(binary_depth2):
+    root_only = enumerate_visit(validate_tree([()], 2), (0, 1), (), budget=10)
+    assert branch_approx(root_only) == ((),)
+    golden = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
+    assert branch_approx(golden) == ((), (1,), (1, 0))
+    assert branch_approx_of(range(len(GOLDEN)), golden.parent) == (0, 1, 6)
+    chain = enumerate_visit(unary_tree(), (0,), (), budget=5)
+    assert branch_approx(chain) == chain.order
+
+
+@given(visit=st_visits())
+def test_branch_is_the_prefix_chain_of_the_last_entry(visit):
+    deepest = visit.order[-1]
+    branch = branch_approx(visit)
+    assert branch == tuple(
+        deepest[:i] for i in range(len(visit.root), len(deepest) + 1)
+    )
+    # the branch reuses the order's words instead of slicing new ones
+    indices = branch_approx_of(range(len(visit.order)), visit.parent)
+    assert all(w is visit.order[i] for w, i in zip(branch, indices))
 
 
 def test_branch_starts_at_visit_root(binary_depth2):
@@ -96,3 +117,8 @@ def test_census_counts_match_visit_length():
     visit = enumerate_visit(unary_tree(), (0,), (), budget=42)
     census = visit_census(visit)
     assert sum(census.values()) == len(visit.order) - 1
+
+
+@given(visit=st_visits())
+def test_visit_census_counts_every_edge_of_the_order(visit):
+    assert visit_census(visit) == color_census(visit.order, visit.tree.k)

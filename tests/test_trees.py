@@ -148,6 +148,15 @@ def test_oracle_trees():
         builtin_tree("full:x")
 
 
+@given(
+    k=st.integers(1, 4),
+    w=st.lists(st.integers(-3, 6), max_size=8).map(tuple),
+)
+def test_builtin_predicates_match_their_letter_by_letter_form(k, w):
+    assert full_tree(k).contains(w) == all(0 <= c < k for c in w)
+    assert unary_tree().contains(w) == all(c == 0 for c in w)
+
+
 def test_tree_json_round_trip(tmp_path, binary_depth2):
     path = tmp_path / "tree.json"
     save_tree(binary_depth2, str(path))

@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given
 
+from colorvisit.export import dumps_canonical, visit_trace_json
 from colorvisit.oracles import (
     TreeGenParams,
     all_visits,
     chain_tree,
     random_tree,
     restricted_nodes,
+    visit_trace,
 )
 from colorvisit.trees import RootNotInTree, full_tree, unary_tree, validate_tree
 from colorvisit.visit import (
@@ -22,6 +25,8 @@ from colorvisit.visit import (
 )
 from colorvisit.words import InvalidPriority
 
+from conftest import st_visits
+
 GOLDEN = ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
 
 
@@ -29,6 +34,35 @@ def test_golden_trace_binary_depth2(binary_depth2):
     visit = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
     assert visit.order == GOLDEN
     assert visit.terminated is True
+
+
+def test_golden_parents(binary_depth2):
+    visit = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
+    assert visit.parent == (-1, 0, 1, 0, 3, 3, 1)
+
+
+@given(visit=st_visits())
+def test_parent_is_the_index_of_the_one_letter_prefix(visit):
+    assert len(visit.parent) == len(visit.order)
+    assert visit.parent[0] == -1
+    for i in range(1, len(visit.order)):
+        assert visit.parent[i] == visit.order.index(visit.order[i][:-1])
+
+
+@given(visit=st_visits())
+def test_trace_json_matches_the_reference_dict(visit):
+    assert visit_trace_json(visit) == dumps_canonical(visit_trace(visit))
+
+
+def test_trace_json_matches_the_reference_on_oracle_trees():
+    for tree, priority, root, budget in (
+        (full_tree(2), (0, 1), (), 40),
+        (full_tree(3), (2, 0), (1, 2), 25),
+        (unary_tree(), (0,), (0, 0), 12),
+        (unary_tree(), (), (), 5),
+    ):
+        visit = enumerate_visit(tree, priority, root, budget)
+        assert visit_trace_json(visit) == dumps_canonical(visit_trace(visit))
 
 
 def test_golden_trace_unary_budget():

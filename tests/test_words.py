@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from colorvisit.words import (
     InvalidPriority,
-    common_prefix,
     full_priority,
     is_prefix,
     is_proper_prefix,
@@ -57,14 +56,6 @@ def test_prefix_implies_lex_leq(a, b):
         assert lex_compare(a, b) <= 0
     if is_proper_prefix(a, b):
         assert lex_compare(a, b) == -1
-
-
-@given(a=st_word, b=st_word)
-def test_common_prefix_is_common_and_maximal(a, b):
-    cp = common_prefix(a, b)
-    assert is_prefix(cp, a) and is_prefix(cp, b)
-    if len(cp) < min(len(a), len(b)):
-        assert a[len(cp)] != b[len(cp)]
 
 
 def test_priority_accepts_reordered_subsets():
