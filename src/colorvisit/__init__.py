@@ -25,18 +25,11 @@ from .erdos import (
     insert,
     to_word_tree,
 )
-from .stability import (
-    branch_approx,
-    branch_census,
-    color_census,
-    stable_indices,
-    visit_census,
-)
+from .stability import branch_approx, branch_census, stable_indices
 from .trees import (
     ColorTree,
     FiniteColorTree,
     OracleColorTree,
-    children,
     full_tree,
     in_restricted,
     load_tree,
@@ -49,7 +42,6 @@ from .visit import (
     VisitMachine,
     check_visit,
     enumerate_visit,
-    extend_visit,
     is_color_complete,
     is_complete_for,
     nth_expansion,

@@ -56,7 +56,11 @@ def _parse_priority(text: Optional[str], k: int) -> tuple[int, ...]:
 
 def _write(path: Path, payload: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(payload, encoding="utf-8")
+    # encoding a multi-megabyte trace in one piece would hold a second full
+    # copy of it; slices keep the extra memory to one slice
+    with path.open("w", encoding="utf-8") as fh:
+        for i in range(0, len(payload), 1 << 20):
+            fh.write(payload[i : i + (1 << 20)])
 
 
 def cmd_visit(args: argparse.Namespace) -> int:
@@ -128,6 +132,8 @@ def cmd_homog(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.cases < 1:
+        raise ValueError(f"--cases {args.cases} must be at least 1")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:

@@ -95,6 +95,8 @@ def table_coloring(
 ) -> Coloring:
     """Explicit finite coloring; queries beyond the table raise
     :class:`TableIncomplete`."""
+    if k < 1:
+        raise ColoringError(f"color count k={k} must be at least 1")
     canon: dict[tuple[int, int], int] = {}
     for (x, y), color in pairs.items():
         if x == y:
@@ -118,12 +120,23 @@ def table_from_dict(data: dict) -> Coloring:
     """Load the table file format ``{"k": int, "pairs": [[x, y, color], ...]}``."""
     if not isinstance(data, dict) or "k" not in data or "pairs" not in data:
         raise ColoringError("table file must be an object with 'k' and 'pairs'")
-    k = int(data["k"])
+    k = data["k"]
+    if type(k) is not int:
+        raise ColoringError(f"table k must be a JSON integer, got {k!r}")
+    if not isinstance(data["pairs"], list):
+        raise ColoringError("table 'pairs' must be an array")
     pairs: dict[tuple[int, int], int] = {}
     for entry in data["pairs"]:
-        if len(entry) != 3:
-            raise ColoringError(f"table entry {entry} must be [x, y, color]")
-        x, y, color = (int(v) for v in entry)
+        # bool is an int subclass; JSON true/false are not colors
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 3
+            or any(type(v) is not int for v in entry)
+        ):
+            raise ColoringError(
+                f"table entry {entry!r} must be [x, y, color] of JSON integers"
+            )
+        x, y, color = entry
         pairs[(x, y)] = color
     return table_coloring(pairs, k)
 

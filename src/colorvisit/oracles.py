@@ -10,11 +10,12 @@ inputs only.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .colorings import Coloring, table_coloring
+from .colorings import Coloring, TableIncomplete
 from .trees import ColorTree, FiniteColorTree, in_restricted
 from .visit import Visit, check_visit
 from .words import ROOT, Word, is_proper_prefix, lex_compare
@@ -200,13 +201,34 @@ def star_tree(k: int) -> FiniteColorTree:
 
 def random_coloring(seed: int, k: int, size: int) -> Coloring:
     """Uniform independent colors for every unordered pair below ``size``,
-    table-backed and deterministic in the seed."""
+    deterministic in the seed.
+
+    The colors are the values ``random.Random(seed).randrange(k)`` gives
+    when called once per pair in x-major order, ``(0, 1), (0, 2), ...,
+    (1, 2), ...``.  That stream is pinned: the ``random(seed=...)`` name a
+    failing suite case prints rebuilds the same table, so counterexamples
+    stay reproducible.  ``randrange(k)`` draws ``getrandbits(k.bit_length())``
+    until the value is below k; the table keeps the accepted draws of that
+    same stream, drawn in C by ``map`` and ``filter``, in one flat list
+    with pair ``(lo, hi)`` at ``offset[lo] + hi``.  Pairs outside the table
+    raise :class:`TableIncomplete`.
+    """
     if k < 2 or size < 2:
         raise ValueError("random colorings need k >= 2 and size >= 2")
-    rng = random.Random(seed)
-    pairs = {
-        (x, y): rng.randrange(k)
-        for x in range(size)
-        for y in range(x + 1, size)
-    }
-    return table_coloring(pairs, k, name=f"random(seed={seed},k={k},size={size})")
+    getrandbits = random.Random(seed).getrandbits
+    bits = k.bit_length()
+    total = size * (size - 1) // 2
+    colors: list[int] = []
+    while len(colors) < total:
+        draws = map(getrandbits, itertools.repeat(bits, total - len(colors)))
+        colors.extend(filter(k.__gt__, draws))
+    # row lo starts after the size-1-x pairs of every x < lo, at hi = lo + 1
+    offset = [x * (2 * size - x - 1) // 2 - x - 1 for x in range(size)]
+
+    def lookup(lo: int, hi: int) -> int:
+        if 0 <= lo < hi < size:
+            return colors[offset[lo] + hi]
+        raise TableIncomplete((lo, hi))
+
+    name = f"random(seed={seed},k={k},size={size})"
+    return Coloring(k=k, pair_color=lookup, name=name)

@@ -70,7 +70,7 @@ def branch_approx(visit: Visit) -> tuple[Word, ...]:
     return branch_approx_of(visit.order, visit.parent)
 
 
-def color_census(entries: Iterable[Word], k: int) -> dict[int, int]:
+def branch_census(entries: Iterable[Word], k: int) -> dict[int, int]:
     """Per-color counts of parent-to-child edges within a node sequence.
 
     An edge is counted for every entry after the first whose one-letter-
@@ -86,16 +86,3 @@ def color_census(entries: Iterable[Word], k: int) -> dict[int, int]:
             counts[w[-1]] += 1
         seen.add(w)
     return counts
-
-
-def visit_census(visit: Visit) -> dict[int, int]:
-    """``color_census`` of a visit order: every entry after the root is a
-    child of an earlier one, so each counts its last letter."""
-    counts = {c: 0 for c in range(visit.tree.k)}
-    for w in visit.order[1:]:
-        counts[w[-1]] += 1
-    return counts
-
-
-def branch_census(branch: Sequence[Word], k: int) -> dict[int, int]:
-    return color_census(branch, k)

@@ -48,12 +48,6 @@ class ColorOutOfRange(TreeError):
         super().__init__(f"letter {letter} in node {offending} not below k={k}")
 
 
-class NodeNotInTree(TreeError):
-    def __init__(self, node: Word) -> None:
-        self.node = node
-        super().__init__(f"node {node} is not in the tree")
-
-
 class RootNotInTree(TreeError):
     def __init__(self, root: Word) -> None:
         self.root = root
@@ -112,22 +106,6 @@ def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
     return FiniteColorTree(k=k, nodes=node_set)
 
 
-def children(tree: ColorTree, node: Word) -> list[tuple[int, Word]]:
-    """All present children of ``node`` in increasing color order.
-
-    One membership probe validates the node, then exactly ``k`` probes test
-    the candidate children.
-    """
-    if not tree.contains(node):
-        raise NodeNotInTree(node)
-    out: list[tuple[int, Word]] = []
-    for c in range(tree.k):
-        child = node + (c,)
-        if tree.contains(child):
-            out.append((c, child))
-    return out
-
-
 def in_restricted(
     tree: ColorTree, priority: Iterable[int], root: Word, node: Word
 ) -> bool:
@@ -184,7 +162,16 @@ def tree_to_dict(tree: FiniteColorTree) -> dict:
 def tree_from_dict(data: dict) -> FiniteColorTree:
     if not isinstance(data, dict) or "k" not in data or "nodes" not in data:
         raise TreeError("tree file must be an object with 'k' and 'nodes'")
-    return validate_tree(data["nodes"], int(data["k"]))
+    k, nodes = data["k"], data["nodes"]
+    # bool is an int subclass; JSON true/false are not letters
+    if type(k) is not int:
+        raise TreeError(f"tree k must be a JSON integer, got {k!r}")
+    if not isinstance(nodes, list):
+        raise TreeError("tree 'nodes' must be an array")
+    for node in nodes:
+        if not isinstance(node, list) or any(type(c) is not int for c in node):
+            raise TreeError(f"tree node {node!r} must be an array of JSON integers")
+    return validate_tree(nodes, k)
 
 
 def load_tree(path: str) -> FiniteColorTree:

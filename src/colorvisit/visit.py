@@ -47,10 +47,6 @@ class EntryNotInTree(VisitError):
         super().__init__(f"entry {entry} is not in the tree")
 
 
-class InvalidVisit(VisitError):
-    """The supplied node list is not a valid visit prefix."""
-
-
 # --- completeness -------------------------------------------------------------
 
 def is_color_complete(
@@ -390,28 +386,3 @@ def enumerate_visit(
         terminated=terminated,
         parent=tuple(machine.parent),
     )
-
-
-def extend_visit(
-    tree: ColorTree,
-    entries: Sequence[Iterable[int]],
-    priority: Iterable[int],
-    root: Word = ROOT,
-) -> Optional[Word]:
-    """The unique word extending a valid visit prefix, or None if complete.
-
-    Implemented by replaying the deterministic generator against the given
-    prefix; any mismatch means the precondition (``entries`` is a valid
-    visit from ``root``) fails and raises :class:`InvalidVisit`.
-    """
-    L = [tuple(int(c) for c in e) for e in entries]
-    machine = VisitMachine(tree, priority, tuple(root))
-    if not L or L[0] != machine.root:
-        raise InvalidVisit(f"visit must start at the root {machine.root}")
-    for expected in L[1:]:
-        got = machine.next_word()
-        if got != expected:
-            raise InvalidVisit(
-                f"{expected} diverges from the unique visit (expected {got})"
-            )
-    return machine.next_word()

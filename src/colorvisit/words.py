@@ -24,11 +24,6 @@ def word(letters: Iterable[int]) -> Word:
     return tuple(int(c) for c in letters)
 
 
-def is_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True iff ``a`` is a (not necessarily proper) prefix of ``b``."""
-    return len(a) <= len(b) and tuple(b[: len(a)]) == tuple(a)
-
-
 def is_proper_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
     return len(a) < len(b) and tuple(b[: len(a)]) == tuple(a)
 

@@ -99,8 +99,3 @@ def binary_depth2() -> FiniteColorTree:
 @pytest.fixture
 def binary_depth1() -> FiniteColorTree:
     return validate_tree([(), (0,), (1,)], 2)
-
-
-@pytest.fixture
-def counting_binary_depth2() -> CountingTree:
-    return CountingTree(complete_tree(2, 2))

@@ -250,6 +250,45 @@ def test_check_pass_and_unknown_suite(capsys):
     assert main(["check", "--suite", "nosuch"]) == 2
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_check_rejects_cases_below_one(cases, capsys):
+    assert main(["check", "--suite", "all", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --cases {cases} must be at least 1\n"
+
+
+@pytest.mark.parametrize("data", [
+    {"k": 2.7, "pairs": [[0, 1, 1.9], ["0", 2, True], [1, 2, 0]]},
+    {"k": 2, "pairs": [[0, 1, 0], 7]},
+    {"k": 2, "pairs": 5},
+])
+def test_homog_table_rejects_non_integers(data, tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert main(["homog", "--table", str(table), "--horizon", "3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data", [
+    {"k": 2.0, "nodes": [[], [0]]},
+    {"k": 2, "nodes": [[], [False]]},
+    {"k": 2, "nodes": [[], 1]},
+])
+def test_visit_tree_file_rejects_non_integers(data, tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(data))
+    out = tmp_path / "visit.json"
+    assert main(["visit", "--tree", str(tree), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_exports_render_reports():
     coloring = sum_mod_coloring(2)
     report, visit = homog_pipeline(coloring, 20, 200)

@@ -193,6 +193,30 @@ def test_table_coloring(tmp_path):
         builtin_coloring(f"table:{path}", 3)
 
 
+def test_table_accepts_json_integers_only():
+    for data in (
+        {"k": 2.7, "pairs": [[0, 1, 1.9], ["0", 2, True], [1, 2, 0]]},
+        {"k": 2.0, "pairs": [[0, 1, 1]]},
+        {"k": "2", "pairs": [[0, 1, 1]]},
+        {"k": False, "pairs": []},
+        {"k": 2, "pairs": [[0, 1, 1.0]]},
+        {"k": 2, "pairs": [[0.0, 1, 1]]},
+        {"k": 2, "pairs": [[0, "1", 1]]},
+        {"k": 2, "pairs": [[0, 1, True]]},
+        {"k": 2, "pairs": [[0, 1, None]]},
+        {"k": 2, "pairs": [(0, 1, 1)]},
+        {"k": 2, "pairs": [[0, 1]]},
+        {"k": 2, "pairs": "abc"},
+    ):
+        with pytest.raises(ColoringError):
+            table_from_dict(data)
+    for k in (0, -2):
+        with pytest.raises(ColoringError, match="must be at least 1"):
+            table_from_dict({"k": k, "pairs": [[0, 1, 0]]})
+    big = table_from_dict({"k": 3, "pairs": [[0, 2**70, 2]]})
+    assert big(2**70, 0) == 2
+
+
 def test_table_rejects_conflicts_and_bad_colors():
     with pytest.raises(ColoringError):
         table_from_dict({"k": 2, "pairs": [[0, 1, 0], [1, 0, 1]]})

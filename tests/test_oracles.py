@@ -20,7 +20,6 @@ from colorvisit.oracles import (
 )
 from colorvisit.trees import validate_tree
 from colorvisit.visit import check_visit
-from colorvisit.words import is_prefix
 
 
 def test_all_visits_root_only():
@@ -121,6 +120,35 @@ def test_random_coloring_small_and_deterministic():
         random_coloring(0, 1, 5)
 
 
+STREAM_KS = (2, 3, 4, 300)
+STREAM_SIZES = (2, 3, 17, 64, 120)
+
+
+@pytest.mark.parametrize("seed", range(0, 100, 20))
+def test_random_coloring_keeps_the_randrange_stream(seed):
+    # suite counterexamples name their table as random(seed=...): the same
+    # name must rebuild the same colors, one randrange(k) per pair, x-major
+    for s in range(seed, seed + 20):
+        k = STREAM_KS[s % len(STREAM_KS)]
+        size = STREAM_SIZES[s // len(STREAM_KS) % len(STREAM_SIZES)]
+        coloring = random_coloring(s, k, size)
+        assert coloring.name == f"random(seed={s},k={k},size={size})"
+        assert coloring.k == k
+        rng = random.Random(s)
+        expected = [
+            ((x, y), rng.randrange(k)) for x in range(size) for y in range(x + 1, size)
+        ]
+        assert [((x, y), coloring(x, y)) for (x, y), _ in expected] == expected
+        assert all(coloring(y, x) == c for (x, y), c in expected)
+        for lo in range(size - 1):
+            his = list(range(lo + 1, size))
+            assert coloring.row(lo, his) == [coloring(lo, hi) for hi in his]
+        for pair in ((-1, 0), (0, size), (size, size + 3)):
+            with pytest.raises(TableIncomplete) as info:
+                coloring(*pair)
+            assert info.value.pair == pair
+
+
 def test_all_accepted_lists_are_prefixes_of_each_other():
     rng = random.Random(8)
     for _ in range(10):
@@ -135,4 +163,5 @@ def test_all_accepted_lists_are_prefixes_of_each_other():
         )
         accepted = all_visits(tree, (1, 0), ())
         for a, b in itertools.combinations(accepted, 2):
-            assert is_prefix(a, b) or is_prefix(b, a)
+            shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
+            assert longer[: len(shorter)] == shorter

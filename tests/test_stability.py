@@ -6,10 +6,8 @@ from colorvisit.stability import (
     branch_approx,
     branch_approx_of,
     branch_census,
-    color_census,
     stable_indices,
     stable_indices_of,
-    visit_census,
 )
 from colorvisit.trees import unary_tree, validate_tree
 from colorvisit.visit import enumerate_visit
@@ -97,28 +95,32 @@ def test_branch_starts_at_visit_root(binary_depth2):
 
 
 def test_census_examples():
-    assert color_census([(), (1,), (1, 0)], 2) == {0: 1, 1: 1}
-    assert color_census(GOLDEN, 2) == {0: 3, 1: 3}
-    assert color_census([()], 2) == {0: 0, 1: 0}
+    assert branch_census([(), (1,), (1, 0)], 2) == {0: 1, 1: 1}
+    assert branch_census(GOLDEN, 2) == {0: 3, 1: 3}
+    assert branch_census([()], 2) == {0: 0, 1: 0}
 
 
 def test_census_wrappers(binary_depth2):
     visit = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
-    assert visit_census(visit) == {0: 3, 1: 3}
+    assert branch_census(visit.order, 2) == {0: 3, 1: 3}
     assert branch_census(branch_approx(visit), 2) == {0: 1, 1: 1}
 
 
 def test_census_ignores_parentless_entries():
     # (1, 1) has no parent in the sequence, so its edge is not counted
-    assert color_census([(), (1, 1)], 2) == {0: 0, 1: 0}
+    assert branch_census([(), (1, 1)], 2) == {0: 0, 1: 0}
 
 
 def test_census_counts_match_visit_length():
     visit = enumerate_visit(unary_tree(), (0,), (), budget=42)
-    census = visit_census(visit)
+    census = branch_census(visit.order, 1)
     assert sum(census.values()) == len(visit.order) - 1
 
 
 @given(visit=st_visits())
 def test_visit_census_counts_every_edge_of_the_order(visit):
-    assert visit_census(visit) == color_census(visit.order, visit.tree.k)
+    # every entry after the visit's root is a child of an earlier entry
+    counts = {c: 0 for c in range(visit.tree.k)}
+    for w in visit.order[1:]:
+        counts[w[-1]] += 1
+    assert branch_census(visit.order, visit.tree.k) == counts

@@ -14,6 +14,16 @@ def test_each_suite_passes_briefly(name):
     assert result.name == name
 
 
+# the seeds of the benchmark's check-suites pool, so a change to a generator
+# that breaks a benchmark case fails here first
+@pytest.mark.parametrize("seed", range(16))
+def test_suites_pass_at_benchmark_seeds(seed):
+    for name in sorted(SUITES):
+        result = run_suite(name, seed=seed, cases=10)
+        assert result.passed, (name, result.failure)
+        assert result.cases >= 10
+
+
 def test_run_suite_rejects_unknown():
     with pytest.raises(KeyError):
         run_suite("nosuch", 0, 1)

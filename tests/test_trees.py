@@ -7,12 +7,10 @@ from colorvisit.oracles import TreeGenParams, random_tree
 from colorvisit.trees import (
     ColorOutOfRange,
     MissingRoot,
-    NodeNotInTree,
     NotPrefixClosed,
     RootNotInTree,
     TreeError,
     builtin_tree,
-    children,
     full_tree,
     in_restricted,
     load_tree,
@@ -22,8 +20,6 @@ from colorvisit.trees import (
     unary_tree,
     validate_tree,
 )
-
-from conftest import CountingTree
 
 
 def test_validate_accepts_root_only():
@@ -53,28 +49,6 @@ def test_validate_reports_offending_letter():
 def test_validate_rejects_zero_colors():
     with pytest.raises(TreeError):
         validate_tree([()], 0)
-
-
-def test_children_complete_branching(binary_depth2):
-    assert children(binary_depth2, ()) == [(0, (0,)), (1, (1,))]
-
-
-def test_children_single_child_and_leaf():
-    tree = validate_tree([(), (1,)], 2)
-    assert children(tree, ()) == [(1, (1,))]
-    assert children(tree, (1,)) == []
-
-
-def test_children_rejects_foreign_node(binary_depth2):
-    with pytest.raises(NodeNotInTree):
-        children(binary_depth2, (0, 0, 0))
-
-
-def test_children_probe_count(counting_binary_depth2):
-    tree = counting_binary_depth2
-    children(tree, (0,))
-    # one validation probe plus exactly k probes for the candidate children
-    assert tree.probes == 1 + tree.k
 
 
 @pytest.mark.parametrize(
@@ -167,6 +141,26 @@ def test_tree_json_round_trip(tmp_path, binary_depth2):
     assert [] in data["nodes"]
 
 
+def test_tree_json_accepts_json_integers_only(tmp_path):
+    path = tmp_path / "tree.json"
+    for data in (
+        {"k": 2.0, "nodes": [[], [0]]},
+        {"k": "2", "nodes": [[], [0]]},
+        {"k": True, "nodes": [[], [0]]},
+        {"k": 2, "nodes": [[], [0.0]]},
+        {"k": 2, "nodes": [[], [True]]},
+        {"k": 2, "nodes": [[], ["1"]]},
+        {"k": 2, "nodes": [[], 1]},
+        {"k": 2, "nodes": [[], "0"]},
+        {"k": 2, "nodes": "abc"},
+    ):
+        path.write_text(json.dumps(data))
+        with pytest.raises(TreeError):
+            load_tree(str(path))
+        with pytest.raises(TreeError):
+            tree_from_dict(data)
+
+
 def test_tree_json_validates_on_load(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"k": 2, "nodes": [[0]]}))
@@ -179,9 +173,3 @@ def test_tree_json_validates_on_load(tmp_path):
         "nodes": [[], [0]],
     }
 
-
-def test_counting_tree_children_on_oracle():
-    tree = CountingTree(full_tree(2))
-    kids = children(tree, (1,))
-    assert kids == [(0, (1, 0)), (1, (1, 1))]
-    assert tree.probes == 3

@@ -16,11 +16,9 @@ from colorvisit.oracles import (
 )
 from colorvisit.trees import RootNotInTree, full_tree, unary_tree, validate_tree
 from colorvisit.visit import (
-    InvalidVisit,
     VisitError,
     check_visit,
     enumerate_visit,
-    extend_visit,
     is_complete_for,
 )
 from colorvisit.words import InvalidPriority
@@ -111,24 +109,6 @@ def test_enumerate_is_deterministic(binary_depth2):
     a = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
     b = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
     assert a.order == b.order and a.terminated == b.terminated
-
-
-def test_extend_examples(binary_depth2):
-    root_only = validate_tree([()], 2)
-    assert extend_visit(root_only, [()], (0, 1), ()) is None
-    assert extend_visit(binary_depth2, [(), (1,), (1, 1)], (0, 1), ()) == (0,)
-    assert extend_visit(binary_depth2, [()], (0, 1), ()) == (1,)
-
-
-def test_extend_rejects_invalid_prefixes(binary_depth2):
-    with pytest.raises(InvalidVisit):
-        extend_visit(binary_depth2, [], (0, 1), ())
-    with pytest.raises(InvalidVisit):
-        extend_visit(binary_depth2, [(), (0,)], (0, 1), ())
-    with pytest.raises(InvalidVisit):
-        extend_visit(binary_depth2, [(1,)], (0, 1), ())
-    with pytest.raises(InvalidVisit):
-        extend_visit(binary_depth2, list(GOLDEN) + [(0,)], (0, 1), ())
 
 
 def test_budget_cuts_exactly(binary_depth2):
