@@ -5,7 +5,8 @@ naturals.  Symmetry is structural: every evaluation canonicalizes its
 arguments to ``(min, max)`` before consulting the underlying pair function,
 so ``coloring(x, y) == coloring(y, x)`` holds by construction.
 :meth:`Coloring.row` colors the pairs of one smaller endpoint with many
-larger ones in a single call.  Colorings are pure and immutable; sharing
+larger ones in a single call, through the coloring's compiled row kernel
+when it has one.  Colorings are pure and immutable; sharing
 them across threads is safe.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 
 class ColoringError(ValueError):
@@ -34,11 +35,17 @@ class TableIncomplete(ColoringError):
 
 @dataclass(frozen=True)
 class Coloring:
-    """A total symmetric coloring; ``pair_color`` receives ``lo < hi``."""
+    """A total symmetric coloring; ``pair_color`` receives ``lo < hi``.
+
+    ``row_kernel``, when given, must equal ``[pair_color(lo, hi) for hi in
+    his]`` as ints and raise the same first error; :meth:`row` calls it
+    in place of that comprehension.
+    """
 
     k: int
     pair_color: Callable[[int, int], int]
     name: str = "coloring"
+    row_kernel: Optional[Callable[[int, Sequence[int]], list[int]]] = None
 
     def __call__(self, x: int, y: int) -> int:
         if x == y:
@@ -51,11 +58,15 @@ class Coloring:
 
     def row(self, lo: int, his: Sequence[int]) -> list[int]:
         """``[self(lo, hi) for hi in his]`` for an ascending ``his`` above
-        ``lo``, with one range check for the whole row."""
+        ``lo``: one call of the row kernel, or one ``pair_color`` call per
+        pair without one, and one range check for the whole row."""
         if his and his[0] <= lo:
             raise ColoringError(f"row of {lo} must lie above it, got {his[0]}")
-        pair_color = self.pair_color
-        colors = [int(pair_color(lo, hi)) for hi in his]
+        if self.row_kernel is not None:
+            colors = self.row_kernel(lo, his)
+        else:
+            pair_color = self.pair_color
+            colors = [int(pair_color(lo, hi)) for hi in his]
         if colors and (min(colors) < 0 or max(colors) >= self.k):
             raise self._out_of_range(next(c for c in colors if not 0 <= c < self.k))
         return colors

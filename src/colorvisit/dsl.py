@@ -21,15 +21,18 @@ max(x, y))`` and reduces the result modulo the color count, which makes it
 symmetric and total by construction.
 
 :func:`evaluate` is the reference interpreter that defines these semantics.
-Colorings run :func:`compile_expr` instead, which turns the parsed syntax
-tree into one Python function, generated from the tree's literals,
-variables and operators only, so each pair costs one call.
+Colorings run compiled code instead: :func:`compile_expr` turns the parsed
+syntax tree into one Python function of a pair, and :func:`compile_row`
+into one function that colors a whole row, a list comprehension over the
+larger endpoints.  Both are generated from the tree's literals, variables
+and operators only, so a pair costs one call and a row costs one call and
+one loop in compiled code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .colorings import Coloring, ColoringError
 
@@ -456,14 +459,15 @@ def compile_source(expr: Expr, k: int) -> str:
     return f"lambda x, y: {_source(expr)} % ({int(k)!r})"
 
 
-def compile_expr(expr: Expr, strict: bool, k: int) -> Callable[[int, int], int]:
-    """One Python function ``(lo, hi) -> evaluate(expr, lo, hi, strict) % k``.
+def row_source(expr: Expr, k: int) -> str:
+    """The source :func:`compile_row` compiles: a lambda of ``x`` and the
+    larger endpoints ``ys`` listing the same reduction for each ``y``."""
+    return f"lambda x, ys: [{_source(expr)} % ({int(k)!r}) for y in ys]"
 
-    Comparisons give bools, which take part in the arithmetic as 0 and 1;
-    the final reduction modulo ``k`` makes the result a plain int.  The
-    source is compiled in a namespace with no builtins besides ``min``,
-    ``max`` and the division helpers.
-    """
+
+def _compile(source: str, strict: bool) -> Callable:
+    """Compile generated source in a namespace with no builtins besides
+    ``min``, ``max`` and the division helpers."""
     namespace = {
         "__builtins__": {},
         "min": min,
@@ -471,7 +475,25 @@ def compile_expr(expr: Expr, strict: bool, k: int) -> Callable[[int, int], int]:
         "_div": _div_strict if strict else _div_total,
         "_mod": _mod_strict if strict else _mod_total,
     }
-    return eval(compile(compile_source(expr, k), "<coloring>", "eval"), namespace)
+    return eval(compile(source, "<coloring>", "eval"), namespace)
+
+
+def compile_expr(expr: Expr, strict: bool, k: int) -> Callable[[int, int], int]:
+    """One Python function ``(lo, hi) -> evaluate(expr, lo, hi, strict) % k``.
+
+    Comparisons give bools, which take part in the arithmetic as 0 and 1;
+    the final reduction modulo ``k`` makes the result a plain int.
+    """
+    return _compile(compile_source(expr, k), strict)
+
+
+def compile_row(
+    expr: Expr, strict: bool, k: int
+) -> Callable[[int, Sequence[int]], list[int]]:
+    """One Python function ``(lo, his) -> [evaluate(expr, lo, hi, strict) % k
+    for hi in his]``; in strict mode it raises :class:`DivisionByZero` at the
+    first pair whose evaluation does."""
+    return _compile(row_source(expr, k), strict)
 
 
 def dsl_coloring(source: str | Expr, k: int, strict: bool = False) -> Coloring:
@@ -480,5 +502,8 @@ def dsl_coloring(source: str | Expr, k: int, strict: bool = False) -> Coloring:
         raise ColoringError(f"color count k={k} must be at least 1")
     expr = parse(source) if isinstance(source, str) else source
     return Coloring(
-        k=k, pair_color=compile_expr(expr, strict, k), name=f"dsl({to_text(expr)})"
+        k=k,
+        pair_color=compile_expr(expr, strict, k),
+        name=f"dsl({to_text(expr)})",
+        row_kernel=compile_row(expr, strict, k),
     )

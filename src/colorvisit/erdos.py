@@ -99,10 +99,11 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     on the color of every edge to x's ancestors.  ``x`` colors them in one
     :meth:`Coloring.row` and splits them by color: the smallest member of
     each color class is x's child of that color and the rest stay below
-    that child.  This evaluates the same pairs as insertion, one per node
-    and ancestor, and meets each node's children in the order insertion
-    attaches them.  When the coloring fails, the tree is built again by
-    insertion so that the error raised is the first one insertion meets.
+    that child; a row of one color passes down whole, unsplit.  This
+    evaluates the same pairs as insertion, one per node and ancestor, and
+    meets each node's children in the order insertion attaches them.  When
+    the coloring fails, the tree is built again by insertion so that the
+    error raised is the first one insertion meets.
     """
     if size < 1:
         raise ErdosError(f"size {size} must be at least 1")
@@ -113,13 +114,17 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     try:
         while work:
             x, below = work.pop()
+            colors = coloring.row(x, below)
             groups: dict[int, list[int]] = {}
-            for n, i in zip(below, coloring.row(x, below)):
-                group = groups.get(i)
-                if group is None:
-                    groups[i] = [n]
-                else:
-                    group.append(n)
+            if colors and colors.count(colors[0]) == len(colors):
+                groups[colors[0]] = below
+            else:
+                for n, i in zip(below, colors):
+                    group = groups.get(i)
+                    if group is None:
+                        groups[i] = [n]
+                    else:
+                        group.append(n)
             for i, group in groups.items():
                 child = group[0]
                 parent[child], edge_color[child] = x, i

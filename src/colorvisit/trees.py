@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
-from .words import ROOT, Word, word
+from .words import ROOT, Word
 
 
 class TreeError(ValueError):
@@ -86,14 +86,21 @@ ColorTree = Union[FiniteColorTree, OracleColorTree]
 def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
     """Build a finite tree from an explicit node set.
 
-    Raises :class:`MissingRoot`, :class:`ColorOutOfRange` or
-    :class:`NotPrefixClosed` (reporting the missing prefix as witness);
-    checks run in a deterministic order over the lexicographically sorted
-    node set.
+    Letters must be ints (not bools).  Raises :class:`TreeError` for a
+    letter that is not, then :class:`MissingRoot`, :class:`ColorOutOfRange`
+    or :class:`NotPrefixClosed` (reporting the missing prefix as witness);
+    the last two run in a deterministic order over the lexicographically
+    sorted node set.
     """
     if k < 1:
         raise TreeError(f"color count k={k} must be at least 1")
-    node_set = frozenset(word(n) for n in nodes)
+    node_words = [tuple(n) for n in nodes]
+    for w in node_words:
+        for letter in w:
+            # bool is an int subclass, and int() would round a float
+            if type(letter) is not int:
+                raise TreeError(f"letter {letter!r} in node {w} is not an integer")
+    node_set = frozenset(node_words)
     if ROOT not in node_set:
         raise MissingRoot()
     for w in sorted(node_set):
@@ -163,14 +170,14 @@ def tree_from_dict(data: dict) -> FiniteColorTree:
     if not isinstance(data, dict) or "k" not in data or "nodes" not in data:
         raise TreeError("tree file must be an object with 'k' and 'nodes'")
     k, nodes = data["k"], data["nodes"]
-    # bool is an int subclass; JSON true/false are not letters
+    # bool is an int subclass; JSON true/false are not counts
     if type(k) is not int:
         raise TreeError(f"tree k must be a JSON integer, got {k!r}")
     if not isinstance(nodes, list):
         raise TreeError("tree 'nodes' must be an array")
     for node in nodes:
-        if not isinstance(node, list) or any(type(c) is not int for c in node):
-            raise TreeError(f"tree node {node!r} must be an array of JSON integers")
+        if not isinstance(node, list):
+            raise TreeError(f"tree node {node!r} must be an array")
     return validate_tree(nodes, k)
 
 

@@ -16,12 +16,8 @@ ROOT: Word = ()
 
 
 class InvalidPriority(ValueError):
-    """Priority list is malformed: duplicates or colors outside 0..k-1."""
-
-
-def word(letters: Iterable[int]) -> Word:
-    """Coerce an iterable of letters into a Word."""
-    return tuple(int(c) for c in letters)
+    """Priority list is malformed: duplicates, non-integers or colors
+    outside 0..k-1."""
 
 
 def is_proper_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -46,11 +42,14 @@ def validate_priority(colors: Iterable[int], k: int) -> Word:
     """Check a priority list against a color count and return it as a tuple.
 
     The list may be empty and may be a reordered proper subset of 0..k-1;
-    duplicates and out-of-range colors are rejected.
+    duplicates, non-integers and out-of-range colors are rejected.
     """
-    prio = tuple(int(c) for c in colors)
+    prio = tuple(colors)
     seen: set[int] = set()
     for c in prio:
+        # bool is an int subclass, and int() would round a float
+        if type(c) is not int:
+            raise InvalidPriority(f"color {c!r} is not an integer")
         if not 0 <= c < k:
             raise InvalidPriority(f"color {c} outside 0..{k - 1}")
         if c in seen:

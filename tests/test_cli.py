@@ -1,6 +1,7 @@
 """Command-line contract: flags, exit codes, file outputs, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -327,3 +328,33 @@ def test_trace_json_matches_library_rendering(tree_file, tmp_path):
         "--budget", "100", "--out", str(out),
     ])
     assert out.read_text() == visit_trace_json(visit)
+
+
+# sha256 and length of outputs recorded before homog compiled its coloring
+# rows; any change to the tree, the visit, the branch or the report shows
+HOMOG_PINS = [
+    (
+        ["--coloring", "if x < y then x else y", "--horizon", "200",
+         "--budget", "400"],
+        {"homog.json": (1463, "3a891b6e730671ddc89a67691e993722"
+                              "d86917e7635e0d9588c057d98cea44b9")},
+    ),
+    (
+        ["--coloring", "((x * 56340 + y) * (y * 26247 + x) + 49673) % 65521",
+         "--horizon", "2000", "--budget", "4000", "--trace-out", "trace.json"],
+        {"homog.json": (138, "d0ace9eee6cc476fc455b0fc04737035"
+                             "d6e01e5bcfce3a4c7beb75b3e95b285d"),
+         "trace.json": (29660, "7ce7cf2f54ac2cb9a2d7db697acd6d87"
+                               "47af019efb848c5d6f9cfaaceff5d75e")},
+    ),
+]
+
+
+@pytest.mark.parametrize("args, pins", HOMOG_PINS, ids=["min-chain", "hash"])
+def test_homog_output_bytes_are_pinned(args, pins, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["homog", *args, "--k", "3", "--emit", "json",
+                 "--out", "homog.json"]) == 0
+    for name, (size, digest) in pins.items():
+        data = (tmp_path / name).read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)

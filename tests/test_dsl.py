@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -30,6 +31,7 @@ from colorvisit.dsl import (
     dsl_coloring,
     evaluate,
     parse,
+    row_source,
     to_text,
 )
 
@@ -244,6 +246,20 @@ def compiled_or_error(expr, x, y, strict, k):
     return color
 
 
+def row_reference_or_error(expr, lo, his, strict, k):
+    expected = [reference_or_error(expr, lo, hi, strict, k) for hi in his]
+    return DivisionByZero if DivisionByZero in expected else expected
+
+
+def row_or_error(expr, lo, his, strict, k):
+    try:
+        colors = dsl_coloring(expr, k, strict).row(lo, his)
+    except DivisionByZero:
+        return DivisionByZero
+    assert all(type(color) is int for color in colors)
+    return colors
+
+
 def test_depth_limit_counts_nesting_and_chains():
     shapes = [
         lambda d: "x" + "+1" * (d - 1),
@@ -261,14 +277,19 @@ def test_depth_limit_counts_nesting_and_chains():
                 assert compiled_or_error(expr, x, y, strict, 3) == reference_or_error(
                     expr, x, y, strict, 3
                 )
+            for lo, his in ((0, [1, 2, 7]), (3, [4, 9])):
+                assert row_or_error(expr, lo, his, strict, 3) == (
+                    row_reference_or_error(expr, lo, his, strict, 3)
+                )
         with pytest.raises(DslSyntaxError):
             parse(shape(MAX_DEPTH + 1))
 
 
-# every token compile_source may emit; user text never reaches the compiler
-SOURCE_TOKENS = re.compile(
-    r"lambda x, y: (?:\d+|_div|_mod|min|max|if|else|x|y|<=|==|!=|//|[-+*%<(), ])+"
-)
+# every token compile_source and row_source may emit around their one
+# expression; user text never reaches the compiler
+EXPR_TOKENS = r"(?:\d+|_div|_mod|min|max|if|else|x|y|<=|==|!=|//|[-+*%<(), ])+"
+SOURCE_TOKENS = re.compile(rf"lambda x, y: {EXPR_TOKENS}")
+ROW_SOURCE_TOKENS = re.compile(rf"lambda x, ys: \[{EXPR_TOKENS} for y in ys\]")
 
 st_point = st.one_of(st.just(0), st.integers(0, 10**9))
 
@@ -285,6 +306,24 @@ def test_compiled_evaluator_agrees_with_reference(expr, x, y, strict, k):
         expr, x, y, strict, k
     )
     assert SOURCE_TOKENS.fullmatch(compile_source(expr, k))
+    assert ROW_SOURCE_TOKENS.fullmatch(row_source(expr, k))
+
+
+st_small_or_large = st.one_of(st.integers(0, 12), st.integers(0, 10**9))
+
+
+@given(
+    expr=st_expr,
+    strict=st.booleans(),
+    k=st.integers(1, 5),
+    lo=st_small_or_large,
+    gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10**9)), max_size=8),
+)
+def test_row_kernel_agrees_with_reference(expr, strict, k, lo, gaps):
+    his = list(itertools.accumulate(gaps, initial=lo))[1:]
+    assert row_or_error(expr, lo, his, strict, k) == row_reference_or_error(
+        expr, lo, his, strict, k
+    )
 
 
 def test_compiled_evaluator_has_no_builtins():
@@ -294,6 +333,9 @@ def test_compiled_evaluator_has_no_builtins():
     assert compile_source(parse("x / 2 + y % 0 - 3 / (y - x)"), 4) == (
         "lambda x, y: (((x // (2)) + _mod(y, (0))) - _div((3), (y - x))) % (4)"
     )
+    kernel = dsl_coloring("min(x, y) / (y - x)", 3).row_kernel
+    assert kernel.__globals__["__builtins__"] == {}
+    assert set(kernel.__globals__) == set(fn.__globals__)
 
 
 ROW_COLORINGS = [

@@ -8,6 +8,7 @@ from colorvisit.cli import main
 from colorvisit.colorings import (
     Coloring,
     TableIncomplete,
+    builtin_coloring,
     constant_coloring,
     sum_mod_coloring,
     table_coloring,
@@ -113,6 +114,43 @@ def test_build_equals_insertion_on_zero_divisor_expressions():
                 )
 
 
+# every row of these is one color, so each builds a chain
+ONE_COLOR_ROWS = [
+    ("constant:1", 3),
+    ("constant:0", 1),
+    ("block:4", 2),
+    ("block:1", 3),
+    ("if x < y then x else y", 3),
+    ("x * 0 + 1", 2),
+]
+# rows of several colors, or of one color at some nodes and several at others
+MIXED_ROWS = [
+    ("sum-mod", 3),
+    ("diff-mod", 2),
+    ("if y < 20 then x else y", 3),
+    ("x % 2 + (40 < y)", 3),
+    ("if x < 10 then 0 else y", 2),
+]
+
+
+def named_coloring(name, k):
+    if name in ("sum-mod", "diff-mod") or ":" in name:
+        return builtin_coloring(name, k)
+    return dsl_coloring(name, k)
+
+
+@pytest.mark.parametrize("name, k", ONE_COLOR_ROWS + MIXED_ROWS)
+def test_build_equals_insertion_with_one_color_rows(name, k):
+    coloring = named_coloring(name, k)
+    for size in (1, 2, 3, 17, 60):
+        tree = build_erdos(coloring, size)
+        assert_same_tree(tree, build_by_insertion(coloring, size))
+        if (name, k) in ONE_COLOR_ROWS:
+            assert tree.parent == [None] + list(range(size - 1))
+        elif size == 60:
+            assert tree.parent != [None] + list(range(size - 1))
+
+
 def test_build_raises_the_error_insertion_meets_first():
     # insertion meets the missing pair (1, 2) before (0, 3); a row of 0
     # alone would meet (0, 3) first
@@ -125,6 +163,13 @@ def test_build_raises_the_error_insertion_meets_first():
     )
     with pytest.raises(DivisionByZero, match="division"):
         build_erdos(strict, 5)
+    # rows of one color down to node 2, whose row divides by zero at (2, 3);
+    # the root's row would meet the remainder at (0, 4) first
+    chain = dsl_coloring(
+        "if x == 2 then y / 0 else if y == 4 then x % 0 else 0", 2, strict=True
+    )
+    with pytest.raises(DivisionByZero, match="division"):
+        build_erdos(chain, 6)
 
 
 def test_pair_evaluation_counts(pair_evaluations, tmp_path):

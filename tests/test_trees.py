@@ -161,6 +161,19 @@ def test_tree_json_accepts_json_integers_only(tmp_path):
             tree_from_dict(data)
 
 
+def test_validate_tree_rejects_non_integer_letters():
+    for nodes in (
+        [(), (1.9,)],
+        [(), (True,)],
+        [(), (0,), (0, 1.0)],
+        [(), ("1",)],
+        [(), (0,), (0.0,)],
+    ):
+        with pytest.raises(TreeError, match="not an integer"):
+            validate_tree(nodes, 2)
+    assert validate_tree([[], [1], iter([1, 0])], 2).nodes == {(), (1,), (1, 0)}
+
+
 def test_tree_json_validates_on_load(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"k": 2, "nodes": [[0]]}))

@@ -9,7 +9,6 @@ from colorvisit.words import (
     parse_word,
     rotate,
     validate_priority,
-    word,
     word_str,
 )
 
@@ -72,6 +71,13 @@ def test_priority_rejects_duplicates_and_range():
         validate_priority([-1], 2)
 
 
+def test_priority_rejects_non_integer_colors():
+    for colors in ([0.7, 1], [0, True], [1.0], ["1"], [None]):
+        with pytest.raises(InvalidPriority, match="is not an integer"):
+            validate_priority(colors, 2)
+    assert validate_priority(iter([1, 0]), 2) == (1, 0)
+
+
 def test_rotate_moves_lowest_to_top():
     assert rotate((0, 1, 2)) == (1, 2, 0)
     assert rotate((1,)) == (1,)
@@ -83,6 +89,5 @@ def test_word_helpers_round_trip():
     assert parse_word("1,0") == (1, 0)
     assert word_str((1, 0)) == "<1,0>"
     assert word_str(()) == "<>"
-    assert word([1, 0]) == (1, 0)
     with pytest.raises(ValueError):
         parse_word("1,x")
