@@ -23,7 +23,6 @@ from .erdos import (
     extract_homogeneous,
     homog_pipeline,
     insert,
-    to_word_tree,
 )
 from .stability import branch_approx, branch_census, stable_indices
 from .trees import (
@@ -39,7 +38,6 @@ from .trees import (
 )
 from .visit import (
     Visit,
-    VisitMachine,
     check_visit,
     enumerate_visit,
     is_color_complete,

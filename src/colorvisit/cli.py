@@ -116,15 +116,11 @@ def cmd_homog(args: argparse.Namespace) -> int:
         _write(path, export.erdos_dot(report.tree, report))
     else:
         _write(path, export.report_text(report))
-    sizes = " ".join(f"H{i}={len(c)}" for i, c in enumerate(report.classes))
-    verified = report.verified
-    # the report holds the comparison tree, which the trace does not need;
-    # freeing it first keeps it out of the trace dump's peak memory
-    del report
     if args.trace_out:
         _write(Path(args.trace_out), export.visit_trace_json(visit))
-    print(f"homog: {sizes} verified={str(verified).lower()}, wrote {path}")
-    if not verified:
+    sizes = " ".join(f"H{i}={len(c)}" for i, c in enumerate(report.classes))
+    print(f"homog: {sizes} verified={str(report.verified).lower()}, wrote {path}")
+    if not report.verified:
         print("verification failed: extracted sets are not monochromatic",
               file=sys.stderr)
         return 3
@@ -183,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_homog.add_argument("--horizon", type=int, default=100,
                          help="how many naturals the comparison tree covers")
     p_homog.add_argument("--budget", type=int, default=1000,
-                         help="visit budget on the derived word tree")
+                         help="visit budget on the comparison tree")
     p_homog.add_argument("--priority", default=None,
                          help="visit priority listing all k colors")
     p_homog.add_argument("--strict", action="store_true",

@@ -14,11 +14,11 @@ the same tree top-down, one coloring row per node: each node colors every
 number below it at once and splits them by color among its children.
 Verification of the extracted sets also runs a row per class member.
 
-Translating nodes to the words of their root-path edge colors turns the
-structure into a finite color tree (children are color-unique, so the
-translation is a bijection); the priority visit runs on that word tree, and
-the root path of the node it visits last is the branch whose edges yield
-the extracted sets.
+Children are color-unique, so the tree is a finite color tree with node
+ids in place of words: the priority visit runs on it through
+:meth:`ErdosTree.child`, and the root path of the node it visits last is
+the branch whose edges yield the extracted sets.  The visit's words, the
+root-path edge colors, are spelled only for its trace.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .colorings import Coloring, ColoringError
-from .trees import FiniteColorTree
-from .visit import Visit, enumerate_visit
-from .words import ROOT, Word, full_priority, validate_priority
+from .visit import Visit, visit_nodes
+from .words import ROOT, full_priority, validate_priority
 
 
 class ErdosError(ValueError):
@@ -58,6 +57,9 @@ class ErdosTree:
     @property
     def size(self) -> int:
         return len(self.parent)
+
+    def child(self, x: int, c: int) -> Optional[int]:
+        return self.children[x].get(c)
 
     def path_to_root(self, n: int) -> list[int]:
         """Nodes from the root down to ``n`` inclusive."""
@@ -99,11 +101,12 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     on the color of every edge to x's ancestors.  ``x`` colors them in one
     :meth:`Coloring.row` and splits them by color: the smallest member of
     each color class is x's child of that color and the rest stay below
-    that child; a row of one color passes down whole, unsplit.  This
-    evaluates the same pairs as insertion, one per node and ancestor, and
-    meets each node's children in the order insertion attaches them.  When
-    the coloring fails, the tree is built again by insertion so that the
-    error raised is the first one insertion meets.
+    that child; a row of one color passes down whole, unsplit, and a child
+    with nothing below it gets no row.  This evaluates the same pairs as
+    insertion, one per node and ancestor, and meets each node's children in
+    the order insertion attaches them.  When the coloring fails, the tree is
+    built again by insertion so that the error raised is the first one
+    insertion meets.
     """
     if size < 1:
         raise ErdosError(f"size {size} must be at least 1")
@@ -129,7 +132,8 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
                 child = group[0]
                 parent[child], edge_color[child] = x, i
                 children[x][i] = child
-                work.append((child, group[1:]))
+                if len(group) > 1:
+                    work.append((child, group[1:]))
     except (ColoringError, ArithmeticError):
         build_by_insertion(coloring, size)
         raise
@@ -157,18 +161,6 @@ def check_erdos_property(tree: ErdosTree, coloring: Coloring) -> bool:
                 return False
             z = p
     return True
-
-
-def to_word_tree(tree: ErdosTree) -> FiniteColorTree:
-    """The finite color tree of root-path color words.
-
-    Children are color-unique, so distinct nodes get distinct words, and a
-    word names its node through ``tree.children`` one letter at a time.
-    """
-    node_word: list[Word] = [ROOT] * tree.size
-    for n in range(1, tree.size):
-        node_word[n] = node_word[tree.parent[n]] + (tree.edge_color[n],)
-    return FiniteColorTree(k=tree.k, nodes=frozenset(node_word))
 
 
 @dataclass(frozen=True)
@@ -243,11 +235,12 @@ def homog_pipeline(
     budget: int,
     priority: Optional[Sequence[int]] = None,
 ) -> tuple[HomogeneousReport, Visit]:
-    """Build the comparison tree, visit its word tree, take the root path of
-    the last visited node as the branch, and extract the candidate sets.
+    """Build the comparison tree, visit it from node 0, take the root path
+    of the last visited node as the branch, and extract the candidate sets.
 
-    The priority must list all k colors (default ``<0, ..., k-1>``); the
-    visit always starts at the empty word.
+    The priority must list all k colors (default ``<0, ..., k-1>``).  The
+    visit's order spells each node as the edge colors on its root path, one
+    concatenation per entry, so it starts at the empty word.
     """
     if priority is None:
         prio = full_priority(coloring.k)
@@ -258,11 +251,12 @@ def homog_pipeline(
                 f"pipeline priority must list all {coloring.k} colors, got {prio}"
             )
     tree = build_erdos(coloring, size)
-    visit = enumerate_visit(to_word_tree(tree), prio, ROOT, budget)
-    leaf = 0
-    for c in visit.order[-1]:
-        leaf = tree.children[leaf][c]
-    report = extract_homogeneous(tree, tree.path_to_root(leaf), coloring)
+    nodes, parent, letter, terminated = visit_nodes(tree, prio, 0, budget)
+    order = [ROOT]
+    for i in range(1, len(nodes)):
+        order.append(order[parent[i]] + (letter[i],))
+    visit = Visit(tree, ROOT, prio, tuple(order), terminated, tuple(parent))
+    report = extract_homogeneous(tree, tree.path_to_root(nodes[-1]), coloring)
     return report, visit
 
 

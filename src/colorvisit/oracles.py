@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .colorings import Coloring, TableIncomplete
+from .erdos import ErdosTree
 from .trees import ColorTree, FiniteColorTree, in_restricted
 from .visit import Visit, check_visit
 from .words import ROOT, Word, is_proper_prefix, lex_compare
@@ -113,6 +114,19 @@ def visit_trace(visit: Visit) -> dict:
             list(deepest[:i]) for i in range(len(visit.root), len(deepest) + 1)
         ],
     }
+
+
+def to_word_tree(tree: ErdosTree) -> FiniteColorTree:
+    """The finite color tree of a comparison tree's root-path color words.
+
+    Children are color-unique, so distinct nodes get distinct words; the
+    visit of this tree is the reference for the visit that runs on the
+    comparison tree's ids.
+    """
+    node_word: list[Word] = [ROOT] * tree.size
+    for n in range(1, tree.size):
+        node_word[n] = node_word[tree.parent[n]] + (tree.edge_color[n],)
+    return FiniteColorTree(k=tree.k, nodes=frozenset(node_word))
 
 
 def ancestor_formula_relation(coloring: Coloring, size: int) -> set[tuple[int, int]]:

@@ -20,7 +20,6 @@ from .erdos import (
     build_erdos,
     check_erdos_property,
     homog_pipeline,
-    to_word_tree,
 )
 from .oracles import (
     ALL_VISITS_NODE_CAP,
@@ -34,6 +33,7 @@ from .oracles import (
     random_tree,
     restricted_nodes,
     star_tree,
+    to_word_tree,
 )
 from .trees import FiniteColorTree, tree_to_dict
 from .visit import enumerate_visit, is_complete_for, nth_expansion

@@ -1,6 +1,7 @@
 """Prefix-closed color trees.
 
-Two representations share one interface (``k``, ``contains``, ``nodes``):
+Two representations share one interface (``k``, ``contains``, ``child``,
+``nodes``):
 
 * :class:`FiniteColorTree` -- an explicit, validated node set; ``contains``
   is a set lookup and ``nodes`` is the full frozenset.
@@ -9,14 +10,16 @@ Two representations share one interface (``k``, ``contains``, ``nodes``):
   it accepts must contain the root and be closed under prefix; neither
   property is checkable here, so they are the caller's contract.
 
-All trees are immutable after construction and safe to share.
+The nodes of both are their words: ``child(w, c)`` is ``w + (c,)`` when
+the tree contains it, at one ``contains`` probe, and None otherwise.  All
+trees are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .words import ROOT, Word
 
@@ -54,8 +57,14 @@ class RootNotInTree(TreeError):
         super().__init__(f"root {root} is not in the tree")
 
 
+class _WordTree:
+    def child(self, w: Word, c: int) -> Optional[Word]:
+        v = w + (c,)
+        return v if self.contains(v) else None
+
+
 @dataclass(frozen=True)
-class FiniteColorTree:
+class FiniteColorTree(_WordTree):
     """Explicit finite tree: a validated, prefix-closed set of words."""
 
     k: int
@@ -69,7 +78,7 @@ class FiniteColorTree:
 
 
 @dataclass(frozen=True)
-class OracleColorTree:
+class OracleColorTree(_WordTree):
     """Possibly infinite tree given by a pure membership predicate."""
 
     k: int

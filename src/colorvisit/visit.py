@@ -15,22 +15,25 @@ Two faces of the same discipline live here:
 * :func:`check_visit` decides the recursive acceptance predicate directly,
   by searching decompositions.  It is the specification-level reference,
   intended for small inputs.
-* :class:`VisitMachine` / :func:`enumerate_visit` generate the enumeration
-  efficiently with an explicit decomposition stack.  Their only correctness
-  contract is agreement with :func:`check_visit`, which the test suite
-  checks exhaustively at desk scale.
+* :func:`visit_nodes` / :func:`enumerate_visit` generate the enumeration
+  efficiently with an explicit stack of one frame per emitted node.  Their
+  only correctness contract is agreement with :func:`check_visit`, which
+  the test suite checks exhaustively at desk scale.
 
-Every step of the machine needs only finitely many membership probes, so
+Every step of the generator needs only finitely many child probes, so
 oracle-backed (potentially infinite) trees can be visited under a budget.
-The machine's frames hold order indices, not words: it records each
-emitted entry's parent index as it goes, and :class:`Visit` carries that
-array so the stable indices, the branch and the exports are read off it
-instead of comparing words.
+The generator treats nodes as opaque and reaches them only through
+``tree.child(node, c)``, so it runs on the words of a color tree and on the
+ids of a comparison tree alike.  Its frames hold order indices: it records
+each emitted entry's parent index and last letter, orders bases by a walk
+over those arrays instead of comparing words, and :class:`Visit` carries
+the parent array so the stable indices, the branch and the exports are read
+off it too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .trees import ColorTree, RootNotInTree
@@ -255,8 +258,10 @@ class Visit:
     priority color) of an earlier entry.  ``parent[i]`` is the index in
     ``order`` of ``order[i][:-1]`` (always below i), and ``parent[0]`` is -1
     for the root.  ``terminated`` is True iff the enumeration ended because
-    the visit got complete, not because the budget ran out.  Immutable and
-    safe to share.
+    the visit got complete, not because the budget ran out.  ``tree`` is
+    the visited tree, a color tree or the comparison tree of a homog run;
+    only its color count ``k`` is read off a visit.  Immutable and safe to
+    share.
     """
 
     tree: ColorTree
@@ -267,96 +272,80 @@ class Visit:
     parent: tuple[int, ...]
 
 
-@dataclass
-class _Frame:
-    """One open visit on the decomposition stack, over order indices.
+def lex_order(parent: Sequence[int], letter: Sequence[int], head: int) -> list[int]:
+    """The indices from ``head`` to the end of a visit order, sorted by the
+    words they spell.
 
-    While the inner visit for the tail priority is running, the frame sits
-    below it and ``m_entries`` is None.  Once the inner visit completes, its
-    entry list is frozen into ``m_entries``, all expansions in the lowest
-    color are precomputed as (base index, head word) pairs, bases taken in
-    lexicographic order of their words, and segments are opened one at a
-    time.
+    Those entries are ``head`` and descendants of it, closed under parent
+    above it, so their lexicographic order is a preorder walk from ``head``
+    with children in color order: no word is built or compared.
     """
+    if head == len(parent) - 1:
+        return [head]
+    kids: dict[int, list[int]] = {}
+    for i in sorted(range(head + 1, len(parent)), key=letter.__getitem__,
+                    reverse=True):
+        kids.setdefault(parent[i], []).append(i)
+    out = []
+    todo = [head]
+    while todo:
+        i = todo.pop()
+        out.append(i)
+        todo.extend(kids.get(i, ()))
+    return out
 
-    priority: Word
-    entries: list[int] = field(default_factory=list)
-    m_entries: Optional[tuple[int, ...]] = None
-    expansions: Optional[list[tuple[int, Word]]] = None
-    seg_index: int = 0
 
+def visit_nodes(
+    tree, priority: Word, head, budget: int
+) -> tuple[list, list[int], list[int], bool]:
+    """Run the unique visit from ``head`` until complete or ``budget``
+    entries are emitted: its nodes, their parent indices, their last
+    colors (-1 for the head) and whether completion was seen with fewer
+    than ``budget`` entries.
 
-class VisitMachine:
-    """Incremental generator of the unique priority-visit, one node per step.
-
-    The machine mirrors the recursive structure of the visit as a stack of
-    open frames; every emitted entry's index is appended to the enclosing
-    frames' entry lists through absorption when inner frames close.
-    ``order`` lists the words emitted so far (the root first) and
-    ``parent`` their parent indices, as in :class:`Visit`.  Determinism is
-    structural: the one-step extension of a visit is unique, and no step
-    iterates over an unordered container.
+    Nodes are opaque: ``tree`` needs only ``child(node, c)``, the
+    ``c``-child of a node or None.  ``priority`` must be validated.  Each
+    emitted node opens one frame ``[P, level, first, expansions, j]`` that
+    runs the visits with priorities ``P[level:]``, from ``len(P)`` (the
+    node alone) down to 0.  On top with its segments used up, the frame's
+    entries are the indices from ``first`` on; it steps ``level`` down and
+    takes the ``P[level]``-children of those entries, bases in
+    lexicographic order, as the heads of its next segments, each a visit
+    with priority ``rotate(P[level:])``.  At level 0 it closes.
     """
-
-    def __init__(self, tree: ColorTree, priority: Iterable[int], root: Word = ROOT):
-        self.tree = tree
-        self.priority = validate_priority(priority, tree.k)
-        self.root = tuple(root)
-        if not tree.contains(self.root):
-            raise RootNotInTree(self.root)
-        self.order: list[Word] = [self.root]
-        self.parent: list[int] = [-1]
-        self._stack: list[_Frame] = []
-        self._complete = False
-        self._push_chain(self.priority, 0)
-
-    @property
-    def complete(self) -> bool:
-        return self._complete
-
-    def _push_chain(self, priority: Word, head: int) -> None:
-        # Opening a visit opens its inner visit too, down to the empty
-        # priority whose whole enumeration is just the head.
-        for i in range(len(priority) + 1):
-            self._stack.append(_Frame(priority=priority[i:]))
-        self._stack[-1].entries = [head]
-
-    def next_word(self) -> Optional[Word]:
-        """Emit the next node of the enumeration, or None once complete."""
-        if self._complete:
-            return None
-        stack = self._stack
-        order = self.order
-        while stack:
-            top = stack[-1]
-            if top.priority:
-                if top.expansions is None:
-                    d0 = top.priority[0]
-                    top.expansions = []
-                    for base in sorted(top.m_entries, key=order.__getitem__):
-                        head = order[base] + (d0,)
-                        if self.tree.contains(head):
-                            top.expansions.append((base, head))
-                if top.seg_index < len(top.expansions):
-                    base, head = top.expansions[top.seg_index]
-                    top.seg_index += 1
-                    self.parent.append(base)
-                    order.append(head)
-                    self._push_chain(rotate(top.priority), len(order) - 1)
-                    return head
-            # top is complete: close it and absorb its entries upward
-            closed = stack.pop()
+    if budget < 1:
+        raise VisitError(f"budget {budget} must be at least 1")
+    child = tree.child
+    nodes = [head]
+    parent = [-1]
+    letter = [-1]
+    stack = [[priority, len(priority), 0, (), 0]]
+    while len(nodes) < budget:
+        frame = stack[-1]
+        prio, level, first, expansions, j = frame
+        if j < len(expansions):
+            frame[4] = j + 1
+            base, node = expansions[j]
+            c = prio[level]
+            nodes.append(node)
+            parent.append(base)
+            letter.append(c)
+            inner = rotate(prio[level:])
+            stack.append([inner, len(inner), len(nodes) - 1, (), 0])
+        elif level:
+            level -= 1
+            c = prio[level]
+            expansions = []
+            for base in lex_order(parent, letter, first):
+                node = child(nodes[base], c)
+                if node is not None:
+                    expansions.append((base, node))
+            frame[1], frame[3], frame[4] = level, expansions, 0
+        else:
+            stack.pop()
             if not stack:
-                self._complete = True
-                return None
-            outer = stack[-1]
-            if outer.m_entries is None:
-                outer.m_entries = tuple(closed.entries)
-                outer.entries = closed.entries
-            else:
-                outer.entries.extend(closed.entries)
-        self._complete = True
-        return None
+                return nodes, parent, letter, True
+    return nodes, parent, letter, False
 
 
 def enumerate_visit(
@@ -369,20 +358,13 @@ def enumerate_visit(
 
     Deterministic: identical inputs give identical outputs.  ``terminated``
     is True only when completion was actually observed within the budget.
+    The nodes of a color tree are its words, so they are the order.
     """
     if budget < 1:
         raise VisitError(f"budget {budget} must be at least 1")
-    machine = VisitMachine(tree, priority, root)
-    terminated = False
-    while len(machine.order) < budget:
-        if machine.next_word() is None:
-            terminated = True
-            break
-    return Visit(
-        tree=tree,
-        root=machine.root,
-        priority=machine.priority,
-        order=tuple(machine.order),
-        terminated=terminated,
-        parent=tuple(machine.parent),
-    )
+    prio = validate_priority(priority, tree.k)
+    root = tuple(root)
+    if not tree.contains(root):
+        raise RootNotInTree(root)
+    nodes, parent, _, terminated = visit_nodes(tree, prio, root, budget)
+    return Visit(tree, root, prio, tuple(nodes), terminated, tuple(parent))

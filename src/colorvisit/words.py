@@ -78,7 +78,3 @@ def parse_word(text: str) -> Word:
     except ValueError as exc:
         raise ValueError(f"cannot parse word {text!r}: {exc}") from None
 
-
-def word_str(w: Sequence[int]) -> str:
-    """Render a word as ``<1,0>`` (the root renders as ``<>``)."""
-    return "<" + ",".join(str(c) for c in w) + ">"

@@ -350,6 +350,31 @@ HOMOG_PINS = [
 ]
 
 
+# the same for visit on a finite tree that terminates through many frames and
+# levels: the 1093-node complete ternary tree of depth 6, recorded before the
+# visit ran one frame per emitted node
+VISIT_PINS = {
+    "json": (14368, "b1dc00d9be09ac8bc75010ec18ba7364"
+                    "dc86ff08c5af4c369e50640cb83c7b0d"),
+    "dot": (88849, "dca967f4d36d42059290693194d2b38b"
+                   "64b30b4c48fc4d4a08cef11031b4680d"),
+    "text": (14375, "5f8b26e3600eb42b8499da8a03a8d148"
+                    "1c077948f22f16ef4326ef149ff67c2d"),
+}
+
+
+@pytest.mark.parametrize("emit", sorted(VISIT_PINS))
+def test_visit_output_bytes_are_pinned(emit, tmp_path, capsys):
+    save_tree(complete_tree(3, 6), str(tmp_path / "tree.json"))
+    out = tmp_path / "visit.out"
+    assert main(["visit", "--tree", str(tmp_path / "tree.json"), "--priority",
+                 "2,0,1", "--budget", "2000", "--emit", emit,
+                 "--out", str(out)]) == 0
+    assert "1093 entries, terminated=True" in capsys.readouterr().out
+    data = out.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == VISIT_PINS[emit]
+
+
 @pytest.mark.parametrize("args, pins", HOMOG_PINS, ids=["min-chain", "hash"])
 def test_homog_output_bytes_are_pinned(args, pins, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -25,10 +25,14 @@ from colorvisit.erdos import (
     homog_pipeline,
     horizon_comparison,
     insert,
+)
+from colorvisit.oracles import (
+    ancestor_formula_relation,
+    random_coloring,
     to_word_tree,
 )
-from colorvisit.oracles import ancestor_formula_relation, random_coloring
 from colorvisit.stability import branch_approx, branch_census
+from colorvisit.visit import enumerate_visit
 from colorvisit.words import full_priority
 
 
@@ -183,6 +187,22 @@ def test_pair_evaluation_counts(pair_evaluations, tmp_path):
     assert pair_evaluations[0] == 561
 
 
+def test_build_colors_no_empty_rows(monkeypatch):
+    rows = []
+    row = Coloring.row
+
+    def recording_row(self, lo, his):
+        rows.append(len(his))
+        return row(self, lo, his)
+
+    monkeypatch.setattr(Coloring, "row", recording_row)
+    coloring = random_coloring(8, 3, 120)
+    tree = build_erdos(coloring, 120)
+    assert 0 not in rows
+    # one row per node with something below it
+    assert len(rows) == sum(1 for kids in tree.children if kids)
+
+
 def test_erdos_property_holds_for_construction():
     rng = random.Random(17)
     for _ in range(20):
@@ -240,6 +260,35 @@ def test_word_index_is_a_bijection():
         coloring = random_coloring(rng.randrange(2**32), 3, 30)
         tree = build_erdos(coloring, 30)
         assert len(to_word_tree(tree).nodes) == tree.size
+
+
+def test_child_steps_through_the_children():
+    tree = build_erdos(sum_mod_coloring(2), 5)
+    assert [tree.child(0, c) for c in (0, 1)] == [2, 1]
+    assert tree.child(2, 0) == 4 and tree.child(2, 1) is None
+    assert tree.child(4, 0) is None
+
+
+def test_id_visit_equals_the_word_visit():
+    rng = random.Random(31)
+    for _ in range(60):
+        k = rng.choice([2, 3, 4])
+        size = rng.randint(2, 120)
+        coloring = random_coloring(rng.randrange(2**32), k, size)
+        prio = tuple(rng.sample(range(k), k))
+        # budgets that cut the visit short, reach it exactly, or leave room
+        budget = rng.choice([1, 2, rng.randint(1, size), size, size + 1, 2 * size])
+        report, visit = homog_pipeline(coloring, size, budget, prio)
+        tree = build_erdos(coloring, size)
+        words = enumerate_visit(to_word_tree(tree), prio, (), budget)
+        assert visit.order == words.order
+        assert visit.parent == words.parent
+        assert visit.terminated is words.terminated
+        assert visit.priority == prio and visit.root == ()
+        leaf = 0
+        for c in words.order[-1]:
+            leaf = tree.children[leaf][c]
+        assert report.branch_nodes == tuple(tree.path_to_root(leaf))
 
 
 def test_extract_constant_full_branch():

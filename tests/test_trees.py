@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 from colorvisit.oracles import TreeGenParams, random_tree
 from colorvisit.trees import (
     ColorOutOfRange,
+    FiniteColorTree,
     MissingRoot,
     NotPrefixClosed,
+    OracleColorTree,
     RootNotInTree,
     TreeError,
     builtin_tree,
@@ -120,6 +122,22 @@ def test_oracle_trees():
         builtin_tree("nosuch")
     with pytest.raises(TreeError):
         builtin_tree("full:x")
+
+
+def test_child_is_one_probe(binary_depth2, monkeypatch):
+    probed = []
+    for cls in (FiniteColorTree, OracleColorTree):
+        contains = cls.contains
+        monkeypatch.setattr(
+            cls, "contains",
+            lambda self, w, contains=contains: probed.append(w) or contains(self, w),
+        )
+    for tree in (binary_depth2, full_tree(2), unary_tree()):
+        probed.clear()
+        assert tree.child((0,), 0) == (0, 0)
+        assert probed == [(0, 0)]
+    assert binary_depth2.child((0, 1), 0) is None
+    assert unary_tree().child((0,), 1) is None
 
 
 @given(

@@ -10,16 +10,19 @@ from colorvisit.oracles import (
     TreeGenParams,
     all_visits,
     chain_tree,
+    complete_tree,
     random_tree,
     restricted_nodes,
     visit_trace,
 )
+from colorvisit.stability import stable_indices
 from colorvisit.trees import RootNotInTree, full_tree, unary_tree, validate_tree
 from colorvisit.visit import (
     VisitError,
     check_visit,
     enumerate_visit,
     is_complete_for,
+    lex_order,
 )
 from colorvisit.words import InvalidPriority
 
@@ -115,6 +118,30 @@ def test_budget_cuts_exactly(binary_depth2):
     visit = enumerate_visit(binary_depth2, (0, 1), (), budget=3)
     assert visit.order == GOLDEN[:3]
     assert visit.terminated is False
+
+
+def test_completion_at_exactly_the_budget_is_not_terminated():
+    # completion counts only when it is seen with fewer than budget entries
+    root_only = validate_tree([()], 2)
+    assert enumerate_visit(root_only, (0,), (), budget=1).terminated is False
+    assert enumerate_visit(root_only, (0,), (), budget=2).terminated is True
+    tree = complete_tree(2, 2)
+    assert len(tree) == 7
+    cut = enumerate_visit(tree, (0, 1), (), budget=7)
+    assert cut.order == GOLDEN and cut.terminated is False
+    done = enumerate_visit(tree, (0, 1), (), budget=8)
+    assert done.order == GOLDEN and done.terminated is True
+
+
+@given(visit=st_visits())
+def test_lex_order_sorts_by_words(visit):
+    # from every horizon-stable index on, the entries are its descendants
+    order = visit.order
+    letter = [-1] + [w[-1] for w in order[1:]]
+    for m in stable_indices(visit):
+        assert lex_order(visit.parent, letter, m) == sorted(
+            range(m, len(order)), key=order.__getitem__
+        )
 
 
 def test_chain_visit_matches_depth():

@@ -9,7 +9,6 @@ from colorvisit.words import (
     parse_word,
     rotate,
     validate_priority,
-    word_str,
 )
 
 st_word = st.lists(st.integers(0, 3), max_size=8).map(tuple)
@@ -87,7 +86,5 @@ def test_rotate_moves_lowest_to_top():
 def test_word_helpers_round_trip():
     assert parse_word("") == ()
     assert parse_word("1,0") == (1, 0)
-    assert word_str((1, 0)) == "<1,0>"
-    assert word_str(()) == "<>"
     with pytest.raises(ValueError):
         parse_word("1,x")
