@@ -28,6 +28,7 @@ from .stability import branch_approx, branch_census, stable_indices
 from .trees import (
     ColorTree,
     FiniteColorTree,
+    FullColorTree,
     OracleColorTree,
     full_tree,
     in_restricted,

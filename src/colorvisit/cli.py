@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from . import export
 from .colorings import builtin_coloring, load_table
@@ -27,6 +27,10 @@ from .visit import enumerate_visit
 from .words import full_priority, parse_word, validate_priority
 
 OUTDIR_ENV = "COLORVISIT_OUTDIR"
+
+# the largest color count the command line takes; the default priority, the
+# priority check and the per-color classes all cost O(k) before any work
+MAX_COLORS = 4096
 
 # every domain error in the package derives from one of these
 _CONFIG_ERRORS = (ValueError, ArithmeticError, OSError)
@@ -43,7 +47,10 @@ def _out_path(arg: Optional[str], default_name: str) -> Path:
 
 
 def _parse_priority(text: Optional[str], k: int) -> tuple[int, ...]:
-    """Priorities on the command line must cover all k colors (any order)."""
+    """Priorities on the command line must cover all k colors (any order),
+    and k must not exceed ``MAX_COLORS``."""
+    if k > MAX_COLORS:
+        raise ValueError(f"color count k={k} exceeds the limit of {MAX_COLORS}")
     if text is None:
         return full_priority(k)
     priority = validate_priority(parse_word(text), k)
@@ -54,13 +61,16 @@ def _parse_priority(text: Optional[str], k: int) -> tuple[int, ...]:
     return priority
 
 
-def _write(path: Path, payload: str) -> None:
+def _write(path: Path, payload: Union[str, Iterable[str]]) -> None:
+    """Write a string, or pieces of text in order without joining them."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    # encoding a multi-megabyte trace in one piece would hold a second full
-    # copy of it; slices keep the extra memory to one slice
+    if isinstance(payload, str):
+        # encoding a multi-megabyte text in one piece would hold a second
+        # full copy of it; slices keep the extra memory to one slice
+        text = payload
+        payload = (text[i : i + (1 << 20)] for i in range(0, len(text), 1 << 20))
     with path.open("w", encoding="utf-8") as fh:
-        for i in range(0, len(payload), 1 << 20):
-            fh.write(payload[i : i + (1 << 20)])
+        fh.writelines(payload)
 
 
 def cmd_visit(args: argparse.Namespace) -> int:
@@ -75,13 +85,13 @@ def cmd_visit(args: argparse.Namespace) -> int:
     suffix = {"json": ".json", "dot": ".dot", "text": ".txt"}[args.emit]
     path = _out_path(args.out, "visit" + suffix)
     if args.emit == "json":
-        _write(path, export.visit_trace_json(visit))
+        _write(path, export.visit_trace_pieces(visit))
     elif args.emit == "dot":
         _write(path, export.visit_dot(visit))
     else:
         _write(path, export.visit_text(visit))
     print(
-        f"visit: {len(visit.order)} entries, terminated={visit.terminated}, "
+        f"visit: {len(visit.parent)} entries, terminated={visit.terminated}, "
         f"wrote {path}"
     )
     return 0
@@ -117,7 +127,7 @@ def cmd_homog(args: argparse.Namespace) -> int:
     else:
         _write(path, export.report_text(report))
     if args.trace_out:
-        _write(Path(args.trace_out), export.visit_trace_json(visit))
+        _write(Path(args.trace_out), export.visit_trace_pieces(visit))
     sizes = " ".join(f"H{i}={len(c)}" for i, c in enumerate(report.classes))
     print(f"homog: {sizes} verified={str(report.verified).lower()}, wrote {path}")
     if not report.verified:
@@ -157,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_visit = sub.add_parser("visit", help="enumerate a tree and write the trace")
     p_visit.add_argument("--tree", required=True,
-                         help="tree JSON file, or builtin: unary, full:<k>")
+                         help="tree JSON file, or builtin: unary, full:<k>; "
+                              f"k at most {MAX_COLORS}")
     p_visit.add_argument("--priority", default=None,
                          help="comma-separated colors, lowest priority first "
                               "(default 0,...,k-1)")
@@ -175,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--builtin", default=None,
                      help="constant:<i>, sum-mod, diff-mod, block:<b>, table:<file>")
     src.add_argument("--table", default=None, help="table coloring JSON file")
-    p_homog.add_argument("--k", type=int, default=None, help="number of colors")
+    p_homog.add_argument("--k", type=int, default=None,
+                         help=f"number of colors, at most {MAX_COLORS}")
     p_homog.add_argument("--horizon", type=int, default=100,
                          help="how many naturals the comparison tree covers")
     p_homog.add_argument("--budget", type=int, default=1000,

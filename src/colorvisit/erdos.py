@@ -18,7 +18,7 @@ Children are color-unique, so the tree is a finite color tree with node
 ids in place of words: the priority visit runs on it through
 :meth:`ErdosTree.child`, and the root path of the node it visits last is
 the branch whose edges yield the extracted sets.  The visit's words, the
-root-path edge colors, are spelled only for its trace.
+root-path edge colors, are spelled only if its ``order`` is read.
 """
 
 from __future__ import annotations
@@ -239,8 +239,9 @@ def homog_pipeline(
     of the last visited node as the branch, and extract the candidate sets.
 
     The priority must list all k colors (default ``<0, ..., k-1>``).  The
-    visit's order spells each node as the edge colors on its root path, one
-    concatenation per entry, so it starts at the empty word.
+    visit's ``letter`` array holds each visited node's edge color, so its
+    ``order`` spells each node as the edge colors on its root path, from
+    the empty word.
     """
     if priority is None:
         prio = full_priority(coloring.k)
@@ -252,10 +253,7 @@ def homog_pipeline(
             )
     tree = build_erdos(coloring, size)
     nodes, parent, letter, terminated = visit_nodes(tree, prio, 0, budget)
-    order = [ROOT]
-    for i in range(1, len(nodes)):
-        order.append(order[parent[i]] + (letter[i],))
-    visit = Visit(tree, ROOT, prio, tuple(order), terminated, tuple(parent))
+    visit = Visit(tree, ROOT, prio, terminated, tuple(parent), tuple(letter))
     report = extract_homogeneous(tree, tree.path_to_root(nodes[-1]), coloring)
     return report, visit
 

@@ -3,15 +3,17 @@
 All JSON is dumped with sorted keys and fixed separators so that identical
 runs produce byte-identical files.  The visit trace is written out in that
 same canonical form directly: each entry's word is rendered once from its
-parent's rendering, through ``Visit.parent``, so the cost is the size of the
-output rather than one encoder step per letter.  ``oracles.visit_trace``
-keeps the dict the trace encodes as the reference.
+parent's rendering, through ``Visit.parent`` and ``Visit.letter``, so the
+cost is the size of the output rather than one encoder step per letter, and
+no word is spelled as a tuple.  The trace comes as pieces that a writer
+passes on one by one, so the whole text is never held as one string.
+``oracles.visit_trace`` keeps the dict the trace encodes as the reference.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .erdos import ErdosTree, HomogeneousReport
 from .stability import branch_approx_of, stable_indices
@@ -37,54 +39,87 @@ def dumps_canonical(obj: object) -> str:
 # --- visit traces --------------------------------------------------------------
 
 
-def _open_lists(visit: Visit) -> list[str]:
-    """Each entry's word as a JSON list without its closing bracket
-    (``"[1,0"``), built from its parent's: one concatenation per entry."""
-    out = ["[" + ",".join(map(str, visit.root))]
-    order = visit.order
-    for i in range(1, len(order)):
-        above = out[visit.parent[i]]
-        out.append(above + ("," if len(above) > 1 else "") + str(order[i][-1]))
-    return out
+def _open_lists(visit: Visit, indices: Sequence[int]) -> Iterator[str]:
+    """The words of the entries ``indices`` in turn, each as a JSON list
+    without its closing bracket (``"[1,0"``), built from its parent's text:
+    one concatenation per entry.
+
+    ``indices`` start at the root, ascend, and hold the parent of each
+    entry after the first.  A text is kept only until the last of its
+    children is built, so a chain holds one text at a time.
+    """
+    parent, letter = visit.parent, visit.letter
+    last = [0] * len(parent)
+    for i in indices[1:]:
+        last[parent[i]] = i
+    held: list[Optional[str]] = [None] * len(parent)
+    text = held[0] = "[" + ",".join(map(str, visit.root))
+    yield text
+    for i in indices[1:]:
+        p = parent[i]
+        above = held[p]
+        if last[p] == i:
+            held[p] = None
+        text = above + ("," if len(above) > 1 else "") + str(letter[i])
+        if last[i]:
+            held[i] = text
+        yield text
 
 
-def _list_pieces(opened: Sequence[str]) -> list[str]:
+def _list_pieces(opened: Iterable[str]) -> Iterator[str]:
     """The JSON list of the words whose open renderings are ``opened``, as
-    pieces for one final join, so that no intermediate copy is made."""
-    pieces = ["["]
+    pieces, so that no intermediate copy is made."""
+    sep = "["
     for item in opened:
-        pieces += (item, "],")
-    pieces[-1] = "]]"
-    return pieces
+        yield sep
+        yield item
+        sep = "],"
+    yield "]]"
 
 
 def _json_ints(values: Sequence[int]) -> str:
     return "[" + ",".join(map(str, values)) + "]"
 
 
-def visit_trace_json(visit: Visit) -> str:
+def visit_trace_pieces(visit: Visit) -> Iterator[str]:
     """Trace schema: k, priority, root, order, terminated, stable, branch;
-    byte for byte ``dumps_canonical`` of that dict, with each word rendered
-    once from its parent's rendering instead of letter by letter."""
-    opened = _open_lists(visit)
-    return "".join([
-        '{"branch":', *_list_pieces(branch_approx_of(opened, visit.parent)),
-        ',"k":', str(visit.tree.k),
-        ',"order":', *_list_pieces(opened),
-        ',"priority":', _json_ints(visit.priority),
-        ',"root":', _json_ints(visit.root),
-        ',"stable":', _json_ints(stable_indices(visit)),
-        ',"terminated":', "true" if visit.terminated else "false",
-        "}\n",
-    ])
+    pieces whose concatenation is byte for byte ``dumps_canonical`` of that
+    dict, with each word rendered once from its parent's rendering instead
+    of letter by letter.
+
+    The pieces are made as they are taken, and each word's text is dropped
+    once its children's are made, so a writer that passes them on one by
+    one holds only the texts of entries with children still to come, not
+    the trace.
+    """
+    entries = range(len(visit.parent))
+    branch = branch_approx_of(entries, visit.parent)
+    yield '{"branch":'
+    yield from _list_pieces(_open_lists(visit, branch))
+    yield ',"k":' + str(visit.tree.k) + ',"order":'
+    yield from _list_pieces(_open_lists(visit, entries))
+    yield (
+        ',"priority":' + _json_ints(visit.priority)
+        + ',"root":' + _json_ints(visit.root)
+        + ',"stable":' + _json_ints(stable_indices(visit))
+        + ',"terminated":' + ("true" if visit.terminated else "false")
+        + "}\n"
+    )
+
+
+def visit_trace_json(visit: Visit) -> str:
+    """The trace as one string: the pieces of :func:`visit_trace_pieces`
+    joined."""
+    return "".join(visit_trace_pieces(visit))
 
 
 def visit_dot(visit: Visit) -> str:
     """One DOT node per enumerated word, edges labeled by the final letter,
     stable nodes double-bordered and branch nodes filled."""
     stable = set(stable_indices(visit))
-    branch = set(branch_approx_of(range(len(visit.order)), visit.parent))
-    letters = [opened[1:] for opened in _open_lists(visit)]
+    entries = range(len(visit.parent))
+    branch = set(branch_approx_of(entries, visit.parent))
+    letters = [opened[1:] for opened in _open_lists(visit, entries)]
     ids = ["n_" + ls.replace(",", "_") if ls else "n" for ls in letters]
     lines = ["digraph visit {", "  rankdir=TB;"]
     for i, ls in enumerate(letters):
@@ -97,7 +132,7 @@ def visit_dot(visit: Visit) -> str:
         lines.append(f"  {ids[i]} [{', '.join(attrs)}];")
     for i in range(1, len(ids)):
         lines.append(
-            f'  {ids[visit.parent[i]]} -> {ids[i]} [label="{visit.order[i][-1]}"];'
+            f'  {ids[visit.parent[i]]} -> {ids[i]} [label="{visit.letter[i]}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -105,10 +140,11 @@ def visit_dot(visit: Visit) -> str:
 
 def visit_text(visit: Visit) -> str:
     """Short human-readable summary of a run."""
-    shown = [f"<{opened[1:]}>" for opened in _open_lists(visit)]
+    entries = range(len(visit.parent))
+    shown = [f"<{opened[1:]}>" for opened in _open_lists(visit, entries)]
     lines = [
         f"k={visit.tree.k} priority={list(visit.priority)} root={list(visit.root)}",
-        f"entries={len(visit.order)} terminated={visit.terminated}",
+        f"entries={len(visit.parent)} terminated={visit.terminated}",
         f"stable indices: {list(stable_indices(visit))}",
         "branch: " + " ".join(branch_approx_of(shown, visit.parent)),
         "order: " + " ".join(shown),

@@ -1,7 +1,7 @@
 """Prefix-closed color trees.
 
-Two representations share one interface (``k``, ``contains``, ``child``,
-``nodes``):
+Three representations share one interface (``k``, ``contains``, ``node``,
+``child``, ``nodes``):
 
 * :class:`FiniteColorTree` -- an explicit, validated node set; ``contains``
   is a set lookup and ``nodes`` is the full frozenset.
@@ -9,10 +9,17 @@ Two representations share one interface (``k``, ``contains``, ``child``,
   space; ``nodes`` is ``None``.  The predicate must be pure and the word set
   it accepts must contain the root and be closed under prefix; neither
   property is checkable here, so they are the caller's contract.
+* :class:`FullColorTree` -- every word over ``0..k-1``, the builtins
+  ``full:k`` and ``unary`` (k = 1); ``nodes`` is ``None``.
 
-The nodes of both are their words: ``child(w, c)`` is ``w + (c,)`` when
-the tree contains it, at one ``contains`` probe, and None otherwise.  All
-trees are immutable after construction and safe to share.
+``contains`` takes a word.  A visit starts from ``node(root)``, the node
+the root word names, and steps by ``child(node, c)``, the ``c``-child of a
+node or None.  The nodes of the first two are their words: ``child(w, c)`` is
+``w + (c,)`` when the tree contains it, at one ``contains`` probe, so it
+costs O(depth) to copy and test the word.  All the nodes of one depth of a
+full tree have the same children, so its nodes are depths and ``child`` is
+one comparison that builds no word.  All trees are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
@@ -58,7 +65,13 @@ class RootNotInTree(TreeError):
 
 
 class _WordTree:
+    """Trees whose nodes are their words."""
+
+    def node(self, w: Word) -> Word:
+        return w
+
     def child(self, w: Word, c: int) -> Optional[Word]:
+        """``w + (c,)`` if the tree contains it: one probe, O(depth)."""
         v = w + (c,)
         return v if self.contains(v) else None
 
@@ -79,7 +92,11 @@ class FiniteColorTree(_WordTree):
 
 @dataclass(frozen=True)
 class OracleColorTree(_WordTree):
-    """Possibly infinite tree given by a pure membership predicate."""
+    """Possibly infinite tree given by a pure membership predicate.
+
+    ``child`` builds the child's word and calls the predicate on it once,
+    so a step costs O(depth) plus whatever the predicate costs.
+    """
 
     k: int
     membership: Callable[[Word], bool]
@@ -89,7 +106,29 @@ class OracleColorTree(_WordTree):
         return bool(self.membership(w))
 
 
-ColorTree = Union[FiniteColorTree, OracleColorTree]
+@dataclass(frozen=True)
+class FullColorTree:
+    """The complete infinite k-ary tree: every word over 0..k-1.
+
+    Its nodes are depths, so the word a node stands for is not kept:
+    ``child(d, c)`` is ``d + 1`` for a color below k and None otherwise.
+    """
+
+    k: int
+    nodes: None = None
+
+    def contains(self, w: Word) -> bool:
+        # min and max run in C, a letter-by-letter test would not
+        return not w or (min(w) >= 0 and max(w) < self.k)
+
+    def node(self, w: Word) -> int:
+        return len(w)
+
+    def child(self, d: int, c: int) -> Optional[int]:
+        return d + 1 if 0 <= c < self.k else None
+
+
+ColorTree = Union[FiniteColorTree, OracleColorTree, FullColorTree]
 
 
 def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
@@ -137,26 +176,24 @@ def in_restricted(
     return tree.contains(node)
 
 
-# --- built-in oracle families -------------------------------------------------
+# --- built-in trees -----------------------------------------------------------
 
-def unary_tree() -> OracleColorTree:
+def unary_tree() -> FullColorTree:
     """The infinite single-color chain: every word over {0}."""
-    return OracleColorTree(k=1, membership=lambda w: not any(w))
+    return FullColorTree(1)
 
 
-def full_tree(k: int) -> OracleColorTree:
+def full_tree(k: int) -> FullColorTree:
     """The complete infinite k-ary tree: every word over 0..k-1."""
     if k < 1:
         raise TreeError(f"color count k={k} must be at least 1")
-    return OracleColorTree(
-        k=k, membership=lambda w: not w or (min(w) >= 0 and max(w) < k)
-    )
+    return FullColorTree(k)
 
 
 _BUILTIN_TREES = {"unary": unary_tree}
 
 
-def builtin_tree(name: str) -> OracleColorTree:
+def builtin_tree(name: str) -> FullColorTree:
     """Resolve a builtin tree name: ``unary`` or ``full:<k>``."""
     if name in _BUILTIN_TREES:
         return _BUILTIN_TREES[name]()

@@ -23,17 +23,19 @@ Two faces of the same discipline live here:
 Every step of the generator needs only finitely many child probes, so
 oracle-backed (potentially infinite) trees can be visited under a budget.
 The generator treats nodes as opaque and reaches them only through
-``tree.child(node, c)``, so it runs on the words of a color tree and on the
-ids of a comparison tree alike.  Its frames hold order indices: it records
-each emitted entry's parent index and last letter, orders bases by a walk
-over those arrays instead of comparing words, and :class:`Visit` carries
-the parent array so the stable indices, the branch and the exports are read
-off it too.
+``tree.child(node, c)``, so it runs on the words of a color tree, the
+depths of a full tree and the ids of a comparison tree alike.  Its frames
+hold order indices: it records each emitted entry's parent index and last
+letter and orders bases by a walk over those arrays instead of comparing
+words.  :class:`Visit` carries those two arrays, so the stable indices, the
+branch and the exports are read off them, and it spells the words only when
+its ``order`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .trees import ColorTree, RootNotInTree
@@ -252,24 +254,36 @@ class _Checker:
 class Visit:
     """A finished (or budget-truncated) enumeration.
 
-    ``order`` starts at the root, has no repetitions, is prefix-closed above
-    the root, stays inside the restricted subtree of the priority's colors,
-    and every entry after the first is a child (by one letter, with a
-    priority color) of an earlier entry.  ``parent[i]`` is the index in
-    ``order`` of ``order[i][:-1]`` (always below i), and ``parent[0]`` is -1
-    for the root.  ``terminated`` is True iff the enumeration ended because
-    the visit got complete, not because the budget ran out.  ``tree`` is
-    the visited tree, a color tree or the comparison tree of a homog run;
-    only its color count ``k`` is read off a visit.  Immutable and safe to
-    share.
+    Entry i is the word ``order[i]``.  Entry 0 is ``root``; every later
+    entry is a child, by one letter of a priority color, of an earlier
+    entry: ``parent[i]`` is the index of that entry (always below i) and
+    ``letter[i]`` the letter, while ``parent[0]`` and ``letter[0]`` are -1.
+    So the entries have no repetitions, are prefix-closed above the root
+    and stay inside the restricted subtree of the priority's colors.
+    ``terminated`` is True iff the enumeration ended because the visit got
+    complete, not because the budget ran out.  ``tree`` is the visited
+    tree, a color tree or the comparison tree of a homog run; only its
+    color count ``k`` is read off a visit.
+
+    ``order`` spells every word from ``root``, ``parent`` and ``letter``,
+    one tuple per entry, on its first read; a chain of depth n then holds
+    n²/2 letters, so code that needs only the tree shape reads ``parent``
+    and ``letter``.  Immutable and safe to share.
     """
 
     tree: ColorTree
     root: Word
     priority: Word
-    order: tuple[Word, ...]
     terminated: bool
     parent: tuple[int, ...]
+    letter: tuple[int, ...]
+
+    @cached_property
+    def order(self) -> tuple[Word, ...]:
+        order = [self.root]
+        for i in range(1, len(self.parent)):
+            order.append(order[self.parent[i]] + (self.letter[i],))
+        return tuple(order)
 
 
 def lex_order(parent: Sequence[int], letter: Sequence[int], head: int) -> list[int]:
@@ -358,7 +372,8 @@ def enumerate_visit(
 
     Deterministic: identical inputs give identical outputs.  ``terminated``
     is True only when completion was actually observed within the budget.
-    The nodes of a color tree are its words, so they are the order.
+    The loop starts from ``tree.node(root)`` and keeps no word; the words
+    are spelled only when ``order`` is read.
     """
     if budget < 1:
         raise VisitError(f"budget {budget} must be at least 1")
@@ -366,5 +381,7 @@ def enumerate_visit(
     root = tuple(root)
     if not tree.contains(root):
         raise RootNotInTree(root)
-    nodes, parent, _, terminated = visit_nodes(tree, prio, root, budget)
-    return Visit(tree, root, prio, tuple(nodes), terminated, tuple(parent))
+    _, parent, letter, terminated = visit_nodes(
+        tree, prio, tree.node(root), budget
+    )
+    return Visit(tree, root, prio, terminated, tuple(parent), tuple(letter))

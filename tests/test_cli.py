@@ -5,10 +5,11 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from colorvisit.cli import main
+from colorvisit.cli import MAX_COLORS, main
 from colorvisit.colorings import sum_mod_coloring
 from colorvisit.erdos import homog_pipeline
 from colorvisit.export import (
@@ -239,6 +240,24 @@ def test_homog_expression_rejects_color_counts_below_one(k, capsys):
     assert capsys.readouterr().err == expected
 
 
+def test_color_counts_above_the_cap_are_rejected_first(tmp_path, capsys):
+    # a priority over every color would be built before any other check
+    huge = "1000000000000"
+    expected = f"error: color count k={huge} exceeds the limit of {MAX_COLORS}\n"
+    for argv in (
+        ["visit", "--tree", f"full:{huge}"],
+        ["visit", "--tree", f"full:{huge}", "--priority", "0,1"],
+        ["homog", "--coloring", "x", "--k", huge],
+        ["homog", "--builtin", "sum-mod", "--k", huge, "--priority", "1,0"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == expected
+    assert main(["homog", "--coloring", "x % 2", "--k", str(MAX_COLORS),
+                 "--horizon", "3", "--out", str(tmp_path / "h.json")]) == 0
+    assert main(["homog", "--coloring", "x", "--k", str(MAX_COLORS + 1)]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 def test_homog_bad_horizon():
     assert main(["homog", "--coloring", "x", "--k", "2", "--horizon", "0"]) == 2
 
@@ -373,6 +392,61 @@ def test_visit_output_bytes_are_pinned(emit, tmp_path, capsys):
     assert "1093 entries, terminated=True" in capsys.readouterr().out
     data = out.read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == VISIT_PINS[emit]
+
+
+# the same for the builtin trees, visited from an inner root and cut by the
+# budget; recorded while their nodes were still words
+BUILTIN_VISIT_PINS = {
+    "full3-json": (
+        ["--tree", "full:3", "--priority", "2,0,1", "--root", "1",
+         "--budget", "300", "--emit", "json"],
+        (182979, "32b209a482160a4b1f08434692c43db6"
+                 "e627d6a5f84dadaf32eba0f93227d622"),
+    ),
+    "full3-dot": (
+        ["--tree", "full:3", "--priority", "2,0,1", "--root", "1",
+         "--budget", "300", "--emit", "dot"],
+        (387308, "75c5c1aa679236ab28544bef44e4bd00"
+                 "1b354b0fcfe9d5dcedf89927aec7d263"),
+    ),
+    "full3-text": (
+        ["--tree", "full:3", "--priority", "2,0,1", "--root", "1",
+         "--budget", "300", "--emit", "text"],
+        (183283, "982d1f3fbb819b756f7180bba8314715"
+                 "09ca7bee573d6fac7525c5eca334fe9c"),
+    ),
+    "unary-json": (
+        ["--tree", "unary", "--root", "0,0", "--budget", "50", "--emit", "json"],
+        (5727, "06e03075554404a33f66f1e5da024ecf"
+               "18013ca3b9d233a947669262aabf11be"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_VISIT_PINS))
+def test_builtin_visit_output_bytes_are_pinned(name, tmp_path, capsys):
+    args, pin = BUILTIN_VISIT_PINS[name]
+    out = tmp_path / "visit.out"
+    assert main(["visit", *args, "--out", str(out)]) == 0
+    assert "entries, terminated=False" in capsys.readouterr().out
+    data = out.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == pin
+
+
+def test_visit_trace_is_written_without_holding_it(tmp_path, capsys):
+    # the trace of a 3000-deep chain is 18 MB of JSON; rendered as it is
+    # written, only about one root path of it is held at a time
+    out = tmp_path / "deep.json"
+    tracemalloc.start()
+    try:
+        assert main(["visit", "--tree", "full:2", "--priority", "0,1",
+                     "--budget", "3000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "3000 entries, terminated=False" in capsys.readouterr().out
+    assert out.stat().st_size > 18 * 10**6
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("args, pins", HOMOG_PINS, ids=["min-chain", "hash"])

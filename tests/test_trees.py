@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from colorvisit.oracles import TreeGenParams, random_tree
 from colorvisit.trees import (
     ColorOutOfRange,
     FiniteColorTree,
+    FullColorTree,
     MissingRoot,
     NotPrefixClosed,
     OracleColorTree,
@@ -132,12 +134,35 @@ def test_child_is_one_probe(binary_depth2, monkeypatch):
             cls, "contains",
             lambda self, w, contains=contains: probed.append(w) or contains(self, w),
         )
-    for tree in (binary_depth2, full_tree(2), unary_tree()):
+    depth2 = OracleColorTree(k=2, membership=lambda w: len(w) <= 2)
+    for tree in (binary_depth2, depth2):
         probed.clear()
+        assert tree.node((0,)) == (0,)
         assert tree.child((0,), 0) == (0, 0)
         assert probed == [(0, 0)]
-    assert binary_depth2.child((0, 1), 0) is None
-    assert unary_tree().child((0,), 1) is None
+        probed.clear()
+        assert tree.child((0, 1), 0) is None
+        assert probed == [(0, 1, 0)]
+
+
+def test_builtin_child_agrees_with_contains(monkeypatch):
+    probed = []
+    contains = FullColorTree.contains
+    monkeypatch.setattr(
+        FullColorTree, "contains",
+        lambda self, w: probed.append(w) or contains(self, w),
+    )
+    for tree in [full_tree(k) for k in (1, 2, 3, 4)] + [unary_tree()]:
+        words = [w for n in range(4) for w in itertools.product(range(tree.k), repeat=n)]
+        steps = {
+            (w, c): tree.child(tree.node(w), c)
+            for w in words for c in range(-3, 7)
+        }
+        assert probed == []
+        for (w, c), node in steps.items():
+            assert (node is not None) == contains(tree, w + (c,))
+            if node is not None:
+                assert node == tree.node(w + (c,))
 
 
 @given(

@@ -1,6 +1,8 @@
 """The generator: golden traces, one-step extension, and checker agreement."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -16,7 +18,13 @@ from colorvisit.oracles import (
     visit_trace,
 )
 from colorvisit.stability import stable_indices
-from colorvisit.trees import RootNotInTree, full_tree, unary_tree, validate_tree
+from colorvisit.trees import (
+    OracleColorTree,
+    RootNotInTree,
+    full_tree,
+    unary_tree,
+    validate_tree,
+)
 from colorvisit.visit import (
     VisitError,
     check_visit,
@@ -205,3 +213,38 @@ def test_deep_chain_does_not_hit_recursion_limits():
     visit = enumerate_visit(unary_tree(), (0,), (), budget=5000)
     assert len(visit.order) == 5000
     assert visit.order[-1] == (0,) * 4999
+
+
+def test_full_tree_visits_like_its_word_oracle():
+    cases = [(unary_tree(), OracleColorTree(k=1, membership=lambda w: not any(w)))]
+    for k in (1, 2, 3):
+        cases.append((full_tree(k), OracleColorTree(
+            k=k, membership=lambda w, k=k: all(0 <= c < k for c in w))))
+    runs = 0
+    for fast, oracle in cases:
+        k = fast.k
+        priorities = [p for n in range(k + 1)
+                      for p in itertools.permutations(range(k), n)]
+        for priority in priorities:
+            for root in ((), (k - 1,), (0, k - 1, 0)):
+                for budget in (1, 2, 9, 60):
+                    a = enumerate_visit(fast, priority, root, budget)
+                    b = enumerate_visit(oracle, priority, root, budget)
+                    assert (a.parent, a.letter, a.terminated) == (
+                        b.parent, b.letter, b.terminated)
+                    assert a.order == b.order
+                    assert visit_trace_json(a) == visit_trace_json(b)
+                    runs += 1
+    assert runs == 3 * 4 * (2 + 2 + 5 + 16)
+
+
+def test_full_tree_visit_memory_is_linear():
+    # at depth n a word per entry would hold n²/2 letters: about 65 MB here
+    tracemalloc.start()
+    try:
+        visit = enumerate_visit(full_tree(2), (0, 1), (), 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(visit.parent) == 4000 and visit.letter[1:] == (1,) * 3999
+    assert peak < 5 * 2**20
