@@ -32,6 +32,10 @@ OUTDIR_ENV = "COLORVISIT_OUTDIR"
 # priority check and the per-color classes all cost O(k) before any work
 MAX_COLORS = 4096
 
+# the largest horizon the command line takes; the comparison tree allocates
+# O(H) lists before its first coloring, and the build colors up to H²/2 pairs
+MAX_HORIZON = 1_000_000
+
 # every domain error in the package derives from one of these
 _CONFIG_ERRORS = (ValueError, ArithmeticError, OSError)
 
@@ -115,6 +119,10 @@ def _homog_coloring(args: argparse.Namespace):
 
 
 def cmd_homog(args: argparse.Namespace) -> int:
+    if args.horizon > MAX_HORIZON:
+        raise ValueError(
+            f"horizon {args.horizon} exceeds the limit of {MAX_HORIZON}"
+        )
     coloring = _homog_coloring(args)
     priority = _parse_priority(args.priority, coloring.k)
     report, visit = homog_pipeline(coloring, args.horizon, args.budget, priority)
@@ -189,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_homog.add_argument("--k", type=int, default=None,
                          help=f"number of colors, at most {MAX_COLORS}")
     p_homog.add_argument("--horizon", type=int, default=100,
-                         help="how many naturals the comparison tree covers")
+                         help="how many naturals the comparison tree covers, "
+                              f"at most {MAX_HORIZON}")
     p_homog.add_argument("--budget", type=int, default=1000,
                          help="visit budget on the comparison tree")
     p_homog.add_argument("--priority", default=None,

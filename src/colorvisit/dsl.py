@@ -20,13 +20,13 @@ A coloring built from an expression evaluates it at ``(min(x, y),
 max(x, y))`` and reduces the result modulo the color count, which makes it
 symmetric and total by construction.
 
-:func:`evaluate` is the reference interpreter that defines these semantics.
-Colorings run compiled code instead: :func:`compile_expr` turns the parsed
-syntax tree into one Python function of a pair, and :func:`compile_row`
-into one function that colors a whole row, a list comprehension over the
-larger endpoints.  Both are generated from the tree's literals, variables
-and operators only, so a pair costs one call and a row costs one call and
-one loop in compiled code.
+``oracles.evaluate``, a tree-walking interpreter, is the reference that
+defines these semantics.  Colorings run compiled code: :func:`compile_expr`
+turns the parsed syntax tree into one Python function of a pair, and
+:func:`compile_row` into one function that colors a whole row, a list
+comprehension over the larger endpoints.  Both are generated from the
+tree's literals, variables and operators only, so a pair costs one call
+and a row costs one call and one loop in compiled code.
 """
 
 from __future__ import annotations
@@ -349,59 +349,6 @@ def to_text(expr: Expr) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-# --- evaluation ----------------------------------------------------------------
-
-
-def evaluate(expr: Expr, x: int, y: int, strict: bool = False) -> int:
-    """Evaluate at concrete endpoints.  Total unless ``strict`` and a
-    division or remainder hits a zero divisor."""
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
-        return x if expr.name == "x" else y
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, x, y, strict)
-    if isinstance(expr, Cmp):
-        left = evaluate(expr.left, x, y, strict)
-        right = evaluate(expr.right, x, y, strict)
-        if expr.op == "<":
-            return int(left < right)
-        if expr.op == "<=":
-            return int(left <= right)
-        if expr.op == "==":
-            return int(left == right)
-        return int(left != right)
-    if isinstance(expr, If):
-        if evaluate(expr.cond, x, y, strict) != 0:
-            return evaluate(expr.then, x, y, strict)
-        return evaluate(expr.orelse, x, y, strict)
-    if isinstance(expr, BinOp):
-        left = evaluate(expr.left, x, y, strict)
-        right = evaluate(expr.right, x, y, strict)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "min":
-            return min(left, right)
-        if expr.op == "max":
-            return max(left, right)
-        if expr.op == "/":
-            if right == 0:
-                if strict:
-                    raise DivisionByZero("division")
-                return 0
-            return left // right
-        if right == 0:
-            if strict:
-                raise DivisionByZero("remainder")
-            return left
-        return left % right
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 # --- compilation ---------------------------------------------------------------
 
 
@@ -426,9 +373,9 @@ def _mod_strict(t: int, d: int) -> int:
 
 
 def _source(expr: Expr) -> str:
-    """Python source with the semantics of :func:`evaluate`, built only from
-    integer literals, ``x``, ``y``, fixed operators and the helper names, so
-    no text of the original expression reaches the compiler."""
+    """Python source with the semantics of ``oracles.evaluate``, built only
+    from integer literals, ``x``, ``y``, fixed operators and the helper
+    names, so no text of the original expression reaches the compiler."""
     if isinstance(expr, Lit):
         return f"({int(expr.value)!r})"
     if isinstance(expr, Var):
@@ -479,7 +426,8 @@ def _compile(source: str, strict: bool) -> Callable:
 
 
 def compile_expr(expr: Expr, strict: bool, k: int) -> Callable[[int, int], int]:
-    """One Python function ``(lo, hi) -> evaluate(expr, lo, hi, strict) % k``.
+    """One Python function ``(lo, hi) -> oracles.evaluate(expr, lo, hi,
+    strict) % k``.
 
     Comparisons give bools, which take part in the arithmetic as 0 and 1;
     the final reduction modulo ``k`` makes the result a plain int.

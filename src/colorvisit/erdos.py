@@ -17,8 +17,9 @@ Verification of the extracted sets also runs a row per class member.
 Children are color-unique, so the tree is a finite color tree with node
 ids in place of words: the priority visit runs on it through
 :meth:`ErdosTree.child`, and the root path of the node it visits last is
-the branch whose edges yield the extracted sets.  The visit's words, the
-root-path edge colors, are spelled only if its ``order`` is read.
+the branch whose edges yield the extracted sets.  A visited node's word is
+the edge colors on its root path; the visit keeps only each node's last
+one.
 """
 
 from __future__ import annotations
@@ -148,21 +149,6 @@ def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:
     return tree
 
 
-def check_erdos_property(tree: ErdosTree, coloring: Coloring) -> bool:
-    """Direct check of the defining property: for every node ``y`` and every
-    proper ancestor ``x``, the edge ``{x, y}`` has the color of the tree
-    edge leaving ``x`` toward ``y``.  Quadratically many coloring queries.
-    """
-    for y in range(1, tree.size):
-        z = y
-        while tree.parent[z] is not None:
-            p = tree.parent[z]
-            if coloring(p, y) != tree.edge_color[z]:
-                return False
-            z = p
-    return True
-
-
 @dataclass(frozen=True)
 class HomogeneousReport:
     """Candidate monochromatic sets read off one branch of ``tree``.
@@ -239,9 +225,9 @@ def homog_pipeline(
     of the last visited node as the branch, and extract the candidate sets.
 
     The priority must list all k colors (default ``<0, ..., k-1>``).  The
-    visit's ``letter`` array holds each visited node's edge color, so its
-    ``order`` spells each node as the edge colors on its root path, from
-    the empty word.
+    visit starts from the empty word, and its ``letter`` array holds each
+    visited node's edge color, so an entry's word is the edge colors on
+    that node's root path.
     """
     if priority is None:
         prio = full_priority(coloring.k)

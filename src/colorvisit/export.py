@@ -13,11 +13,13 @@ passes on one by one, so the whole text is never held as one string.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .erdos import ErdosTree, HomogeneousReport
 from .stability import branch_approx_of, stable_indices
 from .visit import Visit
+
+if TYPE_CHECKING:
+    from .erdos import ErdosTree, HomogeneousReport
 
 # Fill colors for per-class node highlighting in DOT output, cycled.
 _PALETTE = (

@@ -1,10 +1,11 @@
 """Brute-force reference implementations and seeded generators.
 
-Everything here exists to cross-check the efficient code paths, so these
-functions deliberately share nothing with the generator beyond the core
-word and tree types: agreement between the two routes is evidence, not a
-tautology.  All of it is exponential or quadratic and meant for desk-scale
-inputs only.
+Everything here, from the declarative visit checker :func:`check_visit` on,
+exists to cross-check the efficient code paths, and only the ``check``
+suites and the tests import it.  These functions share nothing with the
+generator beyond the core word and tree types: agreement between the two
+routes is evidence, not a tautology.  All of it is exponential or quadratic
+and meant for desk-scale inputs only.
 """
 
 from __future__ import annotations
@@ -13,13 +14,245 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .colorings import Coloring, TableIncomplete
+from .dsl import BinOp, Cmp, DivisionByZero, Expr, If, Lit, Neg, Var
 from .erdos import ErdosTree
-from .trees import ColorTree, FiniteColorTree, in_restricted
-from .visit import Visit, check_visit
-from .words import ROOT, Word, is_proper_prefix, lex_compare
+from .trees import ColorTree, FiniteColorTree, RootNotInTree
+from .visit import Visit, VisitError
+from .words import ROOT, Word, validate_priority
+
+
+# --- words ----------------------------------------------------------------------
+
+def is_proper_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
+    return len(a) < len(b) and tuple(b[: len(a)]) == tuple(a)
+
+
+def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
+    """Three-way lexicographic comparison: -1, 0 or +1.
+
+    A proper prefix compares less than any of its extensions; otherwise the
+    first differing letter decides.
+    """
+    for x, y in zip(a, b):
+        if x != y:
+            return -1 if x < y else 1
+    if len(a) == len(b):
+        return 0
+    return -1 if len(a) < len(b) else 1
+
+
+def visit_words(visit: Visit) -> tuple[Word, ...]:
+    """Every entry's word in visit order, spelled from ``root``, ``parent``
+    and ``letter``: entry i is its parent's word plus its letter.  A chain
+    of depth n holds n²/2 letters."""
+    order = [visit.root]
+    for i in range(1, len(visit.parent)):
+        order.append(order[visit.parent[i]] + (visit.letter[i],))
+    return tuple(order)
+
+
+# --- the declarative checker and its helpers ------------------------------------
+
+class EntryNotInTree(VisitError):
+    def __init__(self, entry: Word) -> None:
+        self.entry = entry
+        super().__init__(f"entry {entry} is not in the tree")
+
+
+def is_color_complete(
+    tree: ColorTree,
+    entries: Sequence[Word],
+    color: int,
+    *,
+    check_entries: bool = True,
+) -> bool:
+    """True iff every ``color``-child (in the tree) of an entry is an entry.
+
+    The completeness scan itself uses exactly ``len(entries)`` membership
+    probes, one per candidate child.  With ``check_entries`` (the default)
+    an extra validation pass raises :class:`EntryNotInTree` on entries
+    outside the tree; internal callers that construct entries from the tree
+    skip it.
+    """
+    if check_entries:
+        for w in entries:
+            if not tree.contains(w):
+                raise EntryNotInTree(w)
+    entry_set = set(entries)
+    for w in entries:
+        child = w + (color,)
+        if tree.contains(child) and child not in entry_set:
+            return False
+    return True
+
+
+def is_complete_for(
+    tree: ColorTree,
+    entries: Sequence[Word],
+    priority: Iterable[int],
+    *,
+    check_entries: bool = True,
+) -> bool:
+    """Completeness for every color in the priority list (vacuous if empty)."""
+    if check_entries:
+        for w in entries:
+            if not tree.contains(w):
+                raise EntryNotInTree(w)
+    return all(
+        is_color_complete(tree, entries, c, check_entries=False)
+        for c in priority
+    )
+
+
+def nth_expansion(
+    tree: ColorTree,
+    bases: Sequence[Word],
+    n: int,
+    color: int,
+    *,
+    check_entries: bool = True,
+) -> Optional[Word]:
+    """The n-th (0-indexed) word ``base + (color,)`` present in the tree,
+    scanning bases in lexicographic order; ``None`` if fewer than n+1 exist.
+
+    At most ``len(bases)`` membership probes; the scan stops as soon as the
+    n-th hit is found.
+    """
+    if n < 0:
+        return None
+    if check_entries:
+        seen: set[Word] = set()
+        for w in bases:
+            if w in seen:
+                raise VisitError(f"duplicate base {w}")
+            seen.add(w)
+            if not tree.contains(w):
+                raise EntryNotInTree(w)
+    hits = 0
+    for base in sorted(bases):
+        child = base + (color,)
+        if tree.contains(child):
+            if hits == n:
+                return child
+            hits += 1
+    return None
+
+
+def check_visit(
+    tree: ColorTree,
+    entries: Sequence[Iterable[int]],
+    priority: Sequence[int],
+    root: Word,
+) -> bool:
+    """Decide whether ``entries`` is a priority-visit from ``root``.
+
+    Direct recursion on the priority length and the entry list: the empty
+    priority accepts exactly ``[root]``; otherwise some split
+    ``M * L_0 * ... * L_{n-1}`` must exist where M is a visit for the tail
+    priority (and complete for it when n >= 1), each ``L_j`` starts at the
+    j-th lowest-color expansion of M and is a visit for the rotated
+    priority, and every ``L_j`` but the last is complete for the full color
+    set.  Returns False on any malformed input (duplicates, entries outside
+    the tree, bad priority); never raises.  Exponential in the worst case;
+    meant for small inputs.
+    """
+    L = tuple(tuple(int(c) for c in e) for e in entries)
+    root = tuple(int(c) for c in root)
+    try:
+        prio = validate_priority(priority, tree.k)
+    except ValueError:
+        return False
+    if not L or len(set(L)) != len(L):
+        # A visit is a nonempty, repetition-free enumeration; duplicated or
+        # empty lists can never satisfy the recursive definition.
+        return False
+    if any(not tree.contains(w) for w in L):
+        return False
+    if not tree.contains(root):
+        return False
+    return _Checker(tree, L).accepts(0, len(L), prio, root)
+
+
+class _Checker:
+    """Decomposition search over contiguous sublists, memoized by content."""
+
+    def __init__(self, tree: ColorTree, entries: tuple[Word, ...]) -> None:
+        self.tree = tree
+        self.entries = entries
+        self.memo: dict[tuple[int, int, Word, Word], bool] = {}
+
+    def accepts(self, lo: int, hi: int, prio: Word, root: Word) -> bool:
+        if hi <= lo:
+            return False
+        if self.entries[lo] != root:
+            # every visit starts with its root
+            return False
+        key = (lo, hi, prio, root)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        self.memo[key] = False  # cycle guard; recomputed below
+        result = self._compute(lo, hi, prio, root)
+        self.memo[key] = result
+        return result
+
+    def _compute(self, lo: int, hi: int, prio: Word, root: Word) -> bool:
+        if not prio:
+            return hi - lo == 1
+        d0, rest = prio[0], prio[1:]
+        rotated = rest + (d0,)
+        for m in range(lo + 1, hi + 1):
+            if not self.accepts(lo, m, rest, root):
+                continue
+            if m == hi:
+                return True  # n = 0: no expansion happened yet
+            segment = self.entries[lo:m]
+            if not is_complete_for(self.tree, segment, rest, check_entries=False):
+                continue
+            if self._segments(m, hi, segment, d0, rotated, prio):
+                return True
+        return False
+
+    def _segments(
+        self,
+        start: int,
+        hi: int,
+        m_entries: tuple[Word, ...],
+        d0: int,
+        rotated: Word,
+        all_colors: Word,
+    ) -> bool:
+        """Parse ``entries[start:hi]`` as L_0 * ... * L_{n-1}."""
+
+        def parse(j: int, lo: int) -> bool:
+            if lo == hi:
+                return True
+            head = nth_expansion(
+                self.tree, m_entries, j, d0, check_entries=False
+            )
+            if head is None or self.entries[lo] != head:
+                return False
+            for end in range(lo + 1, hi + 1):
+                if not self.accepts(lo, end, rotated, head):
+                    continue
+                if end == hi:
+                    return True  # last segment needs no completeness
+                if not is_complete_for(
+                    self.tree, self.entries[lo:end], all_colors,
+                    check_entries=False,
+                ):
+                    continue
+                if parse(j + 1, end):
+                    return True
+            return False
+
+        return parse(0, start)
+
+
+# --- brute-force references -----------------------------------------------------
 
 ALL_VISITS_NODE_CAP = 25
 
@@ -77,6 +310,21 @@ def naive_nth_expansion(
     return hits[n] if n < len(hits) else None
 
 
+def in_restricted(
+    tree: ColorTree, priority: Iterable[int], root: Word, node: Word
+) -> bool:
+    """Membership in the subtree above ``root`` whose extra letters all come
+    from the priority list's color set."""
+    if not tree.contains(root):
+        raise RootNotInTree(root)
+    if len(node) < len(root) or node[: len(root)] != root:
+        return False
+    allowed = set(priority)
+    if any(letter not in allowed for letter in node[len(root) :]):
+        return False
+    return tree.contains(node)
+
+
 def restricted_nodes(
     tree: FiniteColorTree, priority: Sequence[int], root: Word
 ) -> frozenset[Word]:
@@ -97,19 +345,38 @@ def brute_stable_indices(order: Sequence[Word]) -> tuple[int, ...]:
     )
 
 
+def branch_census(entries: Iterable[Word], k: int) -> dict[int, int]:
+    """Per-color counts of parent-to-child edges within a node sequence.
+
+    An edge is counted for every entry after the first whose one-letter-
+    shorter parent appeared earlier in the sequence; the edge color is the
+    entry's final letter.  On a branch chain it counts the consecutive-pair
+    letters.  All colors 0..k-1 are present in the result, possibly with
+    count 0.
+    """
+    counts = {c: 0 for c in range(k)}
+    seen: set[Word] = set()
+    for w in entries:
+        if w and w[:-1] in seen:
+            counts[w[-1]] += 1
+        seen.add(w)
+    return counts
+
+
 def visit_trace(visit: Visit) -> dict:
     """The visit trace schema as a dict, with the stable indices and the
     branch computed from the words alone (quadratic):
     ``export.visit_trace_json`` must equal its canonical dump byte for
     byte."""
-    deepest = visit.order[-1]
+    order = visit_words(visit)
+    deepest = order[-1]
     return {
         "k": visit.tree.k,
         "priority": list(visit.priority),
         "root": list(visit.root),
-        "order": [list(w) for w in visit.order],
+        "order": [list(w) for w in order],
         "terminated": visit.terminated,
-        "stable": list(brute_stable_indices(visit.order)),
+        "stable": list(brute_stable_indices(order)),
         "branch": [
             list(deepest[:i]) for i in range(len(visit.root), len(deepest) + 1)
         ],
@@ -129,6 +396,21 @@ def to_word_tree(tree: ErdosTree) -> FiniteColorTree:
     return FiniteColorTree(k=tree.k, nodes=frozenset(node_word))
 
 
+def check_erdos_property(tree: ErdosTree, coloring: Coloring) -> bool:
+    """Direct check of the defining property: for every node ``y`` and every
+    proper ancestor ``x``, the edge ``{x, y}`` has the color of the tree
+    edge leaving ``x`` toward ``y``.  Quadratically many coloring queries.
+    """
+    for y in range(1, tree.size):
+        z = y
+        while tree.parent[z] is not None:
+            p = tree.parent[z]
+            if coloring(p, y) != tree.edge_color[z]:
+                return False
+            z = p
+    return True
+
+
 def ancestor_formula_relation(coloring: Coloring, size: int) -> set[tuple[int, int]]:
     """The comparison-tree ancestor relation read off its defining formula.
 
@@ -144,6 +426,56 @@ def ancestor_formula_relation(coloring: Coloring, size: int) -> set[tuple[int, i
             if all(coloring(z, x) == coloring(z, y) for z in ancestors_of_x):
                 rel.add((x, y))
     return rel
+
+
+def evaluate(expr: Expr, x: int, y: int, strict: bool = False) -> int:
+    """Evaluate at concrete endpoints.  Total unless ``strict`` and a
+    division or remainder hits a zero divisor."""
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Var):
+        return x if expr.name == "x" else y
+    if isinstance(expr, Neg):
+        return -evaluate(expr.operand, x, y, strict)
+    if isinstance(expr, Cmp):
+        left = evaluate(expr.left, x, y, strict)
+        right = evaluate(expr.right, x, y, strict)
+        if expr.op == "<":
+            return int(left < right)
+        if expr.op == "<=":
+            return int(left <= right)
+        if expr.op == "==":
+            return int(left == right)
+        return int(left != right)
+    if isinstance(expr, If):
+        if evaluate(expr.cond, x, y, strict) != 0:
+            return evaluate(expr.then, x, y, strict)
+        return evaluate(expr.orelse, x, y, strict)
+    if isinstance(expr, BinOp):
+        left = evaluate(expr.left, x, y, strict)
+        right = evaluate(expr.right, x, y, strict)
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        if expr.op == "min":
+            return min(left, right)
+        if expr.op == "max":
+            return max(left, right)
+        if expr.op == "/":
+            if right == 0:
+                if strict:
+                    raise DivisionByZero("division")
+                return 0
+            return left // right
+        if right == 0:
+            if strict:
+                raise DivisionByZero("remainder")
+            return left
+        return left % right
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 # --- seeded generators ----------------------------------------------------------

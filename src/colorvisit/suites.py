@@ -15,28 +15,27 @@ from typing import Callable, Iterator, Optional
 
 from .colorings import Coloring, builtin_coloring
 from .dsl import dsl_coloring
-from .erdos import (
-    build_by_insertion,
-    build_erdos,
-    check_erdos_property,
-    homog_pipeline,
-)
+from .erdos import build_by_insertion, build_erdos, homog_pipeline
 from .oracles import (
     ALL_VISITS_NODE_CAP,
     TreeGenParams,
     all_visits,
     ancestor_formula_relation,
     chain_tree,
+    check_erdos_property,
     complete_tree,
+    is_complete_for,
     naive_nth_expansion,
+    nth_expansion,
     random_coloring,
     random_tree,
     restricted_nodes,
     star_tree,
     to_word_tree,
+    visit_words,
 )
 from .trees import FiniteColorTree, tree_to_dict
-from .visit import enumerate_visit, is_complete_for, nth_expansion
+from .visit import enumerate_visit
 from .words import ROOT, Word
 
 
@@ -133,12 +132,13 @@ def suite_visits(seed: int, cases: int) -> SuiteResult:
                 v = enumerate_visit(t, _p, ROOT, budget=len(t.nodes) + 1)
             except Exception:
                 return False
-            entries = set(v.order)
+            order = visit_words(v)
+            entries = set(order)
             return (
-                len(entries) != len(v.order)
-                or any(w != ROOT and w[:-1] not in entries for w in v.order)
+                len(entries) != len(order)
+                or any(w != ROOT and w[:-1] not in entries for w in order)
                 or not v.terminated
-                or not is_complete_for(t, v.order, _p)
+                or not is_complete_for(t, order, _p)
                 or entries != restricted_nodes(t, _p, ROOT)
             )
 
@@ -154,7 +154,7 @@ def suite_visits(seed: int, cases: int) -> SuiteResult:
                 b[: len(a)] == a
                 for a, b in itertools.combinations(sorted(accepted, key=len), 2)
             )
-            if not chain_ok or max(accepted, key=len) != run.order:
+            if not chain_ok or max(accepted, key=len) != visit_words(run):
                 return SuiteResult(
                     "visits", False, ran,
                     f"checker/generator disagreement\npriority={list(priority)}\n"

@@ -12,7 +12,9 @@ Three representations share one interface (``k``, ``contains``, ``node``,
 * :class:`FullColorTree` -- every word over ``0..k-1``, the builtins
   ``full:k`` and ``unary`` (k = 1); ``nodes`` is ``None``.
 
-``contains`` takes a word.  A visit starts from ``node(root)``, the node
+``contains`` takes a word.  The run path calls it to check a visit's root
+and, in the word trees, inside ``child``; the references in ``oracles``
+probe words with it directly.  A visit starts from ``node(root)``, the node
 the root word names, and steps by ``child(node, c)``, the ``c``-child of a
 node or None.  The nodes of the first two are their words: ``child(w, c)`` is
 ``w + (c,)`` when the tree contains it, at one ``contains`` probe, so it
@@ -159,21 +161,6 @@ def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
         if w and w[:-1] not in node_set:
             raise NotPrefixClosed(w[:-1], w)
     return FiniteColorTree(k=k, nodes=node_set)
-
-
-def in_restricted(
-    tree: ColorTree, priority: Iterable[int], root: Word, node: Word
-) -> bool:
-    """Membership in the subtree above ``root`` whose extra letters all come
-    from the priority list's color set."""
-    if not tree.contains(root):
-        raise RootNotInTree(root)
-    if len(node) < len(root) or node[: len(root)] != root:
-        return False
-    allowed = set(priority)
-    if any(letter not in allowed for letter in node[len(root) :]):
-        return False
-    return tree.contains(node)
 
 
 # --- built-in trees -----------------------------------------------------------

@@ -8,7 +8,7 @@ its extensions.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Word = tuple[int, ...]
 
@@ -18,24 +18,6 @@ ROOT: Word = ()
 class InvalidPriority(ValueError):
     """Priority list is malformed: duplicates, non-integers or colors
     outside 0..k-1."""
-
-
-def is_proper_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
-    return len(a) < len(b) and tuple(b[: len(a)]) == tuple(a)
-
-
-def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
-    """Three-way lexicographic comparison: -1, 0 or +1.
-
-    A proper prefix compares less than any of its extensions; otherwise the
-    first differing letter decides.
-    """
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    if len(a) == len(b):
-        return 0
-    return -1 if len(a) < len(b) else 1
 
 
 def validate_priority(colors: Iterable[int], k: int) -> Word:

@@ -18,27 +18,28 @@ import pytest
 
 from colorvisit.colorings import builtin_coloring, sum_mod_coloring
 from colorvisit.dsl import dsl_coloring
-from colorvisit.erdos import build_erdos, check_erdos_property, homog_pipeline
+from colorvisit.erdos import build_erdos, homog_pipeline
 from colorvisit.oracles import (
     TreeGenParams,
     all_visits,
     ancestor_formula_relation,
+    branch_census,
     chain_tree,
+    check_erdos_property,
+    check_visit,
     complete_tree,
+    is_complete_for,
     naive_nth_expansion,
+    nth_expansion,
     random_coloring,
     random_tree,
     restricted_nodes,
     star_tree,
+    visit_words,
 )
-from colorvisit.stability import branch_census, stable_indices
+from colorvisit.stability import stable_indices
 from colorvisit.trees import save_tree, unary_tree
-from colorvisit.visit import (
-    check_visit,
-    enumerate_visit,
-    is_complete_for,
-    nth_expansion,
-)
+from colorvisit.visit import enumerate_visit
 
 
 def criterion(label):
@@ -111,10 +112,11 @@ def test_criterion_1_subtree_invariants(corpus_visits):
     start = time.monotonic()
     assert len(corpus_visits) >= 500
     for tree, _priority, root, visit in corpus_visits:
-        entries = set(visit.order)
-        assert len(entries) == len(visit.order), "repetition in enumeration"
-        assert visit.order[0] == root
-        for w in visit.order:
+        order = visit_words(visit)
+        entries = set(order)
+        assert len(entries) == len(order), "repetition in enumeration"
+        assert order[0] == root
+        for w in order:
             if w != root:
                 assert w[:-1] in entries, "parent missing above the root"
     assert time.monotonic() - start < 30.0
@@ -124,8 +126,9 @@ def test_criterion_1_subtree_invariants(corpus_visits):
 def test_criterion_2_completeness_and_coverage(corpus_visits):
     for tree, priority, root, visit in corpus_visits:
         assert visit.terminated, "finite tree with slack budget must terminate"
-        assert is_complete_for(tree, visit.order, priority)
-        assert frozenset(visit.order) == restricted_nodes(tree, priority, root)
+        order = visit_words(visit)
+        assert is_complete_for(tree, order, priority)
+        assert frozenset(order) == restricted_nodes(tree, priority, root)
 
 
 @criterion("3 (accepted lists form a chain; unique one-step extension)")
@@ -154,7 +157,7 @@ def test_criterion_3_oracle_equivalence():
             shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
             assert longer[: len(shorter)] == shorter, "accepted lists not a chain"
         maximal = max(accepted, key=len)
-        assert maximal == run.order, "maximum differs from the generator run"
+        assert maximal == visit_words(run), "maximum differs from the generator run"
         nodes = sorted(tree.nodes)
         for candidate in accepted:
             extensions = [
@@ -203,14 +206,15 @@ def test_criterion_4_expansion_agreement():
 @criterion("5 (golden worked traces)")
 def test_criterion_5_golden_traces():
     visit = enumerate_visit(complete_tree(2, 2), (0, 1), (), budget=100)
-    assert visit.order == ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
+    assert visit_words(visit) == ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
     assert visit.terminated
 
     chain = enumerate_visit(unary_tree(), (0,), (), budget=5)
-    assert chain.order == ((), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0))
+    order = visit_words(chain)
+    assert order == ((), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0))
     assert not chain.terminated
-    for i in range(1, len(chain.order)):
-        assert chain.order[i] == chain.order[i - 1] + (0,)
+    for i in range(1, len(order)):
+        assert order[i] == order[i - 1] + (0,)
 
 
 @criterion("6 (construction property and ancestor-formula agreement)")
@@ -270,16 +274,17 @@ def test_criterion_7_homogeneity():
 def test_criterion_8_branch_reflection():
     budgets = (100, 400, 1600)
 
-    def stable_chain_ok(visit):
-        ws = [visit.order[m] for m in stable_indices(visit)]
+    def stable_chain_ok(visit, order):
+        ws = [order[m] for m in stable_indices(visit)]
         return all(b[: len(a)] == a for a, b in zip(ws, ws[1:]))
 
     # unary chain: color 0 occurs unboundedly
     counts = []
     for budget in budgets:
         visit = enumerate_visit(unary_tree(), (0,), (), budget=budget)
-        assert stable_chain_ok(visit)
-        counts.append(branch_census(visit.order, 1)[0])
+        order = visit_words(visit)
+        assert stable_chain_ok(visit, order)
+        counts.append(branch_census(order, 1)[0])
     assert counts[0] < counts[1] < counts[2]
 
     # parity coloring: the visit commits to the all-even branch (color 0)
@@ -287,7 +292,7 @@ def test_criterion_8_branch_reflection():
     for budget in budgets:
         report, visit = homog_pipeline(sum_mod_coloring(2), 2 * budget + 16, budget)
         assert not visit.terminated, "horizon must outlast the budget"
-        assert stable_chain_ok(visit)
+        assert stable_chain_ok(visit, visit_words(visit))
         counts.append(report.census[0])
     assert counts[0] < counts[1] < counts[2]
 
@@ -296,7 +301,7 @@ def test_criterion_8_branch_reflection():
     for budget in budgets:
         report, visit = homog_pipeline(sum_mod_coloring(3), 3 * budget + 16, budget)
         assert not visit.terminated, "horizon must outlast the budget"
-        assert stable_chain_ok(visit)
+        assert stable_chain_ok(visit, visit_words(visit))
         counts.append(report.census[2])
     assert counts[0] < counts[1] < counts[2]
 

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from colorvisit.cli import MAX_COLORS, main
+from colorvisit.cli import MAX_COLORS, MAX_HORIZON, main
 from colorvisit.colorings import sum_mod_coloring
 from colorvisit.erdos import homog_pipeline
 from colorvisit.export import (
@@ -260,6 +260,25 @@ def test_color_counts_above_the_cap_are_rejected_first(tmp_path, capsys):
 
 def test_homog_bad_horizon():
     assert main(["homog", "--coloring", "x", "--k", "2", "--horizon", "0"]) == 2
+
+
+def test_horizons_above_the_cap_are_rejected_first(tmp_path, capsys, monkeypatch):
+    # the comparison tree allocates O(H) before its first coloring, so the
+    # cap is checked before the pipeline runs at all
+    def no_pipeline(*args):
+        raise AssertionError("the pipeline ran")
+
+    over = str(MAX_HORIZON + 1)
+    expected = f"error: horizon {over} exceeds the limit of {MAX_HORIZON}\n"
+    with monkeypatch.context() as patch:
+        patch.setattr("colorvisit.cli.homog_pipeline", no_pipeline)
+        for source in (["--builtin", "sum-mod"], ["--coloring", "x + y"]):
+            assert main(["homog", *source, "--k", "2", "--horizon", over]) == 2
+            assert capsys.readouterr().err == expected
+    for horizon in ("1", "2", "50"):
+        assert main(["homog", "--builtin", "sum-mod", "--k", "2",
+                     "--horizon", horizon, "--out", str(tmp_path / "h.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_check_pass_and_unknown_suite(capsys):

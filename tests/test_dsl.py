@@ -29,11 +29,11 @@ from colorvisit.dsl import (
     compile_expr,
     compile_source,
     dsl_coloring,
-    evaluate,
     parse,
     row_source,
     to_text,
 )
+from colorvisit.oracles import evaluate
 
 
 def test_parse_shapes():

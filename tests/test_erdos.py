@@ -20,7 +20,6 @@ from colorvisit.erdos import (
     NonContiguousInsert,
     build_by_insertion,
     build_erdos,
-    check_erdos_property,
     extract_homogeneous,
     homog_pipeline,
     horizon_comparison,
@@ -28,10 +27,13 @@ from colorvisit.erdos import (
 )
 from colorvisit.oracles import (
     ancestor_formula_relation,
+    branch_census,
+    check_erdos_property,
     random_coloring,
     to_word_tree,
+    visit_words,
 )
-from colorvisit.stability import branch_approx, branch_census
+from colorvisit.stability import branch_approx_of
 from colorvisit.visit import enumerate_visit
 from colorvisit.words import full_priority
 
@@ -281,12 +283,13 @@ def test_id_visit_equals_the_word_visit():
         report, visit = homog_pipeline(coloring, size, budget, prio)
         tree = build_erdos(coloring, size)
         words = enumerate_visit(to_word_tree(tree), prio, (), budget)
-        assert visit.order == words.order
+        order = visit_words(words)
+        assert visit_words(visit) == order
         assert visit.parent == words.parent
         assert visit.terminated is words.terminated
         assert visit.priority == prio and visit.root == ()
         leaf = 0
-        for c in words.order[-1]:
+        for c in order[-1]:
             leaf = tree.children[leaf][c]
         assert report.branch_nodes == tuple(tree.path_to_root(leaf))
 
@@ -391,7 +394,8 @@ def test_pipeline_verified_on_random_colorings():
 def test_census_equals_class_sizes():
     report, visit = homog_pipeline(sum_mod_coloring(2), 50, 500)
     assert report.census == {i: len(c) for i, c in enumerate(report.classes)}
-    assert report.census == branch_census(branch_approx(visit), 2)
+    branch = branch_approx_of(visit_words(visit), visit.parent)
+    assert report.census == branch_census(branch, 2)
 
 
 def test_every_natural_appears_once_with_parent_below():

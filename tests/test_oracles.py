@@ -12,6 +12,7 @@ from colorvisit.oracles import (
     TreeTooLarge,
     all_visits,
     chain_tree,
+    check_visit,
     complete_tree,
     naive_nth_expansion,
     random_coloring,
@@ -19,7 +20,6 @@ from colorvisit.oracles import (
     star_tree,
 )
 from colorvisit.trees import validate_tree
-from colorvisit.visit import check_visit
 
 
 def test_all_visits_root_only():

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from colorvisit.oracles import TreeGenParams, random_tree
+from colorvisit.oracles import TreeGenParams, in_restricted, random_tree
 from colorvisit.trees import (
     ColorOutOfRange,
     FiniteColorTree,
@@ -16,7 +16,6 @@ from colorvisit.trees import (
     TreeError,
     builtin_tree,
     full_tree,
-    in_restricted,
     load_tree,
     save_tree,
     tree_from_dict,

@@ -12,10 +12,13 @@ from colorvisit.oracles import (
     TreeGenParams,
     all_visits,
     chain_tree,
+    check_visit,
     complete_tree,
+    is_complete_for,
     random_tree,
     restricted_nodes,
     visit_trace,
+    visit_words,
 )
 from colorvisit.stability import stable_indices
 from colorvisit.trees import (
@@ -25,13 +28,7 @@ from colorvisit.trees import (
     unary_tree,
     validate_tree,
 )
-from colorvisit.visit import (
-    VisitError,
-    check_visit,
-    enumerate_visit,
-    is_complete_for,
-    lex_order,
-)
+from colorvisit.visit import VisitError, enumerate_visit, lex_order
 from colorvisit.words import InvalidPriority
 
 from conftest import st_visits
@@ -41,7 +38,7 @@ GOLDEN = ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
 
 def test_golden_trace_binary_depth2(binary_depth2):
     visit = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
-    assert visit.order == GOLDEN
+    assert visit_words(visit) == GOLDEN
     assert visit.terminated is True
 
 
@@ -52,10 +49,11 @@ def test_golden_parents(binary_depth2):
 
 @given(visit=st_visits())
 def test_parent_is_the_index_of_the_one_letter_prefix(visit):
-    assert len(visit.parent) == len(visit.order)
+    order = visit_words(visit)
+    assert len(visit.parent) == len(order)
     assert visit.parent[0] == -1
-    for i in range(1, len(visit.order)):
-        assert visit.parent[i] == visit.order.index(visit.order[i][:-1])
+    for i in range(1, len(order)):
+        assert visit.parent[i] == order.index(order[i][:-1])
 
 
 @given(visit=st_visits())
@@ -76,34 +74,36 @@ def test_trace_json_matches_the_reference_on_oracle_trees():
 
 def test_golden_trace_unary_budget():
     visit = enumerate_visit(unary_tree(), (0,), (), budget=5)
-    assert visit.order == ((), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0))
+    assert visit_words(visit) == ((), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0))
     assert visit.terminated is False
 
 
 def test_root_only_tree_terminates():
     tree = validate_tree([()], 2)
     visit = enumerate_visit(tree, (0,), (), budget=10)
-    assert visit.order == ((),)
+    assert visit_words(visit) == ((),)
     assert visit.terminated is True
 
 
 def test_empty_priority_enumerates_just_the_root(binary_depth2):
     visit = enumerate_visit(binary_depth2, (), (), budget=10)
-    assert visit.order == ((),)
+    assert visit_words(visit) == ((),)
     assert visit.terminated is True
 
 
 def test_visit_from_inner_root(binary_depth2):
     visit = enumerate_visit(binary_depth2, (0, 1), (1,), budget=100)
-    assert visit.order[0] == (1,)
+    order = visit_words(visit)
+    assert order[0] == (1,)
     assert visit.terminated is True
-    assert set(visit.order) == {(1,), (1, 0), (1, 1)}
+    assert set(order) == {(1,), (1, 0), (1, 1)}
 
 
 def test_infinite_binary_style_prefers_high_color():
     visit = enumerate_visit(full_tree(2), (0, 1), (), budget=6)
     # the inner visit for color 1 never finishes, so color 0 never starts
-    assert visit.order == ((), (1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1))
+    assert visit_words(visit) == (
+        (), (1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1))
     assert visit.terminated is False
 
 
@@ -119,12 +119,12 @@ def test_enumerate_argument_validation(binary_depth2):
 def test_enumerate_is_deterministic(binary_depth2):
     a = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
     b = enumerate_visit(binary_depth2, (0, 1), (), budget=100)
-    assert a.order == b.order and a.terminated == b.terminated
+    assert visit_words(a) == visit_words(b) and a.terminated == b.terminated
 
 
 def test_budget_cuts_exactly(binary_depth2):
     visit = enumerate_visit(binary_depth2, (0, 1), (), budget=3)
-    assert visit.order == GOLDEN[:3]
+    assert visit_words(visit) == GOLDEN[:3]
     assert visit.terminated is False
 
 
@@ -136,15 +136,15 @@ def test_completion_at_exactly_the_budget_is_not_terminated():
     tree = complete_tree(2, 2)
     assert len(tree) == 7
     cut = enumerate_visit(tree, (0, 1), (), budget=7)
-    assert cut.order == GOLDEN and cut.terminated is False
+    assert visit_words(cut) == GOLDEN and cut.terminated is False
     done = enumerate_visit(tree, (0, 1), (), budget=8)
-    assert done.order == GOLDEN and done.terminated is True
+    assert visit_words(done) == GOLDEN and done.terminated is True
 
 
 @given(visit=st_visits())
 def test_lex_order_sorts_by_words(visit):
     # from every horizon-stable index on, the entries are its descendants
-    order = visit.order
+    order = visit_words(visit)
     letter = [-1] + [w[-1] for w in order[1:]]
     for m in stable_indices(visit):
         assert lex_order(visit.parent, letter, m) == sorted(
@@ -156,7 +156,7 @@ def test_chain_visit_matches_depth():
     tree = chain_tree(2, 1, 10)
     visit = enumerate_visit(tree, (0, 1), (), budget=50)
     assert visit.terminated
-    assert visit.order == tuple((1,) * i for i in range(11))
+    assert visit_words(visit) == tuple((1,) * i for i in range(11))
 
 
 def test_every_enumeration_prefix_passes_the_checker():
@@ -177,8 +177,9 @@ def test_every_enumeration_prefix_passes_the_checker():
         priority = tuple(colors[: rng.randint(0, k)])
         visit = enumerate_visit(tree, priority, (), budget=len(tree.nodes) + 1)
         assert visit.terminated
-        for i in range(1, len(visit.order) + 1):
-            assert check_visit(tree, visit.order[:i], priority, ())
+        order = visit_words(visit)
+        for i in range(1, len(order) + 1):
+            assert check_visit(tree, order[:i], priority, ())
 
 
 def test_terminated_visit_covers_restricted_subtree():
@@ -199,20 +200,24 @@ def test_terminated_visit_covers_restricted_subtree():
         priority = tuple(colors[: rng.randint(0, k)])
         visit = enumerate_visit(tree, priority, (), budget=len(tree.nodes) + 1)
         assert visit.terminated
-        assert is_complete_for(tree, visit.order, priority)
-        assert frozenset(visit.order) == restricted_nodes(tree, priority, ())
+        order = visit_words(visit)
+        assert is_complete_for(tree, order, priority)
+        assert frozenset(order) == restricted_nodes(tree, priority, ())
 
 
 def test_generator_run_is_maximum_of_all_accepted_lists(binary_depth1):
     accepted = all_visits(binary_depth1, (0, 1), ())
     run = enumerate_visit(binary_depth1, (0, 1), (), budget=10)
-    assert max(accepted, key=len) == run.order
+    assert max(accepted, key=len) == visit_words(run)
 
 
 def test_deep_chain_does_not_hit_recursion_limits():
+    # entry i is the word (0,) * i: spelling them would hold 12.5M letters
     visit = enumerate_visit(unary_tree(), (0,), (), budget=5000)
-    assert len(visit.order) == 5000
-    assert visit.order[-1] == (0,) * 4999
+    assert len(visit.parent) == 5000
+    assert visit.root == ()
+    assert all(visit.parent[i] == i - 1 for i in range(1, 5000))
+    assert visit.letter[1:] == (0,) * 4999
 
 
 def test_full_tree_visits_like_its_word_oracle():
@@ -232,7 +237,7 @@ def test_full_tree_visits_like_its_word_oracle():
                     b = enumerate_visit(oracle, priority, root, budget)
                     assert (a.parent, a.letter, a.terminated) == (
                         b.parent, b.letter, b.terminated)
-                    assert a.order == b.order
+                    assert visit_words(a) == visit_words(b)
                     assert visit_trace_json(a) == visit_trace_json(b)
                     runs += 1
     assert runs == 3 * 4 * (2 + 2 + 5 + 16)

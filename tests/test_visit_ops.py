@@ -4,16 +4,16 @@ import itertools
 
 import pytest
 
-from colorvisit.oracles import naive_nth_expansion
-from colorvisit.trees import validate_tree
-from colorvisit.visit import (
+from colorvisit.oracles import (
     EntryNotInTree,
-    VisitError,
     check_visit,
     is_color_complete,
     is_complete_for,
+    naive_nth_expansion,
     nth_expansion,
 )
+from colorvisit.trees import validate_tree
+from colorvisit.visit import VisitError
 
 from conftest import CountingTree
 

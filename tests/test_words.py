@@ -1,11 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from colorvisit.oracles import is_proper_prefix, lex_compare
 from colorvisit.words import (
     InvalidPriority,
     full_priority,
-    is_proper_prefix,
-    lex_compare,
     parse_word,
     rotate,
     validate_priority,
