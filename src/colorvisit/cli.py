@@ -7,6 +7,10 @@ diagnostics to stderr; exit codes are 0 for success, 1 for a failed
 property suite, 2 for configuration or validation errors, and 3 when a
 homogeneity report fails verification.  Identical configurations (seed
 included) produce byte-identical output files.
+
+Each command imports the modules it runs when it starts, so a ``visit``
+run loads no coloring code and neither ``visit`` nor ``homog`` loads the
+suites or their oracles.
 """
 
 from __future__ import annotations
@@ -17,16 +21,13 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from . import export
-from .colorings import builtin_coloring, load_table
-from .dsl import dsl_coloring
-from .erdos import homog_pipeline
-from .suites import SUITES, run_suite
-from .trees import builtin_tree, load_tree
-from .visit import enumerate_visit
 from .words import full_priority, parse_word, validate_priority
 
 OUTDIR_ENV = "COLORVISIT_OUTDIR"
+
+# the names of ``suites.SUITES``, sorted, for the help text and the
+# unknown-suite message without importing the suites
+SUITE_NAMES = ("erdos", "expansions", "homog", "restricted", "visits")
 
 # the largest color count the command line takes; the default priority, the
 # priority check and the per-color classes all cost O(k) before any work
@@ -78,6 +79,10 @@ def _write(path: Path, payload: Union[str, Iterable[str]]) -> None:
 
 
 def cmd_visit(args: argparse.Namespace) -> int:
+    from . import export
+    from .trees import builtin_tree, load_tree
+    from .visit import enumerate_visit
+
     source = args.tree
     if Path(source).exists():
         tree = load_tree(source)
@@ -102,9 +107,13 @@ def cmd_visit(args: argparse.Namespace) -> int:
 
 
 def _homog_coloring(args: argparse.Namespace):
+    from .colorings import builtin_coloring, load_table
+
     if args.coloring is not None:
         if args.k is None:
             raise ValueError("--k is required with --coloring")
+        from .dsl import dsl_coloring
+
         return dsl_coloring(args.coloring, args.k, strict=args.strict)
     if args.builtin is not None:
         if args.k is None:
@@ -119,6 +128,9 @@ def _homog_coloring(args: argparse.Namespace):
 
 
 def cmd_homog(args: argparse.Namespace) -> int:
+    from . import export
+    from .erdos import homog_pipeline
+
     if args.horizon > MAX_HORIZON:
         raise ValueError(
             f"horizon {args.horizon} exceeds the limit of {MAX_HORIZON}"
@@ -148,12 +160,14 @@ def cmd_homog(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.cases < 1:
         raise ValueError(f"--cases {args.cases} must be at least 1")
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    names = SUITE_NAMES if args.suite == "all" else [args.suite]
     for name in names:
-        if name not in SUITES:
+        if name not in SUITE_NAMES:
             print(f"unknown suite {name!r}; available: "
-                  f"{', '.join(sorted(SUITES))}, all", file=sys.stderr)
+                  f"{', '.join(SUITE_NAMES)}, all", file=sys.stderr)
             return 2
+    from .suites import run_suite
+
     failed = False
     for name in names:
         result = run_suite(name, args.seed, args.cases)
@@ -213,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the seeded property suites")
     p_check.add_argument("--suite", required=True,
-                         help=f"one of: {', '.join(sorted(SUITES))}, all")
+                         help=f"one of: {', '.join(SUITE_NAMES)}, all")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--cases", type=int, default=100)
     p_check.set_defaults(func=cmd_check)

@@ -13,8 +13,9 @@ them across threads is safe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
+
+from .words import Record, parse_int
 
 
 class ColoringError(ValueError):
@@ -33,8 +34,7 @@ class TableIncomplete(ColoringError):
         super().__init__(f"table coloring has no entry for pair {pair}")
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """A total symmetric coloring; ``pair_color`` receives ``lo < hi``.
 
     ``row_kernel``, when given, must equal ``[pair_color(lo, hi) for hi in
@@ -42,10 +42,16 @@ class Coloring:
     in place of that comprehension.
     """
 
-    k: int
-    pair_color: Callable[[int, int], int]
-    name: str = "coloring"
-    row_kernel: Optional[Callable[[int, Sequence[int]], list[int]]] = None
+    __slots__ = ("k", "pair_color", "name", "row_kernel")
+
+    def __init__(
+        self,
+        k: int,
+        pair_color: Callable[[int, int], int],
+        name: str = "coloring",
+        row_kernel: Optional[Callable[[int, Sequence[int]], list[int]]] = None,
+    ) -> None:
+        super().__init__(k, pair_color, name, row_kernel)
 
     def __call__(self, x: int, y: int) -> int:
         if x == y:
@@ -160,7 +166,7 @@ def load_table(path: str) -> Coloring:
 def _int_suffix(name: str) -> int:
     suffix = name.split(":", 1)[1]
     try:
-        return int(suffix)
+        return parse_int(suffix)
     except ValueError:
         raise UnknownBuiltin(name) from None
 

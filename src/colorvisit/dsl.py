@@ -9,6 +9,7 @@ Grammar (EBNF)::
     term   := factor (("*" | "/" | "%") factor)*
     factor := nat | "x" | "y" | "min(" expr "," expr ")"
             | "max(" expr "," expr ")" | "(" expr ")" | "-" factor
+    nat    := ("0" | "1" | ... | "9")+     (ASCII digits only)
 
 All arithmetic is arbitrary-precision signed integer arithmetic; ``/`` is
 floor division and ``%`` the matching floor remainder.  Comparisons yield 0
@@ -31,10 +32,10 @@ and a row costs one call and one loop in compiled code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .colorings import Coloring, ColoringError
+from .words import Record
 
 
 class DslSyntaxError(ValueError):
@@ -66,40 +67,31 @@ class DivisionByZero(ArithmeticError):
 # --- abstract syntax -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
+# each node's fields are its __slots__, given positionally
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # "x" or "y"
+class Lit(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Var(Record):
+    __slots__ = ("name",)  # "x" or "y"
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / % min max
-    left: "Expr"
-    right: "Expr"
+class Neg(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # one of < <= == !=
-    left: "Expr"
-    right: "Expr"
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")  # op: one of + - * / % min max
 
 
-@dataclass(frozen=True)
-class If:
-    cond: "Expr"
-    then: "Expr"
-    orelse: "Expr"
+class Cmp(Record):
+    __slots__ = ("op", "left", "right")  # op: one of < <= == !=
+
+
+class If(Record):
+    __slots__ = ("cond", "then", "orelse")
 
 
 Expr = Union[Lit, Var, Neg, BinOp, Cmp, If]
@@ -111,11 +103,8 @@ _SYMBOLS = ("<=", "==", "!=", "<", "+", "-", "*", "/", "%", "(", ")", ",")
 _KEYWORDS = frozenset({"if", "then", "else", "min", "max", "x", "y"})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "nat", "name", a symbol, or "end"
-    text: str
-    pos: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "pos")  # kind: "nat", "name", a symbol, or "end"
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -127,9 +116,10 @@ def _tokenize(source: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # str.isdigit would also take other scripts' digits and superscripts
+        if "0" <= ch <= "9":
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(_Token("nat", source[i:j], i))
             i = j
@@ -252,8 +242,15 @@ class _Parser:
     def factor(self) -> tuple[Expr, int]:
         tok = self.current
         if tok.kind == "nat":
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than the interpreter converts
+                raise DslSyntaxError(
+                    tok.pos, frozenset({"a shorter number"}),
+                    f"a number of {len(tok.text)} digits",
+                ) from None
             self.index += 1
-            return Lit(int(tok.text)), 1
+            return Lit(value), 1
         if tok.kind == "-":
             self.index += 1
             self.nesting = self._deeper(self.nesting)

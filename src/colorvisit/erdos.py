@@ -24,12 +24,11 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .colorings import Coloring, ColoringError
 from .visit import Visit, visit_nodes
-from .words import ROOT, full_priority, validate_priority
+from .words import ROOT, Record, full_priority, validate_priority
 
 
 class ErdosError(ValueError):
@@ -41,19 +40,34 @@ class NonContiguousInsert(ErdosError):
         super().__init__(f"expected insertion of {size}, got {n}")
 
 
-@dataclass
-class ErdosTree:
+class ErdosTree(Record):
     """Rooted tree on 0..size-1 with at most one child per color per node.
 
     Built by :func:`build_erdos` or by :func:`insert`; parents always
-    precede children numerically.  Treat instances as immutable once
-    construction finishes.
+    precede children numerically.  The lists default to the lone root 0.
+    Treat instances as immutable once construction finishes.
     """
 
-    k: int
-    parent: list[Optional[int]] = field(default_factory=lambda: [None])
-    edge_color: list[Optional[int]] = field(default_factory=lambda: [None])
-    children: list[dict[int, int]] = field(default_factory=lambda: [{}])
+    __slots__ = ("k", "parent", "edge_color", "children")
+    # its lists grow in insert and its fields may be reassigned, so it is
+    # mutable and unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        k: int,
+        parent: Optional[list[Optional[int]]] = None,
+        edge_color: Optional[list[Optional[int]]] = None,
+        children: Optional[list[dict[int, int]]] = None,
+    ) -> None:
+        super().__init__(
+            k,
+            [None] if parent is None else parent,
+            [None] if edge_color is None else edge_color,
+            [{}] if children is None else children,
+        )
 
     @property
     def size(self) -> int:
@@ -149,8 +163,7 @@ def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:
     return tree
 
 
-@dataclass(frozen=True)
-class HomogeneousReport:
+class HomogeneousReport(Record):
     """Candidate monochromatic sets read off one branch of ``tree``.
 
     ``classes[i]`` holds the smaller endpoints of branch edges with color
@@ -161,10 +174,16 @@ class HomogeneousReport:
     what a finite run cannot do.
     """
 
-    tree: ErdosTree
-    branch_nodes: tuple[int, ...]
-    classes: tuple[frozenset[int], ...]
-    verified: bool
+    __slots__ = ("tree", "branch_nodes", "classes", "verified")
+
+    def __init__(
+        self,
+        tree: ErdosTree,
+        branch_nodes: tuple[int, ...],
+        classes: tuple[frozenset[int], ...],
+        verified: bool,
+    ) -> None:
+        super().__init__(tree, branch_nodes, classes, verified)
 
     @property
     def k(self) -> int:

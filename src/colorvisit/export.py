@@ -12,7 +12,6 @@ passes on one by one, so the whole text is never held as one string.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .stability import branch_approx_of, stable_indices
@@ -35,6 +34,8 @@ _PALETTE = (
 
 
 def dumps_canonical(obj: object) -> str:
+    import json  # the visit trace is written without it
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 

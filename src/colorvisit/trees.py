@@ -26,11 +26,9 @@ construction and safe to share.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from .words import ROOT, Word
+from .words import ROOT, Record, Word, parse_int
 
 
 class TreeError(ValueError):
@@ -66,8 +64,10 @@ class RootNotInTree(TreeError):
         super().__init__(f"root {root} is not in the tree")
 
 
-class _WordTree:
+class _WordTree(Record):
     """Trees whose nodes are their words."""
+
+    __slots__ = ()
 
     def node(self, w: Word) -> Word:
         return w
@@ -78,12 +78,13 @@ class _WordTree:
         return v if self.contains(v) else None
 
 
-@dataclass(frozen=True)
 class FiniteColorTree(_WordTree):
     """Explicit finite tree: a validated, prefix-closed set of words."""
 
-    k: int
-    nodes: frozenset[Word]
+    __slots__ = ("k", "nodes")
+
+    def __init__(self, k: int, nodes: frozenset[Word]) -> None:
+        super().__init__(k, nodes)
 
     def contains(self, w: Word) -> bool:
         return w in self.nodes
@@ -92,7 +93,6 @@ class FiniteColorTree(_WordTree):
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
 class OracleColorTree(_WordTree):
     """Possibly infinite tree given by a pure membership predicate.
 
@@ -100,24 +100,26 @@ class OracleColorTree(_WordTree):
     so a step costs O(depth) plus whatever the predicate costs.
     """
 
-    k: int
-    membership: Callable[[Word], bool]
-    nodes: None = None
+    __slots__ = ("k", "membership", "nodes")
+
+    def __init__(self, k: int, membership: Callable[[Word], bool]) -> None:
+        super().__init__(k, membership, None)
 
     def contains(self, w: Word) -> bool:
         return bool(self.membership(w))
 
 
-@dataclass(frozen=True)
-class FullColorTree:
+class FullColorTree(Record):
     """The complete infinite k-ary tree: every word over 0..k-1.
 
     Its nodes are depths, so the word a node stands for is not kept:
     ``child(d, c)`` is ``d + 1`` for a color below k and None otherwise.
     """
 
-    k: int
-    nodes: None = None
+    __slots__ = ("k", "nodes")
+
+    def __init__(self, k: int) -> None:
+        super().__init__(k, None)
 
     def contains(self, w: Word) -> bool:
         # min and max run in C, a letter-by-letter test would not
@@ -186,7 +188,7 @@ def builtin_tree(name: str) -> FullColorTree:
         return _BUILTIN_TREES[name]()
     if name.startswith("full:"):
         try:
-            return full_tree(int(name.split(":", 1)[1]))
+            return full_tree(parse_int(name.split(":", 1)[1]))
         except ValueError:
             raise TreeError(f"bad color count in builtin tree {name!r}") from None
     raise TreeError(f"unknown builtin tree {name!r}")
@@ -215,11 +217,15 @@ def tree_from_dict(data: dict) -> FiniteColorTree:
 
 
 def load_tree(path: str) -> FiniteColorTree:
+    import json  # only tree files need it, not the builtin trees
+
     with open(path, "r", encoding="utf-8") as fh:
         return tree_from_dict(json.load(fh))
 
 
 def save_tree(tree: FiniteColorTree, path: str) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(tree_to_dict(tree), fh, sort_keys=True)
         fh.write("\n")

@@ -30,19 +30,17 @@ indices, the branch and the exports are read off them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .trees import ColorTree, RootNotInTree
-from .words import ROOT, Word, rotate, validate_priority
+from .words import ROOT, Record, Word, rotate, validate_priority
 
 
 class VisitError(ValueError):
     """Base class for visit-level errors."""
 
 
-@dataclass(frozen=True)
-class Visit:
+class Visit(Record):
     """A finished (or budget-truncated) enumeration.
 
     Entry 0 is ``root``; every later entry is a child, by one letter of a
@@ -62,12 +60,18 @@ class Visit:
     safe to share.
     """
 
-    tree: ColorTree
-    root: Word
-    priority: Word
-    terminated: bool
-    parent: tuple[int, ...]
-    letter: tuple[int, ...]
+    __slots__ = ("tree", "root", "priority", "terminated", "parent", "letter")
+
+    def __init__(
+        self,
+        tree: ColorTree,
+        root: Word,
+        priority: Word,
+        terminated: bool,
+        parent: tuple[int, ...],
+        letter: tuple[int, ...],
+    ) -> None:
+        super().__init__(tree, root, priority, terminated, parent, letter)
 
 
 def lex_order(parent: Sequence[int], letter: Sequence[int], head: int) -> list[int]:

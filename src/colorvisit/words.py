@@ -4,6 +4,10 @@ A word is a plain tuple of small non-negative ints; the empty tuple is the
 root of every tree.  The only order used anywhere in the package is plain
 sequence-lexicographic order in which a proper prefix sorts before all of
 its extensions.
+
+The module also holds the two pieces every other run-path module shares:
+:func:`parse_int`, the one reader of integers in user text, and
+:class:`Record`, the base of the package's small immutable value classes.
 """
 
 from __future__ import annotations
@@ -13,6 +17,67 @@ from typing import Iterable
 Word = tuple[int, ...]
 
 ROOT: Word = ()
+
+
+class Record:
+    """A value whose fields are its ``__slots__``.
+
+    Equality, hashing and ``repr`` go by the fields, as for a frozen
+    dataclass, and a field cannot be assigned after ``__init__``.
+    Subclasses list their fields in ``__slots__``; a mutable one sets
+    ``__setattr__`` and ``__delattr__`` back to ``object``'s and
+    ``__hash__`` to None.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        """Set the fields, in ``__slots__`` order, past ``__setattr__``."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        # copy and pickle restore the fields as (None, {name: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+def parse_int(text: str) -> int:
+    """The integer ``text`` spells in ASCII digits, with an optional leading
+    ``-`` and surrounding whitespace; ValueError for anything else.
+
+    ``int()`` alone would also take other scripts' digits, ``_`` separators
+    and a ``+`` sign.
+    """
+    body = text.strip()
+    digits = body[1:] if body.startswith("-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    try:
+        return int(body)
+    except ValueError:  # more digits than the interpreter converts
+        raise ValueError(f"an integer of {len(digits)} digits is too long") from None
 
 
 class InvalidPriority(ValueError):
@@ -56,7 +121,7 @@ def parse_word(text: str) -> Word:
     if not text:
         return ROOT
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(parse_int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse word {text!r}: {exc}") from None
 

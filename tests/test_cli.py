@@ -1,6 +1,5 @@
 """Command-line contract: flags, exit codes, file outputs, determinism."""
 
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -80,16 +79,21 @@ def test_cli_priority_must_cover_all_colors(tree_file, capsys):
 
 
 def test_homog_unverified_report_exits_3(monkeypatch, tmp_path):
-    from colorvisit import cli as cli_module
-    from colorvisit.erdos import homog_pipeline
+    from colorvisit import erdos
 
-    real = homog_pipeline
+    real = erdos.homog_pipeline
 
     def rigged(coloring, size, budget, priority=None):
         report, visit = real(coloring, size, budget, priority)
-        return dataclasses.replace(report, verified=False), visit
+        rigged_report = erdos.HomogeneousReport(
+            tree=report.tree,
+            branch_nodes=report.branch_nodes,
+            classes=report.classes,
+            verified=False,
+        )
+        return rigged_report, visit
 
-    monkeypatch.setattr(cli_module, "homog_pipeline", rigged)
+    monkeypatch.setattr(erdos, "homog_pipeline", rigged)
     out = tmp_path / "r.json"
     code = main(["homog", "--builtin", "sum-mod", "--k", "2",
                  "--horizon", "10", "--out", str(out)])
@@ -271,7 +275,7 @@ def test_horizons_above_the_cap_are_rejected_first(tmp_path, capsys, monkeypatch
     over = str(MAX_HORIZON + 1)
     expected = f"error: horizon {over} exceeds the limit of {MAX_HORIZON}\n"
     with monkeypatch.context() as patch:
-        patch.setattr("colorvisit.cli.homog_pipeline", no_pipeline)
+        patch.setattr("colorvisit.erdos.homog_pipeline", no_pipeline)
         for source in (["--builtin", "sum-mod"], ["--coloring", "x + y"]):
             assert main(["homog", *source, "--k", "2", "--horizon", over]) == 2
             assert capsys.readouterr().err == expected
@@ -279,6 +283,34 @@ def test_horizons_above_the_cap_are_rejected_first(tmp_path, capsys, monkeypatch
         assert main(["homog", "--builtin", "sum-mod", "--k", "2",
                      "--horizon", horizon, "--out", str(tmp_path / "h.json")]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["visit", "--tree", "full:\u0662"],
+        ["visit", "--tree", "full:1_0"],
+        ["visit", "--tree", "full:2", "--priority", "\u0661,0"],
+        ["homog", "--builtin", "block:\u0662", "--k", "2"],
+        ["homog", "--coloring", "x + \u0663\u0663", "--k", "2"],
+        ["homog", "--coloring", "x + \u00b2", "--k", "2"],
+    ],
+)
+def test_integers_in_user_text_take_ascii_digits_only(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "int()" not in err
+    assert not out.exists()
+
+
+def test_suite_names_match_the_suites():
+    # the help text and the unknown-suite message read the names without
+    # importing the suites
+    from colorvisit import cli, suites
+
+    assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
 
 
 def test_check_pass_and_unknown_suite(capsys):

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import string
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +54,29 @@ def test_parse_reports_position():
         parse("")
     with pytest.raises(DslSyntaxError):
         parse("1 + if x < y then 0 else 1")
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [("x + \u0663\u0663", 4), ("x + \u00b2", 4), ("x + \uff13", 4), ("x + 1\u0663", 5)],
+)
+def test_literals_take_ascii_digits_only(source, position):
+    # str.isdigit takes Arabic-Indic, superscript and full-width digits too
+    with pytest.raises(DslSyntaxError) as info:
+        parse(source)
+    assert info.value.position == position
+    assert parse("x + 0033") == BinOp("+", Var("x"), Lit(33))
+
+
+def test_literal_past_the_digit_limit_is_a_positioned_syntax_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    with pytest.raises(DslSyntaxError) as info:
+        parse("x + " + "9" * (limit + 1))
+    assert info.value.position == 4
+    assert f"found a number of {limit + 1} digits" in str(info.value)
+    assert "set_int_max_str_digits" not in str(info.value)
 
 
 def test_parse_unknown_identifier():
@@ -177,6 +201,9 @@ def test_builtins():
         builtin_coloring("nosuch", 2)
     with pytest.raises(UnknownBuiltin):
         builtin_coloring("block:x", 2)
+    for name in ("block:\u0662", "block:1_0", "constant:\u0661", "constant:+1"):
+        with pytest.raises(UnknownBuiltin):
+            builtin_coloring(name, 2)
     with pytest.raises(ColoringError):
         builtin_coloring("constant:5", 2)
 

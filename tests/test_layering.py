@@ -1,13 +1,23 @@
-"""The run path holds no reference code.
+"""The run path holds no reference code, and a run loads only what it runs.
 
 Every module but ``oracles`` and ``suites`` is on the path of a ``visit``
 or ``homog`` run.  Those modules import neither reference module, so the
 brute-force checkers stay out of the code they check, and the word-level
 references are defined in ``oracles`` alone.
+
+The front end imports each command's modules inside the command, and the
+package resolves its exports on first use, so a fresh interpreter running
+``visit`` loads no coloring code and neither ``visit`` nor ``homog`` loads
+the suites, the oracles, ``dataclasses`` or ``random``.
 """
 
 import ast
+import importlib
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import colorvisit
 
@@ -80,3 +90,72 @@ def test_references_are_defined_only_in_oracles():
         "VisitError", "Visit", "lex_order", "visit_nodes", "enumerate_visit"}
     assert not hasattr(colorvisit.Visit, "order")
     assert not MOVED & set(vars(colorvisit))
+
+
+# runs a command line in a fresh interpreter and prints the modules loaded
+# by the end as its last line
+FOOTPRINT = """
+import sys
+from colorvisit.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(sys.modules))
+"""
+
+
+def loaded_modules(argv, cwd, env) -> tuple[int, set[str]]:
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter, and every
+    module loaded once it returns.
+
+    ``-S`` keeps out the modules that ``site`` and ``.pth`` files import
+    before any package code runs."""
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT, *argv],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    code, *modules = run.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def package_modules(modules: set[str]) -> set[str]:
+    return {m.removeprefix("colorvisit.") for m in modules
+            if m.startswith("colorvisit.")}
+
+
+def test_visit_run_loads_only_the_visit_modules(tmp_path, cli_env):
+    code, modules = loaded_modules(
+        ["visit", "--tree", "full:2", "--budget", "1", "--out", "v.json"],
+        tmp_path, cli_env)
+    assert code == 0
+    assert package_modules(modules) == {
+        "cli", "words", "trees", "visit", "stability", "export"}
+    # the trace of a builtin tree is written without the json module
+    assert not {"dataclasses", "random", "json"} & modules
+
+
+def test_homog_run_loads_no_reference_module(tmp_path, cli_env):
+    code, modules = loaded_modules(
+        ["homog", "--coloring", "x", "--k", "2", "--horizon", "2",
+         "--budget", "1", "--out", "h.json"],
+        tmp_path, cli_env)
+    assert code == 0
+    assert package_modules(modules) == {
+        "cli", "words", "trees", "visit", "stability", "export",
+        "colorings", "dsl", "erdos"}
+    assert not {"dataclasses", "random"} & modules
+
+
+def test_package_exports_resolve_on_first_use():
+    assert colorvisit.__version__ == vars(colorvisit)["__version__"] == "0.1.0"
+    assert len(set(colorvisit.__all__)) == len(colorvisit.__all__)
+    for name in colorvisit.__all__:
+        home = importlib.import_module(f"colorvisit.{colorvisit._EXPORTS[name]}")
+        assert getattr(colorvisit, name) is getattr(home, name), name
+    assert set(colorvisit.__all__) <= set(dir(colorvisit))
+    assert "__version__" in dir(colorvisit)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        colorvisit.no_such_name
+    namespace: dict = {}
+    exec("from colorvisit import *", namespace)
+    for name in colorvisit.__all__:
+        assert namespace[name] is getattr(colorvisit, name), name

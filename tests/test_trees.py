@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,6 +125,24 @@ def test_oracle_trees():
         builtin_tree("nosuch")
     with pytest.raises(TreeError):
         builtin_tree("full:x")
+
+
+def test_trees_are_immutable_values(binary_depth2):
+    for tree in (binary_depth2, full_tree(3), OracleColorTree(1, bool)):
+        assert copy.deepcopy(tree) == tree
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert hash(copy.copy(tree)) == hash(tree)
+        with pytest.raises(AttributeError):
+            tree.k = 5
+    assert repr(full_tree(3)) == "FullColorTree(k=3, nodes=None)"
+    assert full_tree(3) != full_tree(2) and full_tree(1) == unary_tree()
+
+
+@pytest.mark.parametrize("name", ["full:\u0662", "full:1_0", "full:+2", "full:\u00b2"])
+def test_builtin_tree_count_takes_ascii_digits_only(name):
+    # int() alone would read Arabic-Indic 2, "1_0" and "+2" as counts
+    with pytest.raises(TreeError, match="bad color count"):
+        builtin_tree(name)
 
 
 def test_child_is_one_probe(binary_depth2, monkeypatch):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from colorvisit.oracles import is_proper_prefix, lex_compare
 from colorvisit.words import (
     InvalidPriority,
     full_priority,
+    parse_int,
     parse_word,
     rotate,
     validate_priority,
@@ -87,3 +90,33 @@ def test_word_helpers_round_trip():
     assert parse_word("1,0") == (1, 0)
     with pytest.raises(ValueError):
         parse_word("1,x")
+
+
+def test_parse_int_reads_ascii_decimal_integers():
+    assert parse_int("42") == 42
+    assert parse_int("-3") == -3
+    assert parse_int(" 7 ") == 7
+    assert parse_int("007") == 7
+
+
+@pytest.mark.parametrize(
+    "text", ["\u0661", "1_0", "+1", "\u00b2", "\uff13", "", "-", "--1", "1.0", "0x1"]
+)
+def test_parse_int_rejects_everything_else(text):
+    with pytest.raises(ValueError, match="is not an integer"):
+        parse_int(text)
+
+
+@pytest.mark.parametrize("text", ["\u0661,0", "1,1_0", "+1", "1,\u00b2", "1,,0"])
+def test_parse_word_takes_ascii_integers_only(text):
+    with pytest.raises(ValueError, match="cannot parse word"):
+        parse_word(text)
+
+
+def test_parse_int_past_the_digit_limit_says_so_in_one_line():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    with pytest.raises(ValueError) as info:
+        parse_int("9" * (limit + 1))
+    assert str(info.value) == f"an integer of {limit + 1} digits is too long"
