@@ -84,10 +84,11 @@ def cmd_visit(args: argparse.Namespace) -> int:
     from .visit import enumerate_visit
 
     source = args.tree
-    if Path(source).exists():
-        tree = load_tree(source)
-    else:
-        tree = builtin_tree(source)
+    try:
+        is_file = Path(source).exists()
+    except OSError:  # a name too long for the file system names no file
+        is_file = False
+    tree = load_tree(source) if is_file else builtin_tree(source)
     priority = _parse_priority(args.priority, tree.k)
     root = parse_word(args.root)
     visit = enumerate_visit(tree, priority, root, args.budget)

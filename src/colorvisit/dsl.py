@@ -22,12 +22,11 @@ max(x, y))`` and reduces the result modulo the color count, which makes it
 symmetric and total by construction.
 
 ``oracles.evaluate``, a tree-walking interpreter, is the reference that
-defines these semantics.  Colorings run compiled code: :func:`compile_expr`
-turns the parsed syntax tree into one Python function of a pair, and
-:func:`compile_row` into one function that colors a whole row, a list
-comprehension over the larger endpoints.  Both are generated from the
-tree's literals, variables and operators only, so a pair costs one call
-and a row costs one call and one loop in compiled code.
+defines these semantics.  Colorings run compiled code: :func:`compile_row`
+turns the parsed syntax tree into one Python function that colors a whole
+row, a list comprehension over the larger endpoints, generated from the
+tree's literals, variables and operators only.  A row costs one call and
+one loop in compiled code, and a single pair is a row of one.
 """
 
 from __future__ import annotations
@@ -397,21 +396,24 @@ def _source(expr: Expr) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def compile_source(expr: Expr, k: int) -> str:
-    """The source :func:`compile_expr` compiles: a lambda of ``x`` and
-    ``y`` reducing the expression modulo ``k``."""
-    return f"lambda x, y: {_source(expr)} % ({int(k)!r})"
-
-
 def row_source(expr: Expr, k: int) -> str:
     """The source :func:`compile_row` compiles: a lambda of ``x`` and the
     larger endpoints ``ys`` listing the same reduction for each ``y``."""
     return f"lambda x, ys: [{_source(expr)} % ({int(k)!r}) for y in ys]"
 
 
-def _compile(source: str, strict: bool) -> Callable:
-    """Compile generated source in a namespace with no builtins besides
-    ``min``, ``max`` and the division helpers."""
+def compile_row(
+    expr: Expr, strict: bool, k: int
+) -> Callable[[int, Sequence[int]], list[int]]:
+    """One Python function ``(lo, his) -> [oracles.evaluate(expr, lo, hi,
+    strict) % k for hi in his]``; in strict mode it raises
+    :class:`DivisionByZero` at the first pair whose evaluation does.
+
+    Comparisons give bools, which take part in the arithmetic as 0 and 1;
+    the final reduction modulo ``k`` makes each color a plain int.  The
+    source is compiled in a namespace with no builtins besides ``min``,
+    ``max`` and the division helpers.
+    """
     namespace = {
         "__builtins__": {},
         "min": min,
@@ -419,26 +421,7 @@ def _compile(source: str, strict: bool) -> Callable:
         "_div": _div_strict if strict else _div_total,
         "_mod": _mod_strict if strict else _mod_total,
     }
-    return eval(compile(source, "<coloring>", "eval"), namespace)
-
-
-def compile_expr(expr: Expr, strict: bool, k: int) -> Callable[[int, int], int]:
-    """One Python function ``(lo, hi) -> oracles.evaluate(expr, lo, hi,
-    strict) % k``.
-
-    Comparisons give bools, which take part in the arithmetic as 0 and 1;
-    the final reduction modulo ``k`` makes the result a plain int.
-    """
-    return _compile(compile_source(expr, k), strict)
-
-
-def compile_row(
-    expr: Expr, strict: bool, k: int
-) -> Callable[[int, Sequence[int]], list[int]]:
-    """One Python function ``(lo, his) -> [evaluate(expr, lo, hi, strict) % k
-    for hi in his]``; in strict mode it raises :class:`DivisionByZero` at the
-    first pair whose evaluation does."""
-    return _compile(row_source(expr, k), strict)
+    return eval(compile(row_source(expr, k), "<coloring>", "eval"), namespace)
 
 
 def dsl_coloring(source: str | Expr, k: int, strict: bool = False) -> Coloring:
@@ -446,9 +429,10 @@ def dsl_coloring(source: str | Expr, k: int, strict: bool = False) -> Coloring:
     if k < 1:
         raise ColoringError(f"color count k={k} must be at least 1")
     expr = parse(source) if isinstance(source, str) else source
+    row = compile_row(expr, strict, k)
     return Coloring(
         k=k,
-        pair_color=compile_expr(expr, strict, k),
+        pair_color=lambda lo, hi: row(lo, (hi,))[0],
         name=f"dsl({to_text(expr)})",
-        row_kernel=compile_row(expr, strict, k),
+        row_kernel=row,
     )

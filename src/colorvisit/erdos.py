@@ -14,12 +14,12 @@ the same tree top-down, one coloring row per node: each node colors every
 number below it at once and splits them by color among its children.
 Verification of the extracted sets also runs a row per class member.
 
-Children are color-unique, so the tree is a finite color tree with node
-ids in place of words: the priority visit runs on it through
-:meth:`ErdosTree.child`, and the root path of the node it visits last is
-the branch whose edges yield the extracted sets.  A visited node's word is
-the edge colors on its root path; the visit keeps only each node's last
-one.
+Children are color-unique, so the tree keeps all its edges in one map
+keyed ``x * k + c`` and is a finite color tree with node ids in place of
+words: the priority visit runs on it through :meth:`ErdosTree.child`, and
+the root path of the node it visits last is the branch whose edges yield
+the extracted sets.  A visited node's word is the edge colors on its root
+path; the visit keeps only each node's last one.
 """
 
 from __future__ import annotations
@@ -44,29 +44,26 @@ class ErdosTree(Record):
     """Rooted tree on 0..size-1 with at most one child per color per node.
 
     Built by :func:`build_erdos` or by :func:`insert`; parents always
-    precede children numerically.  The lists default to the lone root 0.
-    Treat instances as immutable once construction finishes.
+    precede children numerically.  ``children`` is one map from ``x * k +
+    c`` to x's ``c``-child, holding each node's children in the order they
+    were attached.  The fields default to the lone root 0.  Treat instances
+    as immutable once construction finishes.
     """
 
     __slots__ = ("k", "parent", "edge_color", "children")
-    # its lists grow in insert and its fields may be reassigned, so it is
-    # mutable and unhashable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
         k: int,
         parent: Optional[list[Optional[int]]] = None,
         edge_color: Optional[list[Optional[int]]] = None,
-        children: Optional[list[dict[int, int]]] = None,
+        children: Optional[dict[int, int]] = None,
     ) -> None:
         super().__init__(
             k,
             [None] if parent is None else parent,
             [None] if edge_color is None else edge_color,
-            [{}] if children is None else children,
+            {} if children is None else children,
         )
 
     @property
@@ -74,7 +71,7 @@ class ErdosTree(Record):
         return len(self.parent)
 
     def child(self, x: int, c: int) -> Optional[int]:
-        return self.children[x].get(c)
+        return self.children.get(x * self.k + c)
 
     def path_to_root(self, n: int) -> list[int]:
         """Nodes from the root down to ``n`` inclusive."""
@@ -96,15 +93,15 @@ def insert(tree: ErdosTree, n: int, coloring: Coloring) -> ErdosTree:
     """
     if n != tree.size:
         raise NonContiguousInsert(n, tree.size)
+    k, children = tree.k, tree.children
     x = 0
     while True:
         i = coloring(x, n)
-        nxt = tree.children[x].get(i)
+        nxt = children.get(x * k + i)
         if nxt is None:
-            tree.children[x][i] = n
+            children[x * k + i] = n
             tree.parent.append(x)
             tree.edge_color.append(i)
-            tree.children.append({})
             return tree
         x = nxt
 
@@ -127,7 +124,8 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
         raise ErdosError(f"size {size} must be at least 1")
     parent: list[Optional[int]] = [None] * size
     edge_color: list[Optional[int]] = [None] * size
-    children: list[dict[int, int]] = [{} for _ in range(size)]
+    k = coloring.k
+    children: dict[int, int] = {}
     work = [(0, list(range(1, size)))]
     try:
         while work:
@@ -146,13 +144,13 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
             for i, group in groups.items():
                 child = group[0]
                 parent[child], edge_color[child] = x, i
-                children[x][i] = child
+                children[x * k + i] = child
                 if len(group) > 1:
                     work.append((child, group[1:]))
     except (ColoringError, ArithmeticError):
         build_by_insertion(coloring, size)
         raise
-    return ErdosTree(coloring.k, parent, edge_color, children)
+    return ErdosTree(k, parent, edge_color, children)
 
 
 def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:

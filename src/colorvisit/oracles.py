@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .colorings import Coloring, TableIncomplete
@@ -21,7 +20,7 @@ from .dsl import BinOp, Cmp, DivisionByZero, Expr, If, Lit, Neg, Var
 from .erdos import ErdosTree
 from .trees import ColorTree, FiniteColorTree, RootNotInTree
 from .visit import Visit, VisitError
-from .words import ROOT, Word, validate_priority
+from .words import ROOT, Record, Word, validate_priority
 
 
 # --- words ----------------------------------------------------------------------
@@ -481,15 +480,20 @@ def evaluate(expr: Expr, x: int, y: int, strict: bool = False) -> int:
 # --- seeded generators ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeGenParams:
+class TreeGenParams(Record):
     """Knobs for the random tree generator; output is deterministic in seed."""
 
-    k: int
-    max_depth: int
-    max_nodes: int
-    branching: float | tuple[float, ...] = 0.5
-    seed: int = 0
+    __slots__ = ("k", "max_depth", "max_nodes", "branching", "seed")
+
+    def __init__(
+        self,
+        k: int,
+        max_depth: int,
+        max_nodes: int,
+        branching: float | tuple[float, ...] = 0.5,
+        seed: int = 0,
+    ) -> None:
+        super().__init__(k, max_depth, max_nodes, branching, seed)
 
     def per_color(self) -> tuple[float, ...]:
         if isinstance(self.branching, (int, float)):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .colorings import Coloring, builtin_coloring
@@ -36,15 +35,16 @@ from .oracles import (
 )
 from .trees import FiniteColorTree, tree_to_dict
 from .visit import enumerate_visit
-from .words import ROOT, Word
+from .words import ROOT, Record, Word
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    cases: int
-    failure: Optional[str] = None
+class SuiteResult(Record):
+    __slots__ = ("name", "passed", "cases", "failure")
+
+    def __init__(
+        self, name: str, passed: bool, cases: int, failure: Optional[str] = None
+    ) -> None:
+        super().__init__(name, passed, cases, failure)
 
 
 def tree_corpus(
@@ -198,9 +198,9 @@ def suite_erdos(seed: int, cases: int) -> SuiteResult:
         coloring = random_coloring(rng.randrange(2**32), k, size)
         tree = build_erdos(coloring, size)
         reference = build_by_insertion(coloring, size)
-        if tree != reference or [list(c.items()) for c in tree.children] != [
-            list(c.items()) for c in reference.children
-        ]:
+        if tree != reference or _children_in_order(tree) != _children_in_order(
+            reference
+        ):
             return SuiteResult(
                 "erdos", False, ran,
                 f"row-wise build differs from insertion: k={k} size={size} "
@@ -230,6 +230,12 @@ def suite_erdos(seed: int, cases: int) -> SuiteResult:
                 f"size={small}",
             )
     return SuiteResult("erdos", True, ran)
+
+
+def _children_in_order(tree) -> list[tuple[int, int]]:
+    """The child map's edges node by node, each node's in the order they
+    were attached (the sort is stable)."""
+    return sorted(tree.children.items(), key=lambda edge: edge[0] // tree.k)
 
 
 def _ancestors(tree, y: int) -> Iterator[int]:

@@ -24,9 +24,7 @@ class Record:
 
     Equality, hashing and ``repr`` go by the fields, as for a frozen
     dataclass, and a field cannot be assigned after ``__init__``.
-    Subclasses list their fields in ``__slots__``; a mutable one sets
-    ``__setattr__`` and ``__delattr__`` back to ``object``'s and
-    ``__hash__`` to None.
+    Subclasses list their fields in ``__slots__``.
     """
 
     __slots__ = ()

@@ -105,6 +105,32 @@ def test_visit_missing_tree_file_is_config_error(tmp_path):
     assert main(["visit", "--tree", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("full:" + "9" * 5000, "bad color count in builtin tree"),
+        ("a" * 300, "unknown builtin tree"),
+    ],
+    ids=["full-count", "name"],
+)
+def test_visit_tree_names_too_long_for_a_file_are_builtin_names(
+    name, message, tmp_path, capsys
+):
+    out = tmp_path / "out.json"
+    assert main(["visit", "--tree", name, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} ") and err.count("\n") == 1
+    assert "Errno" not in err
+    assert not out.exists()
+
+
+def test_visit_tree_file_wins_over_a_builtin_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_tree(complete_tree(2, 2), "unary")
+    assert main(["visit", "--tree", "unary", "--out", "v.json"]) == 0
+    assert json.loads((tmp_path / "v.json").read_text())["order"] == GOLDEN
+
+
 def test_visit_dot_output(tree_file, tmp_path):
     out = tmp_path / "trace.dot"
     assert main([

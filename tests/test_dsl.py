@@ -27,8 +27,7 @@ from colorvisit.dsl import (
     Neg,
     UnknownIdentifier,
     Var,
-    compile_expr,
-    compile_source,
+    compile_row,
     dsl_coloring,
     parse,
     row_source,
@@ -266,7 +265,7 @@ def reference_or_error(expr, x, y, strict, k):
 
 def compiled_or_error(expr, x, y, strict, k):
     try:
-        color = compile_expr(expr, strict, k)(x, y)
+        [color] = compile_row(expr, strict, k)(x, [y])
     except DivisionByZero:
         return DivisionByZero
     assert type(color) is int
@@ -312,10 +311,9 @@ def test_depth_limit_counts_nesting_and_chains():
             parse(shape(MAX_DEPTH + 1))
 
 
-# every token compile_source and row_source may emit around their one
-# expression; user text never reaches the compiler
+# every token row_source may emit around its one expression; user text
+# never reaches the compiler
 EXPR_TOKENS = r"(?:\d+|_div|_mod|min|max|if|else|x|y|<=|==|!=|//|[-+*%<(), ])+"
-SOURCE_TOKENS = re.compile(rf"lambda x, y: {EXPR_TOKENS}")
 ROW_SOURCE_TOKENS = re.compile(rf"lambda x, ys: \[{EXPR_TOKENS} for y in ys\]")
 
 st_point = st.one_of(st.just(0), st.integers(0, 10**9))
@@ -332,7 +330,6 @@ def test_compiled_evaluator_agrees_with_reference(expr, x, y, strict, k):
     assert compiled_or_error(expr, x, y, strict, k) == reference_or_error(
         expr, x, y, strict, k
     )
-    assert SOURCE_TOKENS.fullmatch(compile_source(expr, k))
     assert ROW_SOURCE_TOKENS.fullmatch(row_source(expr, k))
 
 
@@ -354,11 +351,12 @@ def test_row_kernel_agrees_with_reference(expr, strict, k, lo, gaps):
 
 
 def test_compiled_evaluator_has_no_builtins():
-    fn = compile_expr(parse("min(x, y) / (y - x)"), False, 3)
+    fn = compile_row(parse("min(x, y) / (y - x)"), False, 3)
     assert fn.__globals__["__builtins__"] == {}
     assert set(fn.__globals__) == {"__builtins__", "min", "max", "_div", "_mod"}
-    assert compile_source(parse("x / 2 + y % 0 - 3 / (y - x)"), 4) == (
-        "lambda x, y: (((x // (2)) + _mod(y, (0))) - _div((3), (y - x))) % (4)"
+    assert row_source(parse("x / 2 + y % 0 - 3 / (y - x)"), 4) == (
+        "lambda x, ys: [(((x // (2)) + _mod(y, (0))) - _div((3), (y - x))) % (4)"
+        " for y in ys]"
     )
     kernel = dsl_coloring("min(x, y) / (y - x)", 3).row_kernel
     assert kernel.__globals__["__builtins__"] == {}

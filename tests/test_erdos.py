@@ -43,6 +43,12 @@ def ancestors(tree, y):
     return path[:-1]
 
 
+def children_of(tree, x):
+    """x's children by color, read through ``tree.child``."""
+    kids = {c: tree.child(x, c) for c in range(tree.k)}
+    return {c: n for c, n in kids.items() if n is not None}
+
+
 def test_insert_attaches_to_root_on_empty_descent():
     tree = ErdosTree(k=2)
     insert(tree, 1, constant_coloring(0, 2))
@@ -71,14 +77,14 @@ def test_build_constant_gives_a_chain():
 
 def test_build_parity_shape():
     tree = build_erdos(sum_mod_coloring(2), 5)
-    assert tree.children[0] == {1: 1, 0: 2}
-    assert tree.children[1] == {0: 3}
-    assert tree.children[2] == {0: 4}
+    assert children_of(tree, 0) == {1: 1, 0: 2}
+    assert children_of(tree, 1) == {0: 3}
+    assert children_of(tree, 2) == {0: 4}
 
 
 def test_build_single_root():
     tree = build_erdos(sum_mod_coloring(2), 1)
-    assert tree.size == 1 and tree.children[0] == {}
+    assert tree.size == 1 and children_of(tree, 0) == {}
 
 
 def test_build_rejects_empty():
@@ -86,11 +92,17 @@ def test_build_rejects_empty():
         build_erdos(sum_mod_coloring(2), 0)
 
 
+def children_in_order(tree):
+    """The child map's edges node by node, each node's in the order they
+    were attached (the sort is stable)."""
+    return sorted(tree.children.items(), key=lambda edge: edge[0] // tree.k)
+
+
 def assert_same_tree(tree, reference):
     assert tree == reference
-    assert [list(kids.items()) for kids in tree.children] == [
-        list(kids.items()) for kids in reference.children
-    ]
+    for x in range(tree.size):
+        assert children_of(tree, x) == children_of(reference, x)
+    assert children_in_order(tree) == children_in_order(reference)
 
 
 def test_build_equals_insertion_on_random_tables():
@@ -108,6 +120,24 @@ ZERO_DIVISOR_EXPRESSIONS = [
     "if x % (y % 4) < 2 then y / (x % 3) else x",
     "min(x, y / (x - 7)) + y % (y / 5)",
 ]
+
+
+def test_child_map_holds_exactly_the_edges():
+    rng = random.Random(14)
+    cases = []
+    for _ in range(100):
+        k = rng.choice([2, 3, 4])
+        size = rng.randint(1, 80)
+        cases.append((random_coloring(rng.randrange(2**32), k, max(size, 2)), size))
+    for source in ZERO_DIVISOR_EXPRESSIONS:
+        for k in (2, 3, 4):
+            cases += [(dsl_coloring(source, k), size) for size in (1, 2, 17, 60)]
+    for coloring, size in cases:
+        for tree in (build_erdos(coloring, size), build_by_insertion(coloring, size)):
+            k = tree.k
+            for n in range(1, size):
+                assert tree.children[tree.parent[n] * k + tree.edge_color[n]] == n
+            assert len(tree.children) == size - 1
 
 
 def test_build_equals_insertion_on_zero_divisor_expressions():
@@ -202,7 +232,7 @@ def test_build_colors_no_empty_rows(monkeypatch):
     tree = build_erdos(coloring, 120)
     assert 0 not in rows
     # one row per node with something below it
-    assert len(rows) == sum(1 for kids in tree.children if kids)
+    assert len(rows) == sum(1 for x in range(tree.size) if children_of(tree, x))
 
 
 def test_erdos_property_holds_for_construction():
@@ -217,11 +247,12 @@ def test_erdos_property_holds_for_construction():
 def test_erdos_property_detects_violation():
     # hand-built path 0 < 1 < 2 with both edges color 0, against a coloring
     # where the skipped edge {0,2} is color 1
-    tree = ErdosTree(k=2)
-    tree.parent += [0, 1]
-    tree.edge_color += [0, 0]
-    tree.children[0][0] = 1
-    tree.children += [{0: 2}, {}]
+    tree = ErdosTree(
+        k=2,
+        parent=[None, 0, 1],
+        edge_color=[None, 0, 0],
+        children={0 * 2 + 0: 1, 1 * 2 + 0: 2},
+    )
     bad = {(0, 1): 0, (1, 2): 0, (0, 2): 1}
     assert check_erdos_property(tree, table_coloring(bad, 2)) is False
 
@@ -290,7 +321,7 @@ def test_id_visit_equals_the_word_visit():
         assert visit.priority == prio and visit.root == ()
         leaf = 0
         for c in order[-1]:
-            leaf = tree.children[leaf][c]
+            leaf = tree.child(leaf, c)
         assert report.branch_nodes == tuple(tree.path_to_root(leaf))
 
 
@@ -413,7 +444,7 @@ def test_every_natural_appears_once_with_parent_below():
                 assert tree.parent[0] is None
             else:
                 assert tree.parent[n] < n
-        children = [c for kids in tree.children for c in kids.values()]
+        children = [c for x in range(size) for c in children_of(tree, x).values()]
         assert sorted(children) == list(range(1, size))
 
 

@@ -8,7 +8,8 @@ references are defined in ``oracles`` alone.
 The front end imports each command's modules inside the command, and the
 package resolves its exports on first use, so a fresh interpreter running
 ``visit`` loads no coloring code and neither ``visit`` nor ``homog`` loads
-the suites, the oracles, ``dataclasses`` or ``random``.
+the suites, the oracles, ``dataclasses`` or ``random``.  No package module
+imports ``dataclasses``, so ``check`` loads it neither.
 """
 
 import ast
@@ -143,6 +144,13 @@ def test_homog_run_loads_no_reference_module(tmp_path, cli_env):
         "cli", "words", "trees", "visit", "stability", "export",
         "colorings", "dsl", "erdos"}
     assert not {"dataclasses", "random"} & modules
+
+
+def test_check_run_loads_no_dataclasses(tmp_path, cli_env):
+    code, modules = loaded_modules(
+        ["check", "--suite", "erdos", "--cases", "1"], tmp_path, cli_env)
+    assert code == 0
+    assert "dataclasses" not in modules
 
 
 def test_package_exports_resolve_on_first_use():
