@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 
-from colorvisit.colorings import sum_mod_coloring
+from colorvisit.colorings import builtin_coloring
 from colorvisit.erdos import homog_pipeline
 from colorvisit.stability import branch_approx_of
 from colorvisit.trees import unary_tree
@@ -25,7 +25,7 @@ def unary_row(budget: int) -> dict[int, int]:
 
 
 def pipeline_row(k: int, budget: int, horizon_factor: int) -> dict[int, int]:
-    coloring = sum_mod_coloring(k)
+    coloring = builtin_coloring("sum-mod", k)
     report, _ = homog_pipeline(coloring, horizon_factor * budget + 16, budget)
     return report.census
 

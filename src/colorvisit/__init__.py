@@ -16,10 +16,7 @@ _EXPORTS = {
     "TableIncomplete": "colorings",
     "UnknownBuiltin": "colorings",
     "builtin_coloring": "colorings",
-    "constant_coloring": "colorings",
-    "diff_mod_coloring": "colorings",
     "load_table": "colorings",
-    "sum_mod_coloring": "colorings",
     "table_coloring": "colorings",
     "DslSyntaxError": "dsl",
     "UnknownIdentifier": "dsl",

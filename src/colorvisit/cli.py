@@ -40,6 +40,10 @@ MAX_HORIZON = 1_000_000
 # every domain error in the package derives from one of these
 _CONFIG_ERRORS = (ValueError, ArithmeticError, OSError)
 
+# the most characters of an error message printed; messages quote user
+# text, which may be of any length
+MAX_MESSAGE = 200
+
 
 def _outdir() -> Path:
     return Path(os.environ.get(OUTDIR_ENV, "."))
@@ -207,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_homog.add_mutually_exclusive_group(required=True)
     src.add_argument("--coloring", default=None, help="coloring expression over x and y")
     src.add_argument("--builtin", default=None,
-                     help="constant:<i>, sum-mod, diff-mod, block:<b>, table:<file>")
+                     help="constant:<i>, sum-mod, diff-mod, block:<b>")
     src.add_argument("--table", default=None, help="table coloring JSON file")
     p_homog.add_argument("--k", type=int, default=None,
                          help=f"number of colors, at most {MAX_COLORS}")
@@ -241,7 +245,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if len(message) > MAX_MESSAGE:
+            message = message[:MAX_MESSAGE] + "..."
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -5,9 +5,13 @@ naturals.  Symmetry is structural: every evaluation canonicalizes its
 arguments to ``(min, max)`` before consulting the underlying pair function,
 so ``coloring(x, y) == coloring(y, x)`` holds by construction.
 :meth:`Coloring.row` colors the pairs of one smaller endpoint with many
-larger ones in a single call, through the coloring's compiled row kernel
-when it has one.  Colorings are pure and immutable; sharing
-them across threads is safe.
+larger ones in a single call.
+
+The package makes two kinds.  Closed-form colorings are expressions of the
+coloring language, compiled by :func:`colorvisit.dsl.dsl_coloring` into one
+row kernel; the builtin names are such expressions.  Tables list their
+pairs and color a row one pair at a time.  Colorings are pure and
+immutable; sharing them across threads is safe.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ class Coloring(Record):
 
     def row(self, lo: int, his: Sequence[int]) -> list[int]:
         """``[self(lo, hi) for hi in his]`` for an ascending ``his`` above
-        ``lo``: one call of the row kernel, or one ``pair_color`` call per
-        pair without one, and one range check for the whole row."""
+        ``lo``: one call of the row kernel, or without one, as for tables,
+        one ``pair_color`` call per pair; and one range check for the
+        whole row."""
         if his and his[0] <= lo:
             raise ColoringError(f"row of {lo} must lie above it, got {his[0]}")
         if self.row_kernel is not None:
@@ -81,30 +86,6 @@ class Coloring(Record):
         return ColoringError(
             f"{self.name} produced color {color} outside 0..{self.k - 1}"
         )
-
-
-def constant_coloring(value: int, k: int) -> Coloring:
-    if not 0 <= value < k:
-        raise ColoringError(f"constant color {value} outside 0..{k - 1}")
-    return Coloring(k=k, pair_color=lambda lo, hi: value, name=f"constant:{value}")
-
-
-def sum_mod_coloring(k: int) -> Coloring:
-    return Coloring(k=k, pair_color=lambda lo, hi: (lo + hi) % k, name="sum-mod")
-
-
-def diff_mod_coloring(k: int) -> Coloring:
-    return Coloring(k=k, pair_color=lambda lo, hi: (hi - lo) % k, name="diff-mod")
-
-
-def block_coloring(block: int, k: int) -> Coloring:
-    """Color by which block of ``block`` consecutive numbers the smaller
-    endpoint falls into, cyclically."""
-    if block < 1:
-        raise ColoringError(f"block size {block} must be at least 1")
-    return Coloring(
-        k=k, pair_color=lambda lo, hi: (lo // block) % k, name=f"block:{block}"
-    )
 
 
 def table_coloring(
@@ -172,23 +153,29 @@ def _int_suffix(name: str) -> int:
 
 
 def builtin_coloring(name: str, k: int) -> Coloring:
-    """Resolve builtin names: ``constant:i``, ``sum-mod``, ``diff-mod``,
-    ``block:b`` and ``table:<file>``."""
+    """Resolve the builtin names, each a coloring expression: ``constant:i``
+    is ``i``, ``sum-mod`` is ``x + y``, ``diff-mod`` is ``y - x`` and
+    ``block:b`` is ``x / b``, the block of ``b`` consecutive numbers the
+    smaller endpoint falls into, cyclically."""
     if k < 1:
         raise ColoringError(f"color count k={k} must be at least 1")
     if name == "sum-mod":
-        return sum_mod_coloring(k)
-    if name == "diff-mod":
-        return diff_mod_coloring(k)
-    if name.startswith("constant:"):
-        return constant_coloring(_int_suffix(name), k)
-    if name.startswith("block:"):
-        return block_coloring(_int_suffix(name), k)
-    if name.startswith("table:"):
-        coloring = load_table(name.split(":", 1)[1])
-        if coloring.k != k:
-            raise ColoringError(
-                f"table declares k={coloring.k} but k={k} was requested"
-            )
-        return coloring
-    raise UnknownBuiltin(name)
+        expr = "x + y"
+    elif name == "diff-mod":
+        expr = "y - x"
+    elif name.startswith("constant:"):
+        value = _int_suffix(name)
+        if not 0 <= value < k:
+            raise ColoringError(f"constant color {value} outside 0..{k - 1}")
+        name, expr = f"constant:{value}", str(value)
+    elif name.startswith("block:"):
+        block = _int_suffix(name)
+        if block < 1:
+            raise ColoringError(f"block size {block} must be at least 1")
+        name, expr = f"block:{block}", f"x / {block}"
+    else:
+        raise UnknownBuiltin(name)
+    from .dsl import dsl_coloring  # dsl imports this module
+
+    compiled = dsl_coloring(expr, k)
+    return Coloring(k, compiled.pair_color, name, compiled.row_kernel)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .colorings import Coloring, ColoringError
+from .stability import branch_approx_of
 from .visit import Visit, visit_nodes
 from .words import ROOT, Record, full_priority, validate_priority
 
@@ -72,16 +73,6 @@ class ErdosTree(Record):
 
     def child(self, x: int, c: int) -> Optional[int]:
         return self.children.get(x * self.k + c)
-
-    def path_to_root(self, n: int) -> list[int]:
-        """Nodes from the root down to ``n`` inclusive."""
-        path = []
-        current: Optional[int] = n
-        while current is not None:
-            path.append(current)
-            current = self.parent[current]
-        path.reverse()
-        return path
 
 
 def insert(tree: ErdosTree, n: int, coloring: Coloring) -> ErdosTree:
@@ -244,7 +235,9 @@ def homog_pipeline(
     The priority must list all k colors (default ``<0, ..., k-1>``).  The
     visit starts from the empty word, and its ``letter`` array holds each
     visited node's edge color, so an entry's word is the edge colors on
-    that node's root path.
+    that node's root path.  The visit records each entry's parent, so the
+    branch is the chain of visit parents from the last entry, read off as
+    tree nodes.
     """
     if priority is None:
         prio = full_priority(coloring.k)
@@ -257,7 +250,7 @@ def homog_pipeline(
     tree = build_erdos(coloring, size)
     nodes, parent, letter, terminated = visit_nodes(tree, prio, 0, budget)
     visit = Visit(tree, ROOT, prio, terminated, tuple(parent), tuple(letter))
-    report = extract_homogeneous(tree, tree.path_to_root(nodes[-1]), coloring)
+    report = extract_homogeneous(tree, branch_approx_of(nodes, parent), coloring)
     return report, visit
 
 

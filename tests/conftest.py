@@ -9,7 +9,9 @@ import pytest
 from hypothesis import strategies as st
 
 import colorvisit
+from colorvisit.cli import MAX_MESSAGE
 from colorvisit.colorings import Coloring
+from colorvisit.dsl import BinOp, Cmp, If, Lit, Neg, Var
 from colorvisit.oracles import TreeGenParams, complete_tree, random_tree
 from colorvisit.trees import FiniteColorTree, OracleColorTree, validate_tree
 from colorvisit.visit import Visit, enumerate_visit
@@ -33,6 +35,28 @@ class CountingTree:
     def contains(self, w) -> bool:
         self.probes += 1
         return self.inner.contains(w)
+
+
+# the longest stderr line of an exit 2: the prefix, the message cut to
+# ``MAX_MESSAGE`` characters and the mark of the cut
+MAX_ERROR_LINE = len("error: ") + MAX_MESSAGE + len("...\n")
+
+
+# coloring expressions: literals 0-9, x and y under every operator
+st_expr = st.recursive(
+    st.one_of(
+        st.integers(0, 9).map(Lit),
+        st.sampled_from(["x", "y"]).map(Var),
+    ),
+    lambda inner: st.one_of(
+        inner.map(Neg),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "%", "min", "max"]),
+                  inner, inner),
+        st.builds(Cmp, st.sampled_from(["<", "<=", "==", "!="]), inner, inner),
+        st.builds(If, inner, inner, inner),
+    ),
+    max_leaves=12,
+)
 
 
 @st.composite

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from colorvisit.colorings import builtin_coloring, sum_mod_coloring
+from colorvisit.colorings import builtin_coloring
 from colorvisit.dsl import dsl_coloring
 from colorvisit.erdos import build_erdos, homog_pipeline
 from colorvisit.oracles import (
@@ -290,7 +290,8 @@ def test_criterion_8_branch_reflection():
     # parity coloring: the visit commits to the all-even branch (color 0)
     counts = []
     for budget in budgets:
-        report, visit = homog_pipeline(sum_mod_coloring(2), 2 * budget + 16, budget)
+        coloring = builtin_coloring("sum-mod", 2)
+        report, visit = homog_pipeline(coloring, 2 * budget + 16, budget)
         assert not visit.terminated, "horizon must outlast the budget"
         assert stable_chain_ok(visit, visit_words(visit))
         counts.append(report.census[0])
@@ -299,7 +300,8 @@ def test_criterion_8_branch_reflection():
     # sum mod 3: the visit commits to the residue-1 chain (color 2)
     counts = []
     for budget in budgets:
-        report, visit = homog_pipeline(sum_mod_coloring(3), 3 * budget + 16, budget)
+        coloring = builtin_coloring("sum-mod", 3)
+        report, visit = homog_pipeline(coloring, 3 * budget + 16, budget)
         assert not visit.terminated, "horizon must outlast the budget"
         assert stable_chain_ok(visit, visit_words(visit))
         counts.append(report.census[2])

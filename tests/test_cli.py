@@ -9,7 +9,8 @@ import tracemalloc
 import pytest
 
 from colorvisit.cli import MAX_COLORS, MAX_HORIZON, main
-from colorvisit.colorings import sum_mod_coloring
+from colorvisit.colorings import builtin_coloring
+from colorvisit.dsl import UnknownIdentifier, parse
 from colorvisit.erdos import homog_pipeline
 from colorvisit.export import (
     erdos_dot,
@@ -21,6 +22,7 @@ from colorvisit.export import (
 )
 from colorvisit.oracles import complete_tree, visit_trace
 from colorvisit.trees import save_tree
+from conftest import MAX_ERROR_LINE
 from colorvisit.visit import enumerate_visit
 
 GOLDEN = [[], [1], [1, 1], [0], [0, 0], [0, 1], [1, 0]]
@@ -331,6 +333,56 @@ def test_integers_in_user_text_take_ascii_digits_only(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["visit", "--tree", "full:" + "9" * 5000],
+        ["visit", "--tree", "a" * 3000],
+        ["homog", "--builtin", "a" * 3000, "--k", "2"],
+        ["homog", "--coloring", "x+" + "a" * 3000, "--k", "2"],
+        ["visit", "--tree", "full:2", "--priority", "9" * 5000],
+    ],
+    ids=["full-count", "tree-name", "builtin", "identifier", "priority"],
+)
+def test_diagnostics_of_long_user_text_are_cut(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("...\n") and len(err) <= MAX_ERROR_LINE
+    assert not out.exists()
+
+
+def test_cut_diagnostics_keep_the_whole_exception():
+    with pytest.raises(UnknownIdentifier) as info:
+        parse("x+" + "a" * 3000)
+    assert info.value.name == "a" * 3000
+
+
+# each builtin name and the expression it stands for
+BUILTIN_EXPRESSIONS = [
+    ("sum-mod", "x + y"),
+    ("diff-mod", "y - x"),
+    ("constant:2", "2"),
+    ("block:4", "x / 4"),
+]
+
+
+@pytest.mark.parametrize("emit", ["json", "dot", "text"])
+@pytest.mark.parametrize("name, expr", BUILTIN_EXPRESSIONS)
+def test_builtin_names_run_as_their_expressions(name, expr, emit, tmp_path,
+                                                capsys):
+    runs = []
+    for source in (["--builtin", name], ["--coloring", expr]):
+        out, trace = tmp_path / "homog.out", tmp_path / "trace.json"
+        assert main(["homog", *source, "--k", "3", "--horizon", "120",
+                     "--budget", "300", "--emit", emit, "--out", str(out),
+                     "--trace-out", str(trace)]) == 0
+        runs.append((out.read_bytes(), trace.read_bytes(),
+                     capsys.readouterr().out))
+    assert runs[0] == runs[1]
+
+
 def test_suite_names_match_the_suites():
     # the help text and the unknown-suite message read the names without
     # importing the suites
@@ -387,7 +439,7 @@ def test_visit_tree_file_rejects_non_integers(data, tmp_path, capsys):
 
 
 def test_exports_render_reports():
-    coloring = sum_mod_coloring(2)
+    coloring = builtin_coloring("sum-mod", 2)
     report, visit = homog_pipeline(coloring, 20, 200)
     data = report_dict(report)
     assert set(data) == {"k", "N", "branch", "H", "verified", "census"}

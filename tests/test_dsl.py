@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from colorvisit.cli import main
 from colorvisit.colorings import (
     Coloring,
     ColoringError,
@@ -34,6 +35,7 @@ from colorvisit.dsl import (
     to_text,
 )
 from colorvisit.oracles import evaluate
+from conftest import st_expr
 
 
 def test_parse_shapes():
@@ -136,22 +138,6 @@ def test_coloring_rejects_equal_endpoints():
         dsl_coloring("0", 2)(3, 3)
 
 
-st_expr = st.recursive(
-    st.one_of(
-        st.integers(0, 9).map(Lit),
-        st.sampled_from(["x", "y"]).map(Var),
-    ),
-    lambda inner: st.one_of(
-        inner.map(Neg),
-        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "%", "min", "max"]),
-                  inner, inner),
-        st.builds(Cmp, st.sampled_from(["<", "<=", "==", "!="]), inner, inner),
-        st.builds(If, inner, inner, inner),
-    ),
-    max_leaves=12,
-)
-
-
 @given(expr=st_expr)
 def test_pretty_print_parse_round_trip(expr):
     text = to_text(expr)
@@ -205,20 +191,58 @@ def test_builtins():
             builtin_coloring(name, 2)
     with pytest.raises(ColoringError):
         builtin_coloring("constant:5", 2)
+    # names are canonical, and the color count is checked before the name
+    assert builtin_coloring("block: 007", 3).name == "block:7"
+    assert builtin_coloring("constant:-0", 2).name == "constant:0"
+    with pytest.raises(ColoringError, match="block size 0 must be at least 1"):
+        builtin_coloring("block:0", 2)
+    with pytest.raises(ColoringError, match="constant color -1 outside 0..1"):
+        builtin_coloring("constant:-1", 2)
+    with pytest.raises(ColoringError, match="k=0 must be at least 1"):
+        builtin_coloring("nosuch", 0)
 
 
-def test_table_coloring(tmp_path):
+# each builtin against the closed form it had before it was an expression
+CLOSED_FORMS = {
+    "constant:0": lambda k: lambda lo, hi: 0,
+    "constant:{last}": lambda k: lambda lo, hi: k - 1,
+    "sum-mod": lambda k: lambda lo, hi: (lo + hi) % k,
+    "diff-mod": lambda k: lambda lo, hi: (hi - lo) % k,
+    "block:1": lambda k: lambda lo, hi: (lo // 1) % k,
+    "block:3": lambda k: lambda lo, hi: (lo // 3) % k,
+    "block:7": lambda k: lambda lo, hi: (lo // 7) % k,
+}
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_builtins_equal_their_closed_forms(name, k):
+    closed = CLOSED_FORMS[name](k)
+    coloring = builtin_coloring(name.format(last=k - 1), k)
+    assert coloring.name == name.format(last=k - 1)
+    for lo in range(25):
+        his = list(range(lo + 1, 40))
+        expected = [closed(lo, hi) for hi in his]
+        assert coloring.row(lo, his) == expected
+        assert [coloring(lo, hi) for hi in his] == expected
+        assert [coloring(hi, lo) for hi in his] == expected
+        assert coloring.row(lo, []) == []
+    assert coloring.row(10**30, [10**30 + 7]) == [closed(10**30, 10**30 + 7)]
+
+
+def test_table_coloring(tmp_path, capsys):
     data = {"k": 2, "pairs": [[0, 1, 0]]}
     coloring = table_from_dict(data)
     assert coloring(0, 1) == 0 and coloring(1, 0) == 0
     with pytest.raises(TableIncomplete):
         coloring(0, 2)
+    # a table file loads through --table only; it names no builtin
     path = tmp_path / "table.json"
     path.write_text(json.dumps(data))
-    via_builtin = builtin_coloring(f"table:{path}", 2)
-    assert via_builtin(0, 1) == 0
-    with pytest.raises(ColoringError):
-        builtin_coloring(f"table:{path}", 3)
+    assert main(["homog", "--builtin", f"table:{path}", "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown builtin coloring 'table:")
+    assert err.count("\n") == 1
 
 
 def test_table_accepts_json_integers_only():

@@ -9,8 +9,6 @@ from colorvisit.colorings import (
     Coloring,
     TableIncomplete,
     builtin_coloring,
-    constant_coloring,
-    sum_mod_coloring,
     table_coloring,
 )
 from colorvisit.dsl import DivisionByZero, dsl_coloring
@@ -38,9 +36,16 @@ from colorvisit.visit import enumerate_visit
 from colorvisit.words import full_priority
 
 
+def root_path(tree, n):
+    """Nodes from the root down to ``n`` inclusive, by parent steps."""
+    path = [n]
+    while tree.parent[path[-1]] is not None:
+        path.append(tree.parent[path[-1]])
+    return path[::-1]
+
+
 def ancestors(tree, y):
-    path = tree.path_to_root(y)
-    return path[:-1]
+    return root_path(tree, y)[:-1]
 
 
 def children_of(tree, x):
@@ -51,12 +56,12 @@ def children_of(tree, x):
 
 def test_insert_attaches_to_root_on_empty_descent():
     tree = ErdosTree(k=2)
-    insert(tree, 1, constant_coloring(0, 2))
+    insert(tree, 1, builtin_coloring("constant:0", 2))
     assert tree.parent[1] == 0 and tree.edge_color[1] == 0
 
 
 def test_insert_descends_along_edge_colors():
-    parity = sum_mod_coloring(2)
+    parity = builtin_coloring("sum-mod", 2)
     tree = build_erdos(parity, 4)
     insert(tree, 4, parity)
     # 4 walks 0 -> 2 (edge color 0) and attaches as 2's 0-child
@@ -66,30 +71,30 @@ def test_insert_descends_along_edge_colors():
 def test_insert_rejects_gaps():
     tree = ErdosTree(k=2)
     with pytest.raises(NonContiguousInsert):
-        insert(tree, 2, constant_coloring(0, 2))
+        insert(tree, 2, builtin_coloring("constant:0", 2))
 
 
 def test_build_constant_gives_a_chain():
-    tree = build_erdos(constant_coloring(0, 2), 4)
+    tree = build_erdos(builtin_coloring("constant:0", 2), 4)
     assert tree.parent == [None, 0, 1, 2]
     assert tree.edge_color == [None, 0, 0, 0]
 
 
 def test_build_parity_shape():
-    tree = build_erdos(sum_mod_coloring(2), 5)
+    tree = build_erdos(builtin_coloring("sum-mod", 2), 5)
     assert children_of(tree, 0) == {1: 1, 0: 2}
     assert children_of(tree, 1) == {0: 3}
     assert children_of(tree, 2) == {0: 4}
 
 
 def test_build_single_root():
-    tree = build_erdos(sum_mod_coloring(2), 1)
+    tree = build_erdos(builtin_coloring("sum-mod", 2), 1)
     assert tree.size == 1 and children_of(tree, 0) == {}
 
 
 def test_build_rejects_empty():
     with pytest.raises(ErdosError):
-        build_erdos(sum_mod_coloring(2), 0)
+        build_erdos(builtin_coloring("sum-mod", 2), 0)
 
 
 def children_in_order(tree):
@@ -258,8 +263,8 @@ def test_erdos_property_detects_violation():
 
 
 def test_erdos_property_vacuous_on_root():
-    tree = build_erdos(sum_mod_coloring(2), 1)
-    assert check_erdos_property(tree, sum_mod_coloring(2))
+    tree = build_erdos(builtin_coloring("sum-mod", 2), 1)
+    assert check_erdos_property(tree, builtin_coloring("sum-mod", 2))
 
 
 def test_ancestor_formula_agrees_with_descent():
@@ -275,15 +280,15 @@ def test_ancestor_formula_agrees_with_descent():
 
 
 def test_word_tree_examples():
-    chain = build_erdos(constant_coloring(0, 2), 3)
+    chain = build_erdos(builtin_coloring("constant:0", 2), 3)
     words = to_word_tree(chain)
     assert words.nodes == frozenset({(), (0,), (0, 0)})
-    assert [chain.edge_color[n] for n in chain.path_to_root(2)[1:]] == [0, 0]
+    assert [chain.edge_color[n] for n in root_path(chain, 2)[1:]] == [0, 0]
 
-    parity = to_word_tree(build_erdos(sum_mod_coloring(2), 5))
+    parity = to_word_tree(build_erdos(builtin_coloring("sum-mod", 2), 5))
     assert parity.nodes == frozenset({(), (1,), (0,), (1, 0), (0, 0)})
 
-    single = to_word_tree(build_erdos(sum_mod_coloring(2), 1))
+    single = to_word_tree(build_erdos(builtin_coloring("sum-mod", 2), 1))
     assert single.nodes == frozenset({()})
 
 
@@ -296,7 +301,7 @@ def test_word_index_is_a_bijection():
 
 
 def test_child_steps_through_the_children():
-    tree = build_erdos(sum_mod_coloring(2), 5)
+    tree = build_erdos(builtin_coloring("sum-mod", 2), 5)
     assert [tree.child(0, c) for c in (0, 1)] == [2, 1]
     assert tree.child(2, 0) == 4 and tree.child(2, 1) is None
     assert tree.child(4, 0) is None
@@ -322,11 +327,11 @@ def test_id_visit_equals_the_word_visit():
         leaf = 0
         for c in order[-1]:
             leaf = tree.child(leaf, c)
-        assert report.branch_nodes == tuple(tree.path_to_root(leaf))
+        assert report.branch_nodes == tuple(root_path(tree, leaf))
 
 
 def test_extract_constant_full_branch():
-    coloring = constant_coloring(0, 2)
+    coloring = builtin_coloring("constant:0", 2)
     tree = build_erdos(coloring, 6)
     report = extract_homogeneous(tree, range(6), coloring)
     assert sorted(report.classes[0]) == [0, 1, 2, 3, 4]
@@ -335,7 +340,7 @@ def test_extract_constant_full_branch():
 
 
 def test_extract_verification_checks_every_pair():
-    tree = build_erdos(constant_coloring(0, 2), 6)
+    tree = build_erdos(builtin_coloring("constant:0", 2), 6)
     for a in range(5):
         for b in range(a + 1, 5):
             one_off = Coloring(k=2, pair_color=lambda lo, hi: int((lo, hi) == (a, b)))
@@ -345,7 +350,7 @@ def test_extract_verification_checks_every_pair():
 
 
 def test_extract_even_chain_under_parity():
-    coloring = sum_mod_coloring(2)
+    coloring = builtin_coloring("sum-mod", 2)
     tree = build_erdos(coloring, 20)
     report = extract_homogeneous(tree, range(0, 20, 2), coloring)
     assert sorted(report.classes[0]) == [0, 2, 4, 6, 8, 10, 12, 14, 16]
@@ -353,7 +358,7 @@ def test_extract_even_chain_under_parity():
 
 
 def test_extract_single_node_branch():
-    coloring = sum_mod_coloring(2)
+    coloring = builtin_coloring("sum-mod", 2)
     tree = build_erdos(coloring, 5)
     report = extract_homogeneous(tree, (0,), coloring)
     assert all(cls == frozenset() for cls in report.classes)
@@ -361,7 +366,7 @@ def test_extract_single_node_branch():
 
 
 def test_extract_rejects_non_chain():
-    coloring = sum_mod_coloring(2)
+    coloring = builtin_coloring("sum-mod", 2)
     tree = build_erdos(coloring, 5)
     assert tree.parent == [None, 0, 0, 1, 2]
     with pytest.raises(ErdosError):
@@ -371,7 +376,7 @@ def test_extract_rejects_non_chain():
 
 
 def test_report_classes_partition_branch():
-    coloring = sum_mod_coloring(3)
+    coloring = builtin_coloring("sum-mod", 3)
     report, _ = homog_pipeline(coloring, 60, 600)
     union = set()
     for cls in report.classes:
@@ -381,14 +386,14 @@ def test_report_classes_partition_branch():
 
 
 def test_pipeline_constant():
-    report, visit = homog_pipeline(constant_coloring(0, 2), 10, 100)
+    report, visit = homog_pipeline(builtin_coloring("constant:0", 2), 10, 100)
     assert sorted(report.classes[0]) == list(range(9))
     assert report.classes[1] == frozenset()
     assert report.verified and visit.terminated
 
 
 def test_pipeline_parity_frozen_sets():
-    report, visit = homog_pipeline(sum_mod_coloring(2), 50, 500)
+    report, visit = homog_pipeline(builtin_coloring("sum-mod", 2), 50, 500)
     assert sorted(report.classes[0]) == list(range(1, 48, 2))
     assert sorted(report.classes[1]) == [0]
     assert report.verified is True
@@ -396,7 +401,7 @@ def test_pipeline_parity_frozen_sets():
 
 
 def test_pipeline_sum_mod3_frozen_sets():
-    report, _ = homog_pipeline(sum_mod_coloring(3), 60, 600)
+    report, _ = homog_pipeline(builtin_coloring("sum-mod", 3), 60, 600)
     assert sorted(report.classes[0]) == list(range(0, 55, 3))
     assert report.classes[1] == frozenset() and report.classes[2] == frozenset()
     assert report.verified is True
@@ -405,9 +410,9 @@ def test_pipeline_sum_mod3_frozen_sets():
 
 def test_pipeline_priority_must_cover_all_colors():
     with pytest.raises(ErdosError):
-        homog_pipeline(sum_mod_coloring(3), 10, 100, priority=(0, 1))
+        homog_pipeline(builtin_coloring("sum-mod", 3), 10, 100, priority=(0, 1))
     report, _ = homog_pipeline(
-        sum_mod_coloring(3), 10, 100, priority=(2, 0, 1)
+        builtin_coloring("sum-mod", 3), 10, 100, priority=(2, 0, 1)
     )
     assert report.verified
 
@@ -423,7 +428,7 @@ def test_pipeline_verified_on_random_colorings():
 
 
 def test_census_equals_class_sizes():
-    report, visit = homog_pipeline(sum_mod_coloring(2), 50, 500)
+    report, visit = homog_pipeline(builtin_coloring("sum-mod", 2), 50, 500)
     assert report.census == {i: len(c) for i, c in enumerate(report.classes)}
     branch = branch_approx_of(visit_words(visit), visit.parent)
     assert report.census == branch_census(branch, 2)
@@ -450,7 +455,8 @@ def test_every_natural_appears_once_with_parent_below():
 
 def test_horizon_comparison_reports_growth():
     rng = random.Random(6)
-    colorings = [sum_mod_coloring(2), sum_mod_coloring(3), constant_coloring(1, 2)]
+    colorings = [builtin_coloring("sum-mod", 2), builtin_coloring("sum-mod", 3),
+                 builtin_coloring("constant:1", 2)]
     colorings += [random_coloring(rng.randrange(2**32), 3, 80) for _ in range(5)]
     for coloring in colorings:
         small, _ = homog_pipeline(coloring, 30, 300)

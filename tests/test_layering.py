@@ -135,15 +135,29 @@ def test_visit_run_loads_only_the_visit_modules(tmp_path, cli_env):
 
 
 def test_homog_run_loads_no_reference_module(tmp_path, cli_env):
+    # a builtin coloring is compiled from its expression, as --coloring is
+    for source in (["--coloring", "x"], ["--builtin", "sum-mod"]):
+        code, modules = loaded_modules(
+            ["homog", *source, "--k", "2", "--horizon", "2",
+             "--budget", "1", "--out", "h.json"],
+            tmp_path, cli_env)
+        assert code == 0
+        assert package_modules(modules) == {
+            "cli", "words", "trees", "visit", "stability", "export",
+            "colorings", "dsl", "erdos"}
+        assert not {"dataclasses", "random"} & modules
+
+
+def test_homog_table_loads_no_dsl(tmp_path, cli_env):
+    (tmp_path / "t.json").write_text('{"k": 2, "pairs": [[0, 1, 1]]}')
     code, modules = loaded_modules(
-        ["homog", "--coloring", "x", "--k", "2", "--horizon", "2",
-         "--budget", "1", "--out", "h.json"],
+        ["homog", "--table", "t.json", "--horizon", "2", "--budget", "1",
+         "--out", "h.json"],
         tmp_path, cli_env)
     assert code == 0
     assert package_modules(modules) == {
         "cli", "words", "trees", "visit", "stability", "export",
-        "colorings", "dsl", "erdos"}
-    assert not {"dataclasses", "random"} & modules
+        "colorings", "erdos"}
 
 
 def test_check_run_loads_no_dataclasses(tmp_path, cli_env):
