@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .words import full_priority, parse_word, validate_priority
+from .words import full_priority, parse_int, parse_word, validate_priority
 
 OUTDIR_ENV = "COLORVISIT_OUTDIR"
 
@@ -53,6 +53,21 @@ def _out_path(arg: Optional[str], default_name: str) -> Path:
     if arg:
         return Path(arg)
     return _outdir() / default_name
+
+
+def _int_option(args: argparse.Namespace, name: str) -> Optional[int]:
+    """The integer that option ``--name`` spells, or None when it is unset.
+
+    Integer options reach the commands as text, so that a bad value gets
+    the same bounded ``error:`` line as every other configuration error.
+    """
+    text = getattr(args, name)
+    if text is None:
+        return None
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise ValueError(f"--{name}: {exc}") from None
 
 
 def _parse_priority(text: Optional[str], k: int) -> tuple[int, ...]:
@@ -95,7 +110,7 @@ def cmd_visit(args: argparse.Namespace) -> int:
     tree = load_tree(source) if is_file else builtin_tree(source)
     priority = _parse_priority(args.priority, tree.k)
     root = parse_word(args.root)
-    visit = enumerate_visit(tree, priority, root, args.budget)
+    visit = enumerate_visit(tree, priority, root, _int_option(args, "budget"))
     suffix = {"json": ".json", "dot": ".dot", "text": ".txt"}[args.emit]
     path = _out_path(args.out, "visit" + suffix)
     if args.emit == "json":
@@ -111,23 +126,23 @@ def cmd_visit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _homog_coloring(args: argparse.Namespace):
+def _homog_coloring(args: argparse.Namespace, k: Optional[int]):
     from .colorings import builtin_coloring, load_table
 
     if args.coloring is not None:
-        if args.k is None:
+        if k is None:
             raise ValueError("--k is required with --coloring")
         from .dsl import dsl_coloring
 
-        return dsl_coloring(args.coloring, args.k, strict=args.strict)
+        return dsl_coloring(args.coloring, k, strict=args.strict)
     if args.builtin is not None:
-        if args.k is None:
+        if k is None:
             raise ValueError("--k is required with --builtin")
-        return builtin_coloring(args.builtin, args.k)
+        return builtin_coloring(args.builtin, k)
     coloring = load_table(args.table)
-    if args.k is not None and args.k != coloring.k:
+    if k is not None and k != coloring.k:
         raise ValueError(
-            f"table declares k={coloring.k} but --k {args.k} was given"
+            f"table declares k={coloring.k} but --k {k} was given"
         )
     return coloring
 
@@ -136,13 +151,16 @@ def cmd_homog(args: argparse.Namespace) -> int:
     from . import export
     from .erdos import homog_pipeline
 
-    if args.horizon > MAX_HORIZON:
+    k = _int_option(args, "k")
+    horizon = _int_option(args, "horizon")
+    budget = _int_option(args, "budget")
+    if horizon > MAX_HORIZON:
         raise ValueError(
-            f"horizon {args.horizon} exceeds the limit of {MAX_HORIZON}"
+            f"horizon {horizon} exceeds the limit of {MAX_HORIZON}"
         )
-    coloring = _homog_coloring(args)
+    coloring = _homog_coloring(args, k)
     priority = _parse_priority(args.priority, coloring.k)
-    report, visit = homog_pipeline(coloring, args.horizon, args.budget, priority)
+    report, visit = homog_pipeline(coloring, horizon, budget, priority)
     suffix = {"json": ".json", "dot": ".dot", "text": ".txt"}[args.emit]
     path = _out_path(args.out, "homog" + suffix)
     if args.emit == "json":
@@ -163,19 +181,20 @@ def cmd_homog(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.cases < 1:
-        raise ValueError(f"--cases {args.cases} must be at least 1")
+    seed = _int_option(args, "seed")
+    cases = _int_option(args, "cases")
+    if cases < 1:
+        raise ValueError(f"--cases {cases} must be at least 1")
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITE_NAMES:
-            print(f"unknown suite {name!r}; available: "
-                  f"{', '.join(SUITE_NAMES)}, all", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown suite {name!r}; available: "
+                             f"{', '.join(SUITE_NAMES)}, all")
     from .suites import run_suite
 
     failed = False
     for name in names:
-        result = run_suite(name, args.seed, args.cases)
+        result = run_suite(name, seed, cases)
         status = "pass" if result.passed else "FAIL"
         print(f"suite {name}: {status} ({result.cases} cases)")
         if not result.passed:
@@ -201,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 0,...,k-1)")
     p_visit.add_argument("--root", default="",
                          help="comma-separated root word (default the empty word)")
-    p_visit.add_argument("--budget", type=int, default=1000,
+    p_visit.add_argument("--budget", default="1000",
                          help="maximum number of enumerated nodes")
     p_visit.add_argument("--emit", choices=("json", "dot", "text"), default="json")
     p_visit.add_argument("--out", default=None, help="output path")
@@ -213,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--builtin", default=None,
                      help="constant:<i>, sum-mod, diff-mod, block:<b>")
     src.add_argument("--table", default=None, help="table coloring JSON file")
-    p_homog.add_argument("--k", type=int, default=None,
+    p_homog.add_argument("--k", default=None,
                          help=f"number of colors, at most {MAX_COLORS}")
-    p_homog.add_argument("--horizon", type=int, default=100,
+    p_homog.add_argument("--horizon", default="100",
                          help="how many naturals the comparison tree covers, "
                               f"at most {MAX_HORIZON}")
-    p_homog.add_argument("--budget", type=int, default=1000,
+    p_homog.add_argument("--budget", default="1000",
                          help="visit budget on the comparison tree")
     p_homog.add_argument("--priority", default=None,
                          help="visit priority listing all k colors")
@@ -233,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the seeded property suites")
     p_check.add_argument("--suite", required=True,
                          help=f"one of: {', '.join(SUITE_NAMES)}, all")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--cases", type=int, default=100)
+    p_check.add_argument("--seed", default="0")
+    p_check.add_argument("--cases", default="100")
     p_check.set_defaults(func=cmd_check)
     return parser
 

@@ -559,19 +559,35 @@ def random_coloring(seed: int, k: int, size: int) -> Coloring:
     failing suite case prints rebuilds the same table, so counterexamples
     stay reproducible.  ``randrange(k)`` draws ``getrandbits(k.bit_length())``
     until the value is below k; the table keeps the accepted draws of that
-    same stream, drawn in C by ``map`` and ``filter``, in one flat list
-    with pair ``(lo, hi)`` at ``offset[lo] + hi``.  Pairs outside the table
-    raise :class:`TableIncomplete`.
+    same stream, drawn in C, in one flat list with pair ``(lo, hi)`` at
+    ``offset[lo] + hi``.  Pairs outside the table raise
+    :class:`TableIncomplete`.
+
+    Each draw is the top ``bits`` bits of one 32-bit generator word, and
+    ``getrandbits(32 * m)`` lays m such words out little-endian.  So for
+    ``bits <= 8`` the draws are the top bytes of those words, shifted by
+    ``bytes.translate``, which also deletes the rejected ones; wider
+    draws go through ``map`` and ``filter``.
     """
     if k < 2 or size < 2:
         raise ValueError("random colorings need k >= 2 and size >= 2")
     getrandbits = random.Random(seed).getrandbits
     bits = k.bit_length()
     total = size * (size - 1) // 2
+    if bits <= 8:
+        shift = 8 - bits
+        table = bytes(b >> shift for b in range(256))
+        reject = bytes(b for b in range(256) if b >> shift >= k)
+
+        def draw(m: int) -> Iterable[int]:
+            words = getrandbits(32 * m).to_bytes(4 * m, "little")
+            return words[3::4].translate(table, reject)
+    else:
+        def draw(m: int) -> Iterable[int]:
+            return filter(k.__gt__, map(getrandbits, itertools.repeat(bits, m)))
     colors: list[int] = []
     while len(colors) < total:
-        draws = map(getrandbits, itertools.repeat(bits, total - len(colors)))
-        colors.extend(filter(k.__gt__, draws))
+        colors.extend(draw(total - len(colors)))
     # row lo starts after the size-1-x pairs of every x < lo, at hi = lo + 1
     offset = [x * (2 * size - x - 1) // 2 - x - 1 for x in range(size)]
 

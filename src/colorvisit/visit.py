@@ -13,9 +13,12 @@ must be finished completely before the next expansion starts.
 The recursive definition itself is decided by ``oracles.check_visit``, a
 specification-level reference for small inputs.  This module holds only
 the generator: :func:`visit_nodes` / :func:`enumerate_visit` produce the
-enumeration with an explicit stack of one frame per emitted node, and
-their only correctness contract is agreement with that reference, which
-the test suite checks exhaustively at desk scale.
+enumeration with an explicit stack of frames, one per emitted node that
+has a child in its visit's colors, and their only correctness contract is
+agreement with that reference, which the test suite checks exhaustively
+at desk scale.  Each node is probed as soon as it is emitted, color by
+color from the top priority down to its first child, and a node with none
+opens no frame.
 
 Every step of the generator needs only finitely many child probes, so
 oracle-backed (potentially infinite) trees can be visited under a budget.
@@ -80,10 +83,14 @@ def lex_order(parent: Sequence[int], letter: Sequence[int], head: int) -> list[i
 
     Those entries are ``head`` and descendants of it, closed under parent
     above it, so their lexicographic order is a preorder walk from ``head``
-    with children in color order: no word is built or compared.
+    with children in color order: no word is built or compared.  With at
+    most one entry after ``head``, that entry is its child and the order is
+    the index order.
     """
-    if head == len(parent) - 1:
-        return [head]
+    if head >= len(parent) - 2:
+        # ``head`` itself, not an equal int: the parent entries of its
+        # children then share it
+        return [head, *range(head + 1, len(parent))]
     kids: dict[int, list[int]] = {}
     for i in sorted(range(head + 1, len(parent)), key=letter.__getitem__,
                     reverse=True):
@@ -106,34 +113,64 @@ def visit_nodes(
     than ``budget`` entries.
 
     Nodes are opaque: ``tree`` needs only ``child(node, c)``, the
-    ``c``-child of a node or None.  ``priority`` must be validated.  Each
-    emitted node opens one frame ``[P, level, first, expansions, j]`` that
-    runs the visits with priorities ``P[level:]``, from ``len(P)`` (the
-    node alone) down to 0.  On top with its segments used up, the frame's
-    entries are the indices from ``first`` on; it steps ``level`` down and
-    takes the ``P[level]``-children of those entries, bases in
-    lexicographic order, as the heads of its next segments, each a visit
-    with priority ``rotate(P[level:])``.  At level 0 it closes.
+    ``c``-child of a node or None.  ``priority`` must be validated.  The
+    visit a node heads, with inner priority ``P``, runs the visits with
+    priorities ``P[level:]`` from ``len(P)`` (the node alone) down to 0.
+    While only the node is emitted, each level step probes the node alone,
+    so on emission it is probed for ``P[-1]``, ``P[-2]``, ... up to its
+    first child.  A node with none is a complete visit and opens no frame;
+    otherwise it opens one frame ``[P, level, first, expansions, j]`` at
+    that child's level, with that child as its one expansion.  On top with
+    its segments used up, the frame's entries are the indices from
+    ``first`` on; it steps ``level`` down and takes the ``P[level]``-children
+    of those entries, bases in lexicographic order, as the heads of its next
+    segments, each a visit with priority ``rotate(P[level:])``.  At level 0
+    it closes.  No node is probed once ``budget`` entries are emitted.
     """
     if budget < 1:
         raise VisitError(f"budget {budget} must be at least 1")
+
+    def openings(prio: Word) -> list[tuple[Word, int, int]]:
+        # the order in which a new head with priority prio is probed
+        return [(prio, level, prio[level]) for level in reversed(range(len(prio)))]
+
     child = tree.child
     nodes = [head]
     parent = [-1]
     letter = [-1]
-    stack = [[priority, len(priority), 0, (), 0]]
-    while len(nodes) < budget:
+    if budget == 1:
+        return nodes, parent, letter, False
+    stack = []
+    for prio, level, c in openings(priority):
+        node = child(head, c)
+        if node is not None:
+            stack.append([prio, level, 0, [(0, node)], 0])
+            break
+    # the openings of rotate(P[level:]), the priority of the heads that a
+    # frame at (P, level) emits
+    inners: dict[tuple[Word, int], list[tuple[Word, int, int]]] = {}
+    while stack:
         frame = stack[-1]
         prio, level, first, expansions, j = frame
         if j < len(expansions):
             frame[4] = j + 1
             base, node = expansions[j]
-            c = prio[level]
+            # one int object for the new index, shared by its frame and
+            # by the parent entries of its children
+            h = len(nodes)
             nodes.append(node)
             parent.append(base)
-            letter.append(c)
-            inner = rotate(prio[level:])
-            stack.append([inner, len(inner), len(nodes) - 1, (), 0])
+            letter.append(prio[level])
+            if h + 1 == budget:
+                return nodes, parent, letter, False
+            probes = inners.get((prio, level))
+            if probes is None:
+                probes = inners[prio, level] = openings(rotate(prio[level:]))
+            for inner, level, c in probes:
+                kid = child(node, c)
+                if kid is not None:
+                    stack.append([inner, level, h, [(h, kid)], 0])
+                    break
         elif level:
             level -= 1
             c = prio[level]
@@ -145,9 +182,7 @@ def visit_nodes(
             frame[1], frame[3], frame[4] = level, expansions, 0
         else:
             stack.pop()
-            if not stack:
-                return nodes, parent, letter, True
-    return nodes, parent, letter, False
+    return nodes, parent, letter, True
 
 
 def enumerate_visit(

@@ -37,6 +37,18 @@ class CountingTree:
         return self.inner.contains(w)
 
 
+class ProbeLog:
+    """Tree wrapper that logs every child step ``(node, c)`` in order."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.probes: list[tuple[object, int]] = []
+
+    def child(self, node, c: int):
+        self.probes.append((node, c))
+        return self.inner.child(node, c)
+
+
 # the longest stderr line of an exit 2: the prefix, the message cut to
 # ``MAX_MESSAGE`` characters and the mark of the cut
 MAX_ERROR_LINE = len("error: ") + MAX_MESSAGE + len("...\n")

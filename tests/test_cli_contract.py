@@ -1,11 +1,10 @@
 """The command-line contract on generated input.
 
-Whatever the text of the options, and whatever integers the integer
-options get, ``visit`` and ``homog`` end with exit 0, 2 or 3 and never
-with a traceback; every exit 2 prints one bounded
-``error:`` line on stderr; and the same argv run twice writes the same
-bytes.  The commands run in-process through ``cli.main``, each example in
-its own temporary directory.
+Whatever the text of the options, ``visit`` and ``homog`` end with exit 0,
+2 or 3 and ``check`` with exit 0, 1 or 2, never with a traceback; every
+exit 2 prints one bounded ``error:`` line on stderr; and the same argv run
+twice writes the same bytes.  The commands run in-process through
+``cli.main``, each example in its own temporary directory.
 """
 
 import json
@@ -15,7 +14,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from colorvisit.cli import main
+from colorvisit.cli import SUITE_NAMES, main
 from colorvisit.dsl import to_text
 from colorvisit.oracles import TreeGenParams, random_tree
 from conftest import MAX_ERROR_LINE, st_expr
@@ -49,10 +48,9 @@ st_tree_file = st.one_of(
     st.sampled_from(['{"k": 2, "nodes": [[], [5]]}', '{"k": 2}', "[", "{}"]),
 ).map(FileText)
 
-# wrong values for the options that both commands take; integer options
-# get integers, since argparse rejects other text with its usage message
+# wrong values for the options that both visit and homog take
 WRONG = {
-    "--budget": st.integers(-2, 0).map(str),
+    "--budget": st.one_of(st.integers(-2, 0).map(str), st_junk),
     "--priority": st.one_of(st.sampled_from(["0", "0,0", "1,0,1", "x", "0,9"]),
                             st_junk),
 }
@@ -63,7 +61,6 @@ def st_options(draw, valid: dict, wrong: dict) -> dict:
     """Each option drawn from its valid values; about one time in two, one
     option drawn from its wrong values instead."""
     options = {name: draw(values) for name, values in valid.items()}
-    wrong = {**WRONG, **wrong}
     name = draw(st.one_of(st.none(), st.none(), st.sampled_from(sorted(wrong))))
     if name is not None:
         options[name] = draw(wrong[name])
@@ -104,6 +101,7 @@ def st_homog(draw) -> dict:
         "--strict": st.booleans(),
     }
     wrong = {
+        **WRONG,
         source: {
             "--builtin": st.one_of(st.sampled_from(
                 [f"constant:{k}", "constant:-1", "block:0", "block:",
@@ -112,8 +110,8 @@ def st_homog(draw) -> dict:
             "--table": st_tree_file,
         }[source],
         "--k": st.one_of(st.none(), st.integers(-2, 0).map(str),
-                         st.just(str(k + 1))),
-        "--horizon": st.integers(-2, 0).map(str),
+                         st.just(str(k + 1)), st_junk),
+        "--horizon": st.one_of(st.integers(-2, 0).map(str), st_junk),
     }
     return draw(st_options(valid, wrong))
 
@@ -132,10 +130,26 @@ def st_visit(draw) -> dict:
         "--emit": st.sampled_from(["json", "dot", "text"]),
     }
     wrong = {
+        **WRONG,
         "--tree": st.one_of(
             st.sampled_from(["full:0", "full:-1", "full:x"]), st_junk,
             st_junk.map("full:{}".format)),
         "--root": st.sampled_from(["x", "1,0,5", "-1"]),
+    }
+    return draw(st_options(valid, wrong))
+
+
+@st.composite
+def st_check(draw) -> dict:
+    valid = {
+        "--suite": st.sampled_from([*SUITE_NAMES, "all"]),
+        "--cases": st.integers(1, 2).map(str),
+        "--seed": st.one_of(st.none(), st.integers(-5, 10**6).map(str)),
+    }
+    wrong = {
+        "--suite": st_junk,
+        "--cases": st.one_of(st.integers(-1, 0).map(str), st_junk),
+        "--seed": st_junk,
     }
     return draw(st_options(valid, wrong))
 
@@ -167,9 +181,11 @@ def argv_of(command: str, options: dict, root: Path) -> list[str]:
     return argv
 
 
-def check_contract(command: str, options: dict, outputs: list[str], capsys):
+def check_contract(command: str, options: dict, outputs: list[str], capsys,
+                   codes=(0, 2, 3)):
     """Run the command twice in a fresh directory, each output option
-    naming a file under ``out/``, and check the contract."""
+    naming a file under ``out/``, and check the contract: an exit code
+    in ``codes``."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         out = root / "out"
@@ -177,7 +193,7 @@ def check_contract(command: str, options: dict, outputs: list[str], capsys):
         argv += [f"{name}={out / name.strip('-')}" for name in outputs]
         first = run(argv, out, capsys)
         code, _, err, _ = first
-        assert code in (0, 2, 3), (argv, err)
+        assert code in codes, (argv, err)
         assert "Traceback" not in err
         if code == 0:
             assert err == ""
@@ -197,3 +213,9 @@ def test_homog_contract(options, capsys):
 @given(options=st_visit())
 def test_visit_contract(options, capsys):
     check_contract("visit", options, ["--out"], capsys)
+
+
+@CONTRACT
+@given(options=st_check())
+def test_check_contract(options, capsys):
+    check_contract("check", options, [], capsys, codes=(0, 1, 2))

@@ -120,7 +120,7 @@ def test_random_coloring_small_and_deterministic():
         random_coloring(0, 1, 5)
 
 
-STREAM_KS = (2, 3, 4, 300)
+STREAM_KS = (2, 3, 4, 255, 256, 300)
 STREAM_SIZES = (2, 3, 17, 64, 120)
 
 

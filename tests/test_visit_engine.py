@@ -7,6 +7,8 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
+from colorvisit.dsl import dsl_coloring
+from colorvisit.erdos import build_erdos
 from colorvisit.export import dumps_canonical, visit_trace_json
 from colorvisit.oracles import (
     TreeGenParams,
@@ -15,12 +17,14 @@ from colorvisit.oracles import (
     check_visit,
     complete_tree,
     is_complete_for,
+    random_coloring,
     random_tree,
     restricted_nodes,
     visit_trace,
     visit_words,
 )
 from colorvisit.stability import stable_indices
+from colorvisit.suites import tree_corpus
 from colorvisit.trees import (
     OracleColorTree,
     RootNotInTree,
@@ -28,10 +32,10 @@ from colorvisit.trees import (
     unary_tree,
     validate_tree,
 )
-from colorvisit.visit import VisitError, enumerate_visit, lex_order
+from colorvisit.visit import VisitError, enumerate_visit, lex_order, visit_nodes
 from colorvisit.words import InvalidPriority
 
-from conftest import st_visits
+from conftest import ProbeLog, st_visits
 
 GOLDEN = ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
 
@@ -152,6 +156,29 @@ def test_lex_order_sorts_by_words(visit):
         )
 
 
+@given(visit=st_visits())
+def test_lex_order_of_the_head_and_its_child(visit):
+    # the segments of one or two entries, which are in index order
+    order = visit_words(visit)
+    letter = [-1] + [w[-1] for w in order[1:]]
+    last = len(order) - 1
+    heads = [last] + ([last - 1] if visit.parent[last] == last - 1 else [])
+    for m in heads:
+        assert lex_order(visit.parent, letter, m) == sorted(
+            range(m, len(order)), key=order.__getitem__
+        ) == list(range(m, len(order)))
+
+
+def test_a_head_and_two_children_expand_in_word_order():
+    # the 2-child is emitted before the 1-child, but their 0-children come
+    # in word order: a segment of the head and two entries is sorted
+    tree = validate_tree([(), (2,), (1,), (1, 0), (2, 0)], 3)
+    visit = enumerate_visit(tree, (0, 1, 2), (), budget=100)
+    assert visit_words(visit) == ((), (2,), (1,), (1, 0), (2, 0))
+    assert visit_words(visit) == max(all_visits(tree, (0, 1, 2), ()), key=len)
+    assert lex_order(visit.parent[:3], visit.letter[:3], 0) == [0, 2, 1]
+
+
 def test_chain_visit_matches_depth():
     tree = chain_tree(2, 1, 10)
     visit = enumerate_visit(tree, (0, 1), (), budget=50)
@@ -253,3 +280,57 @@ def test_full_tree_visit_memory_is_linear():
         tracemalloc.stop()
     assert len(visit.parent) == 4000 and visit.letter[1:] == (1,) * 3999
     assert peak < 5 * 2**20
+
+
+def probed_visit(tree, priority, head, budget):
+    """The outputs of ``visit_nodes`` and its child steps, in order."""
+    log = ProbeLog(tree)
+    return visit_nodes(log, priority, head, budget), log.probes
+
+
+def probe_cases():
+    """(tree, priority, head, budget) of corpus trees, full trees and
+    comparison trees; the budget of a finite tree lets its visit finish."""
+    for tree, priority in tree_corpus(5, 120):
+        yield tree, priority, (), len(tree.nodes) + 1
+    for k in (1, 2, 3):
+        for priority in itertools.permutations(range(k)):
+            yield full_tree(k), priority, 0, 60
+    colorings = [random_coloring(seed, k, 40) for seed, k in ((1, 2), (2, 3), (3, 4))]
+    colorings.append(dsl_coloring("((x * 7 + y) * (y * 5 + x) + 3) % 11", 3))
+    for coloring in colorings:
+        tree = build_erdos(coloring, 40)
+        for priority in itertools.permutations(range(coloring.k)):
+            yield tree, priority, 0, 41
+
+
+def test_visit_probes_each_node_once_per_priority_color():
+    # in a terminated visit every entry is probed in every priority color,
+    # once: the floor, and no more
+    terminated = 0
+    for tree, priority, head, budget in probe_cases():
+        (nodes, parent, _, done), probes = probed_visit(tree, priority, head, budget)
+        if done:
+            terminated += 1
+            assert len(set(probes)) == len(probes) == len(parent) * len(priority)
+            assert set(probes) == {(v, c) for v in nodes for c in priority}
+    assert terminated > 100
+
+
+def test_budget_cut_visits_are_prefixes_of_the_full_run():
+    # a visit cut at budget b emits the first b entries of the full run and
+    # makes the first of its probes; the step after an emission probes the
+    # new entry, so a run that probes nothing after its last emission never
+    # probes that entry (the entries' nodes are distinct in every case)
+    runs = 0
+    for tree, priority, head, budget in probe_cases():
+        (nodes, parent, letter, _), probes = probed_visit(tree, priority, head, budget)
+        assert len(set(nodes)) == len(nodes)
+        for b in range(1, len(parent) + 1):
+            (n, p, l, done), cut = probed_visit(tree, priority, head, b)
+            assert (n, p, l) == (nodes[:b], parent[:b], letter[:b])
+            assert done is False
+            assert cut == probes[:len(cut)]
+            assert all(v != n[-1] for v, _ in cut)
+            runs += 1
+    assert runs > 1000
