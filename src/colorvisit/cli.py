@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NoReturn, Optional, Sequence, Union
 
 from .words import full_priority, parse_int, parse_word, validate_priority
 
@@ -204,8 +204,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its and its subparsers' errors as one line, with the line
+    breaks escaped, since argparse echoes unknown options raw."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message.replace("\r", "\\r").replace("\n", "\\n"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="colorvisit",
         description="Priority-driven tree enumeration and monochromatic-set extraction",
     )
@@ -259,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _CONFIG_ERRORS as exc:
         message = str(exc)

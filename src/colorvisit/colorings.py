@@ -1,23 +1,23 @@
 """Total edge colorings of the naturals.
 
 A coloring assigns a color below ``k`` to every unordered pair of distinct
-naturals.  Symmetry is structural: every evaluation canonicalizes its
-arguments to ``(min, max)`` before consulting the underlying pair function,
-so ``coloring(x, y) == coloring(y, x)`` holds by construction.
-:meth:`Coloring.row` colors the pairs of one smaller endpoint with many
-larger ones in a single call.
+naturals.  It is one row function, which colors the pairs of a smaller
+endpoint with many larger ones in a single call.  A single pair is put in
+``(min, max)`` order and colored as a row of one, so ``coloring(x, y) ==
+coloring(y, x)`` holds by construction.  :meth:`Coloring.split` groups a
+row by color, for the comparison-tree build and the verification alike.
 
 The package makes two kinds.  Closed-form colorings are expressions of the
-coloring language, compiled by :func:`colorvisit.dsl.dsl_coloring` into one
-row kernel; the builtin names are such expressions.  Tables list their
-pairs and color a row one pair at a time.  Colorings are pure and
-immutable; sharing them across threads is safe.
+coloring language, whose row function :func:`colorvisit.dsl.dsl_coloring`
+compiles; the builtin names are such expressions.  Tables look a row up
+pair by pair.  Colorings are pure and immutable; sharing them across
+threads is safe.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .words import Record, parse_int
 
@@ -38,49 +38,54 @@ class TableIncomplete(ColoringError):
         super().__init__(f"table coloring has no entry for pair {pair}")
 
 
-class Coloring(Record):
-    """A total symmetric coloring; ``pair_color`` receives ``lo < hi``.
+Row = Callable[[int, Sequence[int]], list[int]]
 
-    ``row_kernel``, when given, must equal ``[pair_color(lo, hi) for hi in
-    his]`` as ints and raise the same first error; :meth:`row` calls it
-    in place of that comprehension.
+
+class Coloring(Record):
+    """A total symmetric coloring given by its row function.
+
+    ``row(lo, his)`` lists the colors of the pairs ``(lo, hi)`` for an
+    ascending ``his`` above ``lo``, as ints, and raises the error of the
+    first pair it cannot color.  It checks neither its arguments nor the
+    range of its colors; :meth:`__call__` and :meth:`split` do.
     """
 
-    __slots__ = ("k", "pair_color", "name", "row_kernel")
+    __slots__ = ("k", "row", "name")
 
-    def __init__(
-        self,
-        k: int,
-        pair_color: Callable[[int, int], int],
-        name: str = "coloring",
-        row_kernel: Optional[Callable[[int, Sequence[int]], list[int]]] = None,
-    ) -> None:
-        super().__init__(k, pair_color, name, row_kernel)
+    def __init__(self, k: int, row: Row, name: str = "coloring") -> None:
+        super().__init__(k, row, name)
 
     def __call__(self, x: int, y: int) -> int:
         if x == y:
             raise ColoringError(f"colorings are defined on distinct pairs, got {x}")
         lo, hi = (x, y) if x < y else (y, x)
-        color = int(self.pair_color(lo, hi))
+        [color] = self.row(lo, (hi,))
         if not 0 <= color < self.k:
             raise self._out_of_range(color)
         return color
 
-    def row(self, lo: int, his: Sequence[int]) -> list[int]:
-        """``[self(lo, hi) for hi in his]`` for an ascending ``his`` above
-        ``lo``: one call of the row kernel, or without one, as for tables,
-        one ``pair_color`` call per pair; and one range check for the
-        whole row."""
+    def split(self, lo: int, his: Sequence[int]) -> dict[int, Sequence[int]]:
+        """``his``, ascending above ``lo``, grouped by the color of their pair
+        with ``lo`` in order of first appearance; a row of one color comes
+        back whole as ``{color: his}``.  The first color out of range in row
+        order raises, as a single call of it does."""
         if his and his[0] <= lo:
             raise ColoringError(f"row of {lo} must lie above it, got {his[0]}")
-        if self.row_kernel is not None:
-            colors = self.row_kernel(lo, his)
+        colors = self.row(lo, his)
+        if colors and colors.count(colors[0]) == len(colors):
+            groups: dict[int, Sequence[int]] = {colors[0]: his}
         else:
-            pair_color = self.pair_color
-            colors = [int(pair_color(lo, hi)) for hi in his]
-        if colors and (min(colors) < 0 or max(colors) >= self.k):
-            raise self._out_of_range(next(c for c in colors if not 0 <= c < self.k))
-        return colors
+            groups = {}
+            for hi, color in zip(his, colors):
+                group = groups.get(color)
+                if group is None:
+                    groups[color] = [hi]
+                else:
+                    group.append(hi)
+        for color in groups:
+            if not 0 <= color < self.k:
+                raise self._out_of_range(color)
+        return groups
 
     def _out_of_range(self, color: int) -> ColoringError:
         return ColoringError(
@@ -105,13 +110,13 @@ def table_coloring(
         if canon.setdefault((lo, hi), int(color)) != int(color):
             raise ColoringError(f"table colors pair ({lo},{hi}) twice")
 
-    def lookup(lo: int, hi: int) -> int:
+    def row(lo: int, his: Sequence[int]) -> list[int]:
         try:
-            return canon[(lo, hi)]
-        except KeyError:
-            raise TableIncomplete((lo, hi)) from None
+            return [canon[lo, hi] for hi in his]
+        except KeyError as missing:
+            raise TableIncomplete(missing.args[0]) from None
 
-    return Coloring(k=k, pair_color=lookup, name=name)
+    return Coloring(k, row, name)
 
 
 def table_from_dict(data: dict) -> Coloring:
@@ -177,5 +182,4 @@ def builtin_coloring(name: str, k: int) -> Coloring:
         raise UnknownBuiltin(name)
     from .dsl import dsl_coloring  # dsl imports this module
 
-    compiled = dsl_coloring(expr, k)
-    return Coloring(k, compiled.pair_color, name, compiled.row_kernel)
+    return Coloring(k, dsl_coloring(expr, k).row, name)

@@ -25,8 +25,8 @@ symmetric and total by construction.
 defines these semantics.  Colorings run compiled code: :func:`compile_row`
 turns the parsed syntax tree into one Python function that colors a whole
 row, a list comprehension over the larger endpoints, generated from the
-tree's literals, variables and operators only.  A row costs one call and
-one loop in compiled code, and a single pair is a row of one.
+tree's literals, variables and operators only: the coloring's one row
+function.  A row costs one call and one loop in compiled code.
 """
 
 from __future__ import annotations
@@ -429,10 +429,4 @@ def dsl_coloring(source: str | Expr, k: int, strict: bool = False) -> Coloring:
     if k < 1:
         raise ColoringError(f"color count k={k} must be at least 1")
     expr = parse(source) if isinstance(source, str) else source
-    row = compile_row(expr, strict, k)
-    return Coloring(
-        k=k,
-        pair_color=lambda lo, hi: row(lo, (hi,))[0],
-        name=f"dsl({to_text(expr)})",
-        row_kernel=row,
-    )
+    return Coloring(k, compile_row(expr, strict, k), f"dsl({to_text(expr)})")

@@ -10,9 +10,9 @@ the tree is colored, pair by pair, by the edge colors along it, and the
 smaller endpoints of same-colored chain edges form a monochromatic set.
 
 :func:`insert` is the reference construction.  :func:`build_erdos` grows
-the same tree top-down, one coloring row per node: each node colors every
-number below it at once and splits them by color among its children.
-Verification of the extracted sets also runs a row per class member.
+the same tree top-down, one :meth:`Coloring.split` per node: each node
+groups every number below it by color at once, a group per child.
+Verification of the extracted sets also splits a row per class member.
 
 Children are color-unique, so the tree keeps all its edges in one map
 keyed ``x * k + c`` and is a finite color tree with node ids in place of
@@ -101,15 +101,13 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     """The tree that inserting 1..size-1 in order builds, grown top-down.
 
     The numbers below node ``x`` are the larger ones that agree with ``x``
-    on the color of every edge to x's ancestors.  ``x`` colors them in one
-    :meth:`Coloring.row` and splits them by color: the smallest member of
-    each color class is x's child of that color and the rest stay below
-    that child; a row of one color passes down whole, unsplit, and a child
-    with nothing below it gets no row.  This evaluates the same pairs as
-    insertion, one per node and ancestor, and meets each node's children in
-    the order insertion attaches them.  When the coloring fails, the tree is
-    built again by insertion so that the error raised is the first one
-    insertion meets.
+    on the color of every edge to x's ancestors.  One :meth:`Coloring.split`
+    groups them by color: the smallest member of each group is x's child of
+    that color and the rest stay below it, and a child with nothing below it
+    gets no row.  This evaluates the same pairs as insertion, one per node
+    and ancestor, and meets each node's children in the order insertion
+    attaches them.  When the coloring fails, the tree is built again by
+    insertion so that the error raised is the first one insertion meets.
     """
     if size < 1:
         raise ErdosError(f"size {size} must be at least 1")
@@ -121,18 +119,7 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     try:
         while work:
             x, below = work.pop()
-            colors = coloring.row(x, below)
-            groups: dict[int, list[int]] = {}
-            if colors and colors.count(colors[0]) == len(colors):
-                groups[colors[0]] = below
-            else:
-                for n, i in zip(below, colors):
-                    group = groups.get(i)
-                    if group is None:
-                        groups[i] = [n]
-                    else:
-                        group.append(n)
-            for i, group in groups.items():
+            for i, group in coloring.split(x, below).items():
                 child = group[0]
                 parent[child], edge_color[child] = x, i
                 children[x * k + i] = child
@@ -198,7 +185,7 @@ def extract_homogeneous(
     ``branch_nodes`` must be a chain of tree nodes, each the parent of the
     next; each consecutive pair ``x`` above ``y`` with edge color ``i`` puts
     ``x`` into class ``i``.  Verification re-checks every pair inside every
-    class against the coloring and never hides a failure.
+    class, a :meth:`Coloring.split` per member, and never hides a failure.
     """
     nodes = tuple(branch_nodes)
     if nodes and not 0 <= nodes[0] < tree.size:
@@ -212,8 +199,8 @@ def extract_homogeneous(
     for i, cls in enumerate(classes):
         members = sorted(cls)
         for j in range(len(members) - 1):
-            row = coloring.row(members[j], members[j + 1 :])
-            if row.count(i) != len(row):
+            rest = members[j + 1 :]
+            if len(coloring.split(members[j], rest).get(i, ())) != len(rest):
                 verified = False
     return HomogeneousReport(
         tree=tree,

@@ -418,11 +418,15 @@ def ancestor_formula_relation(coloring: Coloring, size: int) -> set[tuple[int, i
     x is well-founded because it only consults pairs with smaller first
     component.  Used to cross-check the insertion-descent construction.
     """
+    color_of: list[dict[int, int]] = [{} for _ in range(size)]
+    for z in range(size):
+        for color, his in coloring.split(z, range(z + 1, size)).items():
+            color_of[z].update(dict.fromkeys(his, color))
     rel: set[tuple[int, int]] = set()
     for x in range(size):
         ancestors_of_x = [z for z in range(x) if (z, x) in rel]
         for y in range(x + 1, size):
-            if all(coloring(z, x) == coloring(z, y) for z in ancestors_of_x):
+            if all(color_of[z][x] == color_of[z][y] for z in ancestors_of_x):
                 rel.add((x, y))
     return rel
 
@@ -591,10 +595,13 @@ def random_coloring(seed: int, k: int, size: int) -> Coloring:
     # row lo starts after the size-1-x pairs of every x < lo, at hi = lo + 1
     offset = [x * (2 * size - x - 1) // 2 - x - 1 for x in range(size)]
 
-    def lookup(lo: int, hi: int) -> int:
-        if 0 <= lo < hi < size:
-            return colors[offset[lo] + hi]
-        raise TableIncomplete((lo, hi))
+    def row(lo: int, his: Sequence[int]) -> list[int]:
+        if not his:
+            return []
+        if lo < 0 or his[-1] >= size:
+            raise TableIncomplete((lo, next(h for h in his if lo < 0 or h >= size)))
+        start = offset[lo]
+        return [colors[start + hi] for hi in his]
 
     name = f"random(seed={seed},k={k},size={size})"
-    return Coloring(k=k, pair_color=lookup, name=name)
+    return Coloring(k, row, name)

@@ -109,22 +109,31 @@ def cli_env() -> dict[str, str]:
 @pytest.fixture
 def pair_evaluations(monkeypatch) -> list[int]:
     """One-element list counting the pairs every coloring evaluates, one
-    per ``Coloring.__call__`` and ``len(his)`` per ``Coloring.row``; tests
+    per ``Coloring.__call__`` and ``len(his)`` per ``Coloring.split``; tests
     reset it by assigning ``[0]``."""
     count = [0]
-    call, row = Coloring.__call__, Coloring.row
+    call, split = Coloring.__call__, Coloring.split
 
     def counting_call(self, x, y):
         count[0] += 1
         return call(self, x, y)
 
-    def counting_row(self, lo, his):
+    def counting_split(self, lo, his):
         count[0] += len(his)
-        return row(self, lo, his)
+        return split(self, lo, his)
 
     monkeypatch.setattr(Coloring, "__call__", counting_call)
-    monkeypatch.setattr(Coloring, "row", counting_row)
+    monkeypatch.setattr(Coloring, "split", counting_split)
     return count
+
+
+def first_appearance_groups(his, colors) -> dict:
+    """``{color: [hi, ...]}`` pairing ``his`` with ``colors``, the colors
+    in order of first appearance: what ``Coloring.split`` returns."""
+    groups: dict = {}
+    for hi, color in zip(his, colors):
+        groups.setdefault(color, []).append(hi)
+    return groups
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from colorvisit.cli import SUITE_NAMES, main
@@ -53,13 +54,17 @@ WRONG = {
     "--budget": st.one_of(st.integers(-2, 0).map(str), st_junk),
     "--priority": st.one_of(st.sampled_from(["0", "0,0", "1,0,1", "x", "0,9"]),
                             st_junk),
+    "--emit": st_junk,
+    # an option no command takes
+    "--bogus": st_junk,
 }
 
 
 @st.composite
 def st_options(draw, valid: dict, wrong: dict) -> dict:
     """Each option drawn from its valid values; about one time in two, one
-    option drawn from its wrong values instead."""
+    option drawn from its wrong values instead, where None drops a
+    required option."""
     options = {name: draw(values) for name, values in valid.items()}
     name = draw(st.one_of(st.none(), st.none(), st.sampled_from(sorted(wrong))))
     if name is not None:
@@ -102,13 +107,13 @@ def st_homog(draw) -> dict:
     }
     wrong = {
         **WRONG,
-        source: {
+        source: st.one_of(st.none(), {
             "--builtin": st.one_of(st.sampled_from(
                 [f"constant:{k}", "constant:-1", "block:0", "block:",
                  "table:t.json", "sum-mod "]), st_junk),
             "--coloring": st_junk,
             "--table": st_tree_file,
-        }[source],
+        }[source]),
         "--k": st.one_of(st.none(), st.integers(-2, 0).map(str),
                          st.just(str(k + 1)), st_junk),
         "--horizon": st.one_of(st.integers(-2, 0).map(str), st_junk),
@@ -133,7 +138,7 @@ def st_visit(draw) -> dict:
         **WRONG,
         "--tree": st.one_of(
             st.sampled_from(["full:0", "full:-1", "full:x"]), st_junk,
-            st_junk.map("full:{}".format)),
+            st_junk.map("full:{}".format), st.none()),
         "--root": st.sampled_from(["x", "1,0,5", "-1"]),
     }
     return draw(st_options(valid, wrong))
@@ -147,9 +152,10 @@ def st_check(draw) -> dict:
         "--seed": st.one_of(st.none(), st.integers(-5, 10**6).map(str)),
     }
     wrong = {
-        "--suite": st_junk,
+        "--suite": st.one_of(st_junk, st.none()),
         "--cases": st.one_of(st.integers(-1, 0).map(str), st_junk),
         "--seed": st_junk,
+        "--bogus": st_junk,
     }
     return draw(st_options(valid, wrong))
 
@@ -219,3 +225,19 @@ def test_visit_contract(options, capsys):
 @given(options=st_check())
 def test_check_contract(options, capsys):
     check_contract("check", options, [], capsys, codes=(0, 1, 2))
+
+
+@pytest.mark.parametrize("value", ["a\nb", "a\r\nb", "z\u00e9", "\u2028"])
+def test_argparse_errors_quote_values_as_given(value, capsys):
+    """An invalid choice keeps argparse's own quoting, and an unknown
+    option is echoed with only its line breaks escaped."""
+    homog = ["homog", "--builtin", "sum-mod", "--k", "2"]
+    assert main([*homog, f"--emit={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument --emit: invalid choice: {value!r} ")
+    assert err.count("\n") == 1
+    assert main([*homog, f"--bogus={value}"]) == 2
+    shown = value.replace("\r", "\\r").replace("\n", "\\n")
+    assert capsys.readouterr().err == (
+        f"error: unrecognized arguments: --bogus={shown}\n"
+    )

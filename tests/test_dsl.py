@@ -35,7 +35,7 @@ from colorvisit.dsl import (
     to_text,
 )
 from colorvisit.oracles import evaluate
-from conftest import st_expr
+from conftest import first_appearance_groups, st_expr
 
 
 def test_parse_shapes():
@@ -298,16 +298,21 @@ def compiled_or_error(expr, x, y, strict, k):
 
 def row_reference_or_error(expr, lo, his, strict, k):
     expected = [reference_or_error(expr, lo, hi, strict, k) for hi in his]
-    return DivisionByZero if DivisionByZero in expected else expected
+    if DivisionByZero in expected:
+        return DivisionByZero
+    return expected, first_appearance_groups(his, expected)
 
 
 def row_or_error(expr, lo, his, strict, k):
+    """The row and the split of a compiled coloring, or its error."""
+    coloring = dsl_coloring(expr, k, strict)
     try:
-        colors = dsl_coloring(expr, k, strict).row(lo, his)
+        colors = coloring.row(lo, his)
+        groups = coloring.split(lo, his)
     except DivisionByZero:
         return DivisionByZero
     assert all(type(color) is int for color in colors)
-    return colors
+    return colors, groups
 
 
 def test_depth_limit_counts_nesting_and_chains():
@@ -382,7 +387,7 @@ def test_compiled_evaluator_has_no_builtins():
         "lambda x, ys: [(((x // (2)) + _mod(y, (0))) - _div((3), (y - x))) % (4)"
         " for y in ys]"
     )
-    kernel = dsl_coloring("min(x, y) / (y - x)", 3).row_kernel
+    kernel = dsl_coloring("min(x, y) / (y - x)", 3).row
     assert kernel.__globals__["__builtins__"] == {}
     assert set(kernel.__globals__) == set(fn.__globals__)
 
@@ -403,22 +408,40 @@ def test_row_equals_pairwise_calls(coloring):
     for lo in range(11):
         for start in range(lo + 1, 12):
             his = list(range(start, 12))
-            assert coloring.row(lo, his) == [coloring(lo, hi) for hi in his]
+            colors = [coloring(lo, hi) for hi in his]
+            assert coloring.row(lo, his) == colors
+            # constant:1 and block:4 rows are one color: one group of all his
+            assert coloring.split(lo, his) == first_appearance_groups(his, colors)
+            assert coloring.split(lo, his[::3]) == (
+                first_appearance_groups(his[::3], colors[::3])
+            )
     assert coloring.row(3, []) == []
+    assert coloring.split(3, []) == {}
 
 
 def test_row_errors_match_pairwise_calls():
     table = ROW_COLORINGS[4]
-    with pytest.raises(TableIncomplete) as info:
-        table.row(2, [5, 11, 12])
-    assert info.value.pair == (2, 12)
+    # the first pair outside the table, in a consecutive row, a row with
+    # gaps and a row below 0
+    for lo, his, pair in (
+        (2, [10, 11, 12, 13], (2, 12)),
+        (2, [5, 11, 12, 20], (2, 12)),
+        (-1, [0, 1], (-1, 0)),
+    ):
+        with pytest.raises(TableIncomplete) as info:
+            table.split(lo, his)
+        assert info.value.pair == pair
+        with pytest.raises(TableIncomplete) as single:
+            table(*pair)
+        assert single.value.pair == pair
     with pytest.raises(ColoringError, match="must lie above"):
-        table.row(5, [5, 6])
-    wild = Coloring(k=2, pair_color=lambda lo, hi: 5)
+        table.split(5, [5, 6])
+    # colors 1, 0, 7, 5 for 1, 2, 3, 4: 7 is the first out of range
+    wild = Coloring(2, lambda lo, his: [[1, 0, 7, 5][hi - 1] for hi in his])
     with pytest.raises(ColoringError) as single:
-        wild(0, 1)
+        wild(0, 3)
     with pytest.raises(ColoringError) as row:
-        wild.row(0, [1, 2])
+        wild.split(0, [1, 2, 3, 4])
     assert str(row.value) == str(single.value) == (
-        "coloring produced color 5 outside 0..1"
+        "coloring produced color 7 outside 0..1"
     )

@@ -226,13 +226,13 @@ def test_pair_evaluation_counts(pair_evaluations, tmp_path):
 
 def test_build_colors_no_empty_rows(monkeypatch):
     rows = []
-    row = Coloring.row
+    split = Coloring.split
 
-    def recording_row(self, lo, his):
+    def recording_split(self, lo, his):
         rows.append(len(his))
-        return row(self, lo, his)
+        return split(self, lo, his)
 
-    monkeypatch.setattr(Coloring, "row", recording_row)
+    monkeypatch.setattr(Coloring, "split", recording_split)
     coloring = random_coloring(8, 3, 120)
     tree = build_erdos(coloring, 120)
     assert 0 not in rows
@@ -343,7 +343,9 @@ def test_extract_verification_checks_every_pair():
     tree = build_erdos(builtin_coloring("constant:0", 2), 6)
     for a in range(5):
         for b in range(a + 1, 5):
-            one_off = Coloring(k=2, pair_color=lambda lo, hi: int((lo, hi) == (a, b)))
+            one_off = Coloring(
+                2, lambda lo, his: [int((lo, hi) == (a, b)) for hi in his]
+            )
             report = extract_homogeneous(tree, range(6), one_off)
             assert sorted(report.classes[0]) == [0, 1, 2, 3, 4]
             assert report.verified is False

@@ -20,6 +20,7 @@ from colorvisit.oracles import (
     star_tree,
 )
 from colorvisit.trees import validate_tree
+from conftest import first_appearance_groups
 
 
 def test_all_visits_root_only():
@@ -142,10 +143,27 @@ def test_random_coloring_keeps_the_randrange_stream(seed):
         assert all(coloring(y, x) == c for (x, y), c in expected)
         for lo in range(size - 1):
             his = list(range(lo + 1, size))
-            assert coloring.row(lo, his) == [coloring(lo, hi) for hi in his]
+            colors = [coloring(lo, hi) for hi in his]
+            assert coloring.row(lo, his) == colors
+            assert coloring.split(lo, his) == first_appearance_groups(his, colors)
+            assert coloring.split(lo, his[1::3]) == (
+                first_appearance_groups(his[1::3], colors[1::3])
+            )
+        assert coloring.split(0, []) == {}
         for pair in ((-1, 0), (0, size), (size, size + 3)):
             with pytest.raises(TableIncomplete) as info:
                 coloring(*pair)
+            assert info.value.pair == pair
+        # a row names its first pair outside the table, consecutive or not
+        for lo, his, pair in (
+            (0, list(range(1, size + 2)), (0, size)),
+            (0, [1, size + 1, size + 5], (0, size + 1)),
+            (-1, [0, 1], (-1, 0)),
+            (-1, [0, 2, 5], (-1, 0)),
+            (size, [size + 3, size + 4], (size, size + 3)),
+        ):
+            with pytest.raises(TableIncomplete) as info:
+                coloring.split(lo, his)
             assert info.value.pair == pair
 
 
