@@ -148,9 +148,6 @@ def _homog_coloring(args: argparse.Namespace, k: Optional[int]):
 
 
 def cmd_homog(args: argparse.Namespace) -> int:
-    from . import export
-    from .erdos import homog_pipeline
-
     k = _int_option(args, "k")
     horizon = _int_option(args, "horizon")
     budget = _int_option(args, "budget")
@@ -158,7 +155,13 @@ def cmd_homog(args: argparse.Namespace) -> int:
         raise ValueError(
             f"horizon {horizon} exceeds the limit of {MAX_HORIZON}"
         )
+    # the coloring is compiled before the pipeline's modules load: a bad
+    # expression fails without them, and dsl, the largest module a homog run
+    # compiles from source, compiles on the smallest heap
     coloring = _homog_coloring(args, k)
+    from . import export
+    from .erdos import homog_pipeline
+
     priority = _parse_priority(args.priority, coloring.k)
     report, visit = homog_pipeline(coloring, horizon, budget, priority)
     suffix = {"json": ".json", "dot": ".dot", "text": ".txt"}[args.emit]

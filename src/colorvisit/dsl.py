@@ -19,7 +19,12 @@ division and remainder are totalized at zero (``t / 0 == 0`` and
 
 A coloring built from an expression evaluates it at ``(min(x, y),
 max(x, y))`` and reduces the result modulo the color count, which makes it
-symmetric and total by construction.
+symmetric and total by construction.  Its rows are therefore evaluated under
+``x < y``, and :func:`fold_rows` folds what that decides before compiling:
+``x < y``, ``x <= y`` and ``x != y`` are 1 and ``x == y`` is 0, in either
+order of the operands, ``min`` and ``max`` of ``x`` and ``y`` are ``x`` and
+``y``, and an ``if`` on a literal is its chosen branch.  A row of an
+expression left with no ``y`` has one color, and costs one evaluation.
 
 ``oracles.evaluate``, a tree-walking interpreter, is the reference that
 defines these semantics.  Colorings run compiled code: :func:`compile_row`
@@ -424,9 +429,43 @@ def compile_row(
     return eval(compile(row_source(expr, k), "<coloring>", "eval"), namespace)
 
 
+def fold_rows(expr: Expr) -> Expr:
+    """``expr`` with what a row's ``x < y`` decides folded in: comparisons
+    of ``x`` with ``y`` become 0 or 1, ``min`` and ``max`` of them become
+    ``x`` and ``y``, and an ``if`` on a literal becomes its chosen branch.
+    Nothing that can raise is dropped: the branch an ``if`` skips is never
+    evaluated."""
+    if isinstance(expr, Neg):
+        return Neg(fold_rows(expr.operand))
+    if isinstance(expr, If):
+        cond = fold_rows(expr.cond)
+        if isinstance(cond, Lit):
+            return fold_rows(expr.then if cond.value else expr.orelse)
+        return If(cond, fold_rows(expr.then), fold_rows(expr.orelse))
+    if isinstance(expr, (BinOp, Cmp)):
+        left, right = fold_rows(expr.left), fold_rows(expr.right)
+        if isinstance(left, Var) and isinstance(right, Var) and left != right:
+            if expr.op in ("min", "max"):
+                return Var("x" if expr.op == "min" else "y")
+            if isinstance(expr, Cmp):  # "x" < "y" as names and as values
+                ordered = left.name < right.name
+                return Lit(int(ordered if "<" in expr.op else expr.op == "!="))
+        return type(expr)(expr.op, left, right)
+    return expr
+
+
 def dsl_coloring(source: str | Expr, k: int, strict: bool = False) -> Coloring:
-    """Wrap an expression as a total symmetric coloring with ``k`` colors."""
+    """Wrap an expression as a total symmetric coloring with ``k`` colors.
+
+    Its row is compiled from :func:`fold_rows` of the expression.  When
+    that has no ``y``, every pair of a row has the color of the first, and
+    the row evaluates only that one."""
     if k < 1:
         raise ColoringError(f"color count k={k} must be at least 1")
     expr = parse(source) if isinstance(source, str) else source
-    return Coloring(k, compile_row(expr, strict, k), f"dsl({to_text(expr)})")
+    name = f"dsl({to_text(expr)})"
+    folded = fold_rows(expr)
+    row = compile_row(folded, strict, k)
+    if "y" in _source(folded):  # of all the nodes only Var("y") writes a y
+        return Coloring(k, row, name)
+    return Coloring(k, lambda lo, his: row(lo, his[:1]) * len(his), name)

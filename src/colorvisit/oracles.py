@@ -211,44 +211,41 @@ class _Checker:
             segment = self.entries[lo:m]
             if not is_complete_for(self.tree, segment, rest, check_entries=False):
                 continue
-            if self._segments(m, hi, segment, d0, rotated, prio):
+            if self._segments(0, m, hi, segment, d0, rotated, prio):
                 return True
         return False
 
     def _segments(
         self,
-        start: int,
+        j: int,
+        lo: int,
         hi: int,
         m_entries: tuple[Word, ...],
         d0: int,
         rotated: Word,
         all_colors: Word,
     ) -> bool:
-        """Parse ``entries[start:hi]`` as L_0 * ... * L_{n-1}."""
-
-        def parse(j: int, lo: int) -> bool:
-            if lo == hi:
-                return True
-            head = nth_expansion(
-                self.tree, m_entries, j, d0, check_entries=False
-            )
-            if head is None or self.entries[lo] != head:
-                return False
-            for end in range(lo + 1, hi + 1):
-                if not self.accepts(lo, end, rotated, head):
-                    continue
-                if end == hi:
-                    return True  # last segment needs no completeness
-                if not is_complete_for(
-                    self.tree, self.entries[lo:end], all_colors,
-                    check_entries=False,
-                ):
-                    continue
-                if parse(j + 1, end):
-                    return True
+        """Parse ``entries[lo:hi]`` as L_j * ... * L_{n-1}.  A method, not a
+        recursive closure: a closure that calls itself is a reference cycle,
+        which would keep this checker and its memo alive until the cyclic
+        collector runs."""
+        if lo == hi:
+            return True
+        head = nth_expansion(self.tree, m_entries, j, d0, check_entries=False)
+        if head is None or self.entries[lo] != head:
             return False
-
-        return parse(0, start)
+        for end in range(lo + 1, hi + 1):
+            if not self.accepts(lo, end, rotated, head):
+                continue
+            if end == hi:
+                return True  # last segment needs no completeness
+            if not is_complete_for(
+                self.tree, self.entries[lo:end], all_colors, check_entries=False
+            ):
+                continue
+            if self._segments(j + 1, end, hi, m_entries, d0, rotated, all_colors):
+                return True
+        return False
 
 
 # --- brute-force references -----------------------------------------------------
@@ -398,16 +395,19 @@ def to_word_tree(tree: ErdosTree) -> FiniteColorTree:
 def check_erdos_property(tree: ErdosTree, coloring: Coloring) -> bool:
     """Direct check of the defining property: for every node ``y`` and every
     proper ancestor ``x``, the edge ``{x, y}`` has the color of the tree
-    edge leaving ``x`` toward ``y``.  Quadratically many coloring queries.
+    edge leaving ``x`` toward ``y``.  One coloring row per node, over its
+    descendants, so quadratically many pairs; rows are compared color by
+    color and never grouped.
     """
-    for y in range(1, tree.size):
+    toward: list[dict[int, int]] = [{} for _ in range(tree.size)]
+    for y in range(tree.size):
         z = y
-        while tree.parent[z] is not None:
-            p = tree.parent[z]
-            if coloring(p, y) != tree.edge_color[z]:
-                return False
-            z = p
-    return True
+        while (x := tree.parent[z]) is not None:
+            toward[x][y] = tree.edge_color[z]
+            z = x
+    return all(
+        coloring.row(x, list(t)) == list(t.values()) for x, t in enumerate(toward)
+    )
 
 
 def ancestor_formula_relation(coloring: Coloring, size: int) -> set[tuple[int, int]]:
@@ -418,10 +418,11 @@ def ancestor_formula_relation(coloring: Coloring, size: int) -> set[tuple[int, i
     x is well-founded because it only consults pairs with smaller first
     component.  Used to cross-check the insertion-descent construction.
     """
-    color_of: list[dict[int, int]] = [{} for _ in range(size)]
-    for z in range(size):
-        for color, his in coloring.split(z, range(z + 1, size)).items():
-            color_of[z].update(dict.fromkeys(his, color))
+    # color_of[z][y] is the color of {z, y} for z < y, read a row at a time
+    # and never grouped, so that the reference shares no split with the build
+    color_of = [
+        [None] * (z + 1) + coloring.row(z, range(z + 1, size)) for z in range(size)
+    ]
     rel: set[tuple[int, int]] = set()
     for x in range(size):
         ancestors_of_x = [z for z in range(x) if (z, x) in rel]
@@ -553,6 +554,10 @@ def star_tree(k: int) -> FiniteColorTree:
     )
 
 
+# the bytes.translate tables that shift a byte right by 0..7 bits
+_SHIFTED = tuple(bytes(b >> shift for b in range(256)) for shift in range(8))
+
+
 def random_coloring(seed: int, k: int, size: int) -> Coloring:
     """Uniform independent colors for every unordered pair below ``size``,
     deterministic in the seed.
@@ -580,8 +585,7 @@ def random_coloring(seed: int, k: int, size: int) -> Coloring:
     total = size * (size - 1) // 2
     if bits <= 8:
         shift = 8 - bits
-        table = bytes(b >> shift for b in range(256))
-        reject = bytes(b for b in range(256) if b >> shift >= k)
+        table, reject = _SHIFTED[shift], bytes(range(k << shift, 256))
 
         def draw(m: int) -> Iterable[int]:
             words = getrandbits(32 * m).to_bytes(4 * m, "little")

@@ -495,6 +495,24 @@ HOMOG_PINS = [
          "trace.json": (29660, "7ce7cf2f54ac2cb9a2d7db697acd6d87"
                                "47af019efb848c5d6f9cfaaceff5d75e")},
     ),
+    # recorded before compiled colorings folded the row invariant x < y: two
+    # rows with no y after folding, and one that folds to x + y
+    (
+        ["--builtin", "block:4", "--horizon", "200", "--budget", "400"],
+        {"homog.json": (1463, "ffa0837e2a2e0cab6a6adde40d6e8abe"
+                              "607fe791cb488641fe6fe6570e619d82")},
+    ),
+    (
+        ["--builtin", "constant:1", "--horizon", "200", "--budget", "400"],
+        {"homog.json": (1464, "e1a926a699ba99c1af853cc6d6c727e7"
+                              "b6aa10d2cdd52b4709bfbf5cebce0bbc")},
+    ),
+    (
+        ["--coloring", "if y <= x then y else x + y", "--horizon", "200",
+         "--budget", "400"],
+        {"homog.json": (543, "9646e528b57bc9cb22065720ab04d14a"
+                             "2c72177b6b16ad7dd31fa351775d23d3")},
+    ),
 ]
 
 
@@ -578,7 +596,10 @@ def test_visit_trace_is_written_without_holding_it(tmp_path, capsys):
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("args, pins", HOMOG_PINS, ids=["min-chain", "hash"])
+@pytest.mark.parametrize(
+    "args, pins", HOMOG_PINS,
+    ids=["min-chain", "hash", "block", "constant", "partial-fold"],
+)
 def test_homog_output_bytes_are_pinned(args, pins, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["homog", *args, "--k", "3", "--emit", "json",

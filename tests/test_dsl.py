@@ -30,6 +30,7 @@ from colorvisit.dsl import (
     Var,
     compile_row,
     dsl_coloring,
+    fold_rows,
     parse,
     row_source,
     to_text,
@@ -377,6 +378,83 @@ def test_row_kernel_agrees_with_reference(expr, strict, k, lo, gaps):
     assert row_or_error(expr, lo, his, strict, k) == row_reference_or_error(
         expr, lo, his, strict, k
     )
+
+
+# expressions rich in what a row's x < y decides: comparisons, min and max
+# of x and y, and ifs on them
+st_var = st.sampled_from(["x", "y"]).map(Var)
+st_decided = st.one_of(
+    st.builds(Cmp, st.sampled_from(["<", "<=", "==", "!="]), st_var, st_var),
+    st.builds(BinOp, st.sampled_from(["min", "max"]), st_var, st_var),
+)
+st_row_expr = st.recursive(
+    st.one_of(st.integers(0, 9).map(Lit), st_var, st_decided),
+    lambda inner: st.one_of(
+        inner.map(Neg),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "%", "min", "max"]),
+                  inner, inner),
+        st.builds(Cmp, st.sampled_from(["<", "<=", "==", "!="]), inner, inner),
+        st.builds(If, st.one_of(st_decided, inner), inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@given(
+    expr=st_row_expr,
+    strict=st.booleans(),
+    k=st.integers(1, 5),
+    lo=st_small_or_large,
+    gaps=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10**9)), max_size=8),
+)
+def test_folded_rows_agree_with_reference(expr, strict, k, lo, gaps):
+    his = list(itertools.accumulate(gaps, initial=lo))[1:]
+    row = dsl_coloring(expr, k, strict).row
+    assert row(lo, []) == []
+    expected = []
+    for hi in his:
+        try:
+            expected.append(evaluate(expr, lo, hi, strict) % k)
+        except DivisionByZero as error:
+            # the same error, at the same pair: the pairs before it color
+            assert row(lo, his[: len(expected)]) == expected
+            for failing in (his[: len(expected) + 1], his):
+                with pytest.raises(DivisionByZero) as info:
+                    row(lo, failing)
+                assert str(info.value) == str(error)
+            return
+    assert row(lo, his) == expected
+
+
+class PairByPairForbidden(list):
+    """A row that only a slice or ``len`` may read, not a loop over it."""
+
+    def __iter__(self):
+        raise AssertionError("row evaluated pair by pair")
+
+
+def test_rows_without_y_are_one_evaluation():
+    # the min-chain, block:b and constant:i fold to expressions without y
+    for source in ("if x < y then x else y", "if y <= x then y else min(y, x)",
+                   "x / 4", "2"):
+        assert "y" not in to_text(fold_rows(parse(source)))
+    assert to_text(fold_rows(parse("if y <= x then y else x + y"))) == "x + y"
+    his = PairByPairForbidden(range(10, 200))
+    for coloring, color in (
+        (dsl_coloring("if x < y then x else y", 3), 9 % 3),
+        (builtin_coloring("block:4", 3), 9 // 4 % 3),
+        (builtin_coloring("constant:2", 3), 2),
+    ):
+        assert coloring.row(9, his) == [color] * len(his)
+        assert coloring.row(9, PairByPairForbidden()) == []
+    with pytest.raises(AssertionError, match="pair by pair"):
+        dsl_coloring("if y <= x then y else x + y", 3).row(9, his)
+    # the name keeps the expression as written
+    assert dsl_coloring("min(y, x)", 3).name == "dsl(min(y, x))"
+    strict = dsl_coloring("if x < y then x / 0 else y", 3, strict=True)
+    assert strict.row(4, []) == []
+    with pytest.raises(DivisionByZero, match="division"):
+        strict.row(4, his)
 
 
 def test_compiled_evaluator_has_no_builtins():

@@ -211,6 +211,13 @@ def test_build_raises_the_error_insertion_meets_first():
     )
     with pytest.raises(DivisionByZero, match="division"):
         build_erdos(chain, 6)
+    # rows without y, each evaluated once: node 1's row meets the remainder
+    # at (1, 2), and so does insertion
+    constant = dsl_coloring(
+        "if x == 0 then 0 else if x == 1 then x % 0 else x / 0", 2, strict=True
+    )
+    with pytest.raises(DivisionByZero, match="remainder"):
+        build_erdos(constant, 5)
 
 
 def test_pair_evaluation_counts(pair_evaluations, tmp_path):
@@ -240,13 +247,27 @@ def test_build_colors_no_empty_rows(monkeypatch):
     assert len(rows) == sum(1 for x in range(tree.size) if children_of(tree, x))
 
 
-def test_erdos_property_holds_for_construction():
+def forbid_split(monkeypatch):
+    """The references read colorings a row at a time and never group a row:
+    they must not share the split the build uses."""
+
+    def split(self, lo, his):
+        raise AssertionError("a reference called Coloring.split")
+
+    monkeypatch.setattr(Coloring, "split", split)
+
+
+def test_erdos_property_holds_for_construction(monkeypatch):
     rng = random.Random(17)
+    cases = []
     for _ in range(20):
         k = rng.choice([2, 3, 4])
         size = rng.randint(2, 40)
         coloring = random_coloring(rng.randrange(2**32), k, size)
-        assert check_erdos_property(build_erdos(coloring, size), coloring)
+        cases.append((build_erdos(coloring, size), coloring))
+    forbid_split(monkeypatch)
+    for tree, coloring in cases:
+        assert check_erdos_property(tree, coloring)
 
 
 def test_erdos_property_detects_violation():
@@ -267,8 +288,9 @@ def test_erdos_property_vacuous_on_root():
     assert check_erdos_property(tree, builtin_coloring("sum-mod", 2))
 
 
-def test_ancestor_formula_agrees_with_descent():
+def test_ancestor_formula_agrees_with_descent(monkeypatch):
     rng = random.Random(4)
+    cases = []
     for _ in range(15):
         k = rng.choice([2, 3, 4])
         coloring = random_coloring(rng.randrange(2**32), k, 20)
@@ -276,6 +298,9 @@ def test_ancestor_formula_agrees_with_descent():
         descent = {
             (x, y) for y in range(tree.size) for x in ancestors(tree, y)
         }
+        cases.append((coloring, descent))
+    forbid_split(monkeypatch)
+    for coloring, descent in cases:
         assert descent == ancestor_formula_relation(coloring, 20)
 
 

@@ -1,5 +1,6 @@
 """The brute-force side: exhaustive visit search, generators, agreement."""
 
+import gc
 import itertools
 import random
 
@@ -121,7 +122,7 @@ def test_random_coloring_small_and_deterministic():
         random_coloring(0, 1, 5)
 
 
-STREAM_KS = (2, 3, 4, 255, 256, 300)
+STREAM_KS = (2, 3, 4, 5, 128, 255, 256, 300)
 STREAM_SIZES = (2, 3, 17, 64, 120)
 
 
@@ -165,6 +166,21 @@ def test_random_coloring_keeps_the_randrange_stream(seed):
             with pytest.raises(TableIncomplete) as info:
                 coloring.split(lo, his)
             assert info.value.pair == pair
+
+
+def test_check_visit_leaves_no_reference_cycles():
+    # a checker kept alive by a cycle holds its memo until the cyclic
+    # collector runs; the visits suite made 76 000 such objects per run
+    tree = complete_tree(2, 3)
+    accepted = all_visits(tree, (1, 0), ())
+    gc.collect()
+    gc.disable()
+    try:
+        for entries in accepted:
+            assert check_visit(tree, entries, (1, 0), ())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_all_accepted_lists_are_prefixes_of_each_other():
