@@ -13,15 +13,14 @@ import argparse
 
 from colorvisit.colorings import builtin_coloring
 from colorvisit.erdos import homog_pipeline
-from colorvisit.stability import branch_approx_of
 from colorvisit.trees import unary_tree
 from colorvisit.visit import enumerate_visit
 
 
 def unary_row(budget: int) -> dict[int, int]:
     visit = enumerate_visit(unary_tree(), (0,), (), budget=budget)
-    letters = branch_approx_of(visit.letter, visit.parent)[1:]
-    return {c: letters.count(c) for c in range(visit.tree.k)}
+    letters = [visit.letter[i] for i in visit.branch()[1:]]
+    return {c: letters.count(c) for c in range(visit.k)}
 
 
 def pipeline_row(k: int, budget: int, horizon_factor: int) -> dict[int, int]:

@@ -29,7 +29,6 @@ _EXPORTS = {
     "extract_homogeneous": "erdos",
     "homog_pipeline": "erdos",
     "insert": "erdos",
-    "stable_indices": "stability",
     "ColorTree": "trees",
     "FiniteColorTree": "trees",
     "FullColorTree": "trees",

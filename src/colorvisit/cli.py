@@ -169,7 +169,7 @@ def cmd_homog(args: argparse.Namespace) -> int:
     if args.emit == "json":
         _write(path, export.report_json(report))
     elif args.emit == "dot":
-        _write(path, export.erdos_dot(report.tree, report))
+        _write(path, export.erdos_dot(report))
     else:
         _write(path, export.report_text(report))
     if args.trace_out:

@@ -97,17 +97,22 @@ def table_coloring(
     pairs: Mapping[tuple[int, int], int], k: int, name: str = "table"
 ) -> Coloring:
     """Explicit finite coloring; queries beyond the table raise
-    :class:`TableIncomplete`."""
+    :class:`TableIncomplete`.  Endpoints and colors must be ``int``s: a
+    float, bool or string is rejected, not rounded or read as a number."""
     if k < 1:
         raise ColoringError(f"color count k={k} must be at least 1")
     canon: dict[tuple[int, int], int] = {}
     for (x, y), color in pairs.items():
+        if any(type(v) is not int for v in (x, y, color)):
+            raise ColoringError(
+                f"table pair ({x!r},{y!r}) and color {color!r} must be integers"
+            )
         if x == y:
             raise ColoringError(f"table contains the degenerate pair ({x},{y})")
         lo, hi = (x, y) if x < y else (y, x)
-        if not 0 <= int(color) < k:
+        if not 0 <= color < k:
             raise ColoringError(f"table color {color} outside 0..{k - 1}")
-        if canon.setdefault((lo, hi), int(color)) != int(color):
+        if canon.setdefault((lo, hi), color) != color:
             raise ColoringError(f"table colors pair ({lo},{hi}) twice")
 
     def row(lo: int, his: Sequence[int]) -> list[int]:

@@ -17,9 +17,10 @@ Verification of the extracted sets also splits a row per class member.
 Children are color-unique, so the tree keeps all its edges in one map
 keyed ``x * k + c`` and is a finite color tree with node ids in place of
 words: the priority visit runs on it through :meth:`ErdosTree.child`, and
-the root path of the node it visits last is the branch whose edges yield
-the extracted sets.  A visited node's word is the edge colors on its root
-path; the visit keeps only each node's last one.
+the root path of the node it visits last, :meth:`Visit.branch` read as
+tree nodes, is the branch whose edges yield the extracted sets.  A visited
+node's word is the edge colors on its root path; the visit keeps only each
+node's last one.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .colorings import Coloring, ColoringError
-from .stability import branch_approx_of
-from .visit import Visit, visit_nodes
+from .visit import Visit, VisitError, visit_nodes
 from .words import ROOT, Record, full_priority, validate_priority
 
 
@@ -223,8 +223,9 @@ def homog_pipeline(
     visit starts from the empty word, and its ``letter`` array holds each
     visited node's edge color, so an entry's word is the edge colors on
     that node's root path.  The visit records each entry's parent, so the
-    branch is the chain of visit parents from the last entry, read off as
-    tree nodes.
+    branch is the chain of visit parents from the last entry,
+    :meth:`Visit.branch`, read off as tree nodes.  A bad budget is rejected
+    before the tree is built, since the build colors up to size²/2 pairs.
     """
     if priority is None:
         prio = full_priority(coloring.k)
@@ -234,10 +235,12 @@ def homog_pipeline(
             raise ErdosError(
                 f"pipeline priority must list all {coloring.k} colors, got {prio}"
             )
+    if budget < 1:
+        raise VisitError(f"budget {budget} must be at least 1")
     tree = build_erdos(coloring, size)
     nodes, parent, letter, terminated = visit_nodes(tree, prio, 0, budget)
-    visit = Visit(tree, ROOT, prio, terminated, tuple(parent), tuple(letter))
-    report = extract_homogeneous(tree, branch_approx_of(nodes, parent), coloring)
+    visit = Visit(tree.k, ROOT, prio, terminated, tuple(parent), tuple(letter))
+    report = extract_homogeneous(tree, [nodes[i] for i in visit.branch()], coloring)
     return report, visit
 
 

@@ -5,8 +5,10 @@ runs produce byte-identical files.  The visit trace is written out in that
 same canonical form directly: each entry's word is rendered once from its
 parent's rendering, through ``Visit.parent`` and ``Visit.letter``, so the
 cost is the size of the output rather than one encoder step per letter, and
-no word is spelled as a tuple.  The trace comes as pieces that a writer
-passes on one by one, so the whole text is never held as one string.
+no word is spelled as a tuple.  The stable indices and the branch are the
+visit's own readings, ``Visit.stable`` and ``Visit.branch``.  The trace
+comes as pieces that a writer passes on one by one, so the whole text is
+never held as one string.
 ``oracles.visit_trace`` keeps the dict the trace encodes as the reference.
 """
 
@@ -14,11 +16,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .stability import branch_approx_of, stable_indices
 from .visit import Visit
 
 if TYPE_CHECKING:
-    from .erdos import ErdosTree, HomogeneousReport
+    from .erdos import HomogeneousReport
 
 # Fill colors for per-class node highlighting in DOT output, cycled.
 _PALETTE = (
@@ -95,33 +96,25 @@ def visit_trace_pieces(visit: Visit) -> Iterator[str]:
     one holds only the texts of entries with children still to come, not
     the trace.
     """
-    entries = range(len(visit.parent))
-    branch = branch_approx_of(entries, visit.parent)
     yield '{"branch":'
-    yield from _list_pieces(_open_lists(visit, branch))
-    yield ',"k":' + str(visit.tree.k) + ',"order":'
-    yield from _list_pieces(_open_lists(visit, entries))
+    yield from _list_pieces(_open_lists(visit, visit.branch()))
+    yield ',"k":' + str(visit.k) + ',"order":'
+    yield from _list_pieces(_open_lists(visit, range(len(visit.parent))))
     yield (
         ',"priority":' + _json_ints(visit.priority)
         + ',"root":' + _json_ints(visit.root)
-        + ',"stable":' + _json_ints(stable_indices(visit))
+        + ',"stable":' + _json_ints(visit.stable())
         + ',"terminated":' + ("true" if visit.terminated else "false")
         + "}\n"
     )
 
 
-def visit_trace_json(visit: Visit) -> str:
-    """The trace as one string: the pieces of :func:`visit_trace_pieces`
-    joined."""
-    return "".join(visit_trace_pieces(visit))
-
-
 def visit_dot(visit: Visit) -> str:
     """One DOT node per enumerated word, edges labeled by the final letter,
     stable nodes double-bordered and branch nodes filled."""
-    stable = set(stable_indices(visit))
+    stable = set(visit.stable())
     entries = range(len(visit.parent))
-    branch = set(branch_approx_of(entries, visit.parent))
+    branch = set(visit.branch())
     letters = [opened[1:] for opened in _open_lists(visit, entries)]
     ids = ["n_" + ls.replace(",", "_") if ls else "n" for ls in letters]
     lines = ["digraph visit {", "  rankdir=TB;"]
@@ -146,10 +139,10 @@ def visit_text(visit: Visit) -> str:
     entries = range(len(visit.parent))
     shown = [f"<{opened[1:]}>" for opened in _open_lists(visit, entries)]
     lines = [
-        f"k={visit.tree.k} priority={list(visit.priority)} root={list(visit.root)}",
+        f"k={visit.k} priority={list(visit.priority)} root={list(visit.root)}",
         f"entries={len(visit.parent)} terminated={visit.terminated}",
-        f"stable indices: {list(stable_indices(visit))}",
-        "branch: " + " ".join(branch_approx_of(shown, visit.parent)),
+        f"stable indices: {list(visit.stable())}",
+        "branch: " + " ".join(shown[i] for i in visit.branch()),
         "order: " + " ".join(shown),
     ]
     return "\n".join(lines) + "\n"
@@ -187,15 +180,15 @@ def report_text(report: HomogeneousReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def erdos_dot(tree: ErdosTree, report: HomogeneousReport | None = None) -> str:
-    """DOT rendering of the comparison tree; with a report, branch nodes are
-    bold and every node in class i gets the i-th palette fill."""
-    branch = set(report.branch_nodes) if report else set()
+def erdos_dot(report: HomogeneousReport) -> str:
+    """DOT rendering of a report's comparison tree: branch nodes are bold
+    and every node in class i gets the i-th palette fill."""
+    tree = report.tree
+    branch = set(report.branch_nodes)
     fill: dict[int, str] = {}
-    if report:
-        for i, cls in enumerate(report.classes):
-            for node in cls:
-                fill[node] = _PALETTE[i % len(_PALETTE)]
+    for i, cls in enumerate(report.classes):
+        for node in cls:
+            fill[node] = _PALETTE[i % len(_PALETTE)]
     lines = ["digraph erdos {", "  rankdir=TB;"]
     for n in range(tree.size):
         attrs = [f'label="{n}"']

@@ -361,13 +361,13 @@ def branch_census(entries: Iterable[Word], k: int) -> dict[int, int]:
 
 def visit_trace(visit: Visit) -> dict:
     """The visit trace schema as a dict, with the stable indices and the
-    branch computed from the words alone (quadratic):
-    ``export.visit_trace_json`` must equal its canonical dump byte for
-    byte."""
+    branch computed from the words alone (quadratic): the pieces of
+    ``export.visit_trace_pieces``, joined, must equal its canonical dump
+    byte for byte."""
     order = visit_words(visit)
     deepest = order[-1]
     return {
-        "k": visit.tree.k,
+        "k": visit.k,
         "priority": list(visit.priority),
         "root": list(visit.root),
         "order": [list(w) for w in order],

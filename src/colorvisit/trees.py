@@ -179,13 +179,10 @@ def full_tree(k: int) -> FullColorTree:
     return FullColorTree(k)
 
 
-_BUILTIN_TREES = {"unary": unary_tree}
-
-
 def builtin_tree(name: str) -> FullColorTree:
     """Resolve a builtin tree name: ``unary`` or ``full:<k>``."""
-    if name in _BUILTIN_TREES:
-        return _BUILTIN_TREES[name]()
+    if name == "unary":
+        return unary_tree()
     if name.startswith("full:"):
         try:
             return full_tree(parse_int(name.split(":", 1)[1]))

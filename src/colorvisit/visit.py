@@ -27,8 +27,18 @@ The generator treats nodes as opaque and reaches them only through
 depths of a full tree and the ids of a comparison tree alike.  Its frames
 hold order indices: it records each emitted entry's parent index and last
 letter and orders bases by a walk over those arrays instead of comparing
-words.  :class:`Visit` carries those two arrays and no words, so the stable
-indices, the branch and the exports are read off them.
+words.  :class:`Visit` carries those two arrays and no words, and reads
+its horizon-stable indices and its branch off them.
+
+An index m of a visit is horizon-stable when every later entry is a proper
+descendant of entry m; the last index always qualifies vacuously.  On
+trees with a single infinite branch the horizon-stable set shrinks toward
+the truly stable nodes as the budget grows, and the root path of the last
+entry, which runs through every horizon-stable entry, approximates that
+branch from above.  None of this is assumed anywhere: the package only
+ever asserts it on engineered families where the limit is known.  The
+references that read the words instead, ``oracles.brute_stable_indices``
+and ``oracles.branch_census``, live with the other oracles.
 """
 
 from __future__ import annotations
@@ -53,9 +63,8 @@ class Visit(Record):
     repetitions, are prefix-closed above the root and stay inside the
     restricted subtree of the priority's colors.  ``terminated`` is True
     iff the enumeration ended because the visit got complete, not because
-    the budget ran out.  ``tree`` is the visited tree, a color tree or the
-    comparison tree of a homog run; only its color count ``k`` is read off
-    a visit.
+    the budget ran out.  ``k`` is the color count of the visited tree, a
+    color tree or the comparison tree of a homog run.
 
     Entry i's word is ``root`` followed by the letters on its parent chain.
     No word is kept, since a chain of depth n would hold n²/2 letters;
@@ -63,18 +72,51 @@ class Visit(Record):
     safe to share.
     """
 
-    __slots__ = ("tree", "root", "priority", "terminated", "parent", "letter")
+    __slots__ = ("k", "root", "priority", "terminated", "parent", "letter")
 
     def __init__(
         self,
-        tree: ColorTree,
+        k: int,
         root: Word,
         priority: Word,
         terminated: bool,
         parent: tuple[int, ...],
         letter: tuple[int, ...],
     ) -> None:
-        super().__init__(tree, root, priority, terminated, parent, letter)
+        super().__init__(k, root, priority, terminated, parent, letter)
+
+    def stable(self) -> tuple[int, ...]:
+        """The horizon-stable indices: all m whose entry's word is a proper
+        prefix of every later entry's.
+
+        Parents come before their children, so the descendants of entry m
+        all lie at or after m, and m qualifies exactly when its subtree
+        holds all ``n - m`` entries from m on; one right-to-left pass adds
+        each entry's subtree size to its parent's.
+        """
+        parent = self.parent
+        n = len(parent)
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[parent[i]] += size[i]
+        return tuple(m for m in range(n) if size[m] == n - m)
+
+    def branch(self) -> tuple[int, ...]:
+        """The indices on the root path of the last entry, from the root.
+
+        The horizon-stable entries form a prefix chain ending at the last
+        entry, so this is the chain through all of them.  Map the indices
+        to read other items: ``letter[i]`` gives the edge colors (-1 at the
+        root), the words of ``oracles.visit_words`` the branch words.
+        """
+        parent = self.parent
+        chain = []
+        i = len(parent) - 1
+        while i >= 0:
+            chain.append(i)
+            i = parent[i]
+        chain.reverse()
+        return tuple(chain)
 
 
 def lex_order(parent: Sequence[int], letter: Sequence[int], head: int) -> list[int]:
@@ -206,4 +248,4 @@ def enumerate_visit(
     _, parent, letter, terminated = visit_nodes(
         tree, prio, tree.node(root), budget
     )
-    return Visit(tree, root, prio, terminated, tuple(parent), tuple(letter))
+    return Visit(tree.k, root, prio, terminated, tuple(parent), tuple(letter))

@@ -37,7 +37,6 @@ from colorvisit.oracles import (
     star_tree,
     visit_words,
 )
-from colorvisit.stability import stable_indices
 from colorvisit.trees import save_tree, unary_tree
 from colorvisit.visit import enumerate_visit
 
@@ -275,7 +274,7 @@ def test_criterion_8_branch_reflection():
     budgets = (100, 400, 1600)
 
     def stable_chain_ok(visit, order):
-        ws = [order[m] for m in stable_indices(visit)]
+        ws = [order[m] for m in visit.stable()]
         return all(b[: len(a)] == a for a, b in zip(ws, ws[1:]))
 
     # unary chain: color 0 occurs unboundedly

@@ -18,7 +18,7 @@ from colorvisit.export import (
     report_json,
     visit_dot,
     visit_text,
-    visit_trace_json,
+    visit_trace_pieces,
 )
 from colorvisit.oracles import complete_tree, visit_trace
 from colorvisit.trees import save_tree
@@ -444,7 +444,7 @@ def test_exports_render_reports():
     data = report_dict(report)
     assert set(data) == {"k", "N", "branch", "H", "verified", "census"}
     assert report_json(report).endswith("\n")
-    dot = erdos_dot(report.tree, report)
+    dot = erdos_dot(report)
     assert dot.startswith("digraph erdos {") and "penwidth=2" in dot
     trace = visit_trace(visit)
     assert set(trace) == {
@@ -475,7 +475,7 @@ def test_trace_json_matches_library_rendering(tree_file, tmp_path):
         "visit", "--tree", str(tree_file), "--priority", "0,1",
         "--budget", "100", "--out", str(out),
     ])
-    assert out.read_text() == visit_trace_json(visit)
+    assert out.read_text() == "".join(visit_trace_pieces(visit))
 
 
 # sha256 and length of outputs recorded before homog compiled its coloring

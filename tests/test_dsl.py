@@ -15,6 +15,7 @@ from colorvisit.colorings import (
     TableIncomplete,
     UnknownBuiltin,
     builtin_coloring,
+    table_coloring,
     table_from_dict,
 )
 from colorvisit.dsl import (
@@ -268,6 +269,20 @@ def test_table_accepts_json_integers_only():
             table_from_dict({"k": k, "pairs": [[0, 1, 0]]})
     big = table_from_dict({"k": 3, "pairs": [[0, 2**70, 2]]})
     assert big(2**70, 0) == 2
+
+
+def test_table_coloring_takes_ints_only():
+    # a float, bool or str color is not rounded or read, nor is an endpoint
+    for pairs in (
+        {(0, 1): 1.9},
+        {(0, 2): True},
+        {(1, 2): "1"},
+        {(0.0, 1): 1},
+        {(0, 1.5): 0},
+    ):
+        with pytest.raises(ColoringError, match="must be integers"):
+            table_coloring(pairs, 2)
+    assert table_coloring({(0, 1): 1, (2, 0): 0}, 2).row(0, [1, 2]) == [1, 0]
 
 
 def test_table_rejects_conflicts_and_bad_colors():

@@ -31,8 +31,7 @@ from colorvisit.oracles import (
     to_word_tree,
     visit_words,
 )
-from colorvisit.stability import branch_approx_of
-from colorvisit.visit import enumerate_visit
+from colorvisit.visit import VisitError, enumerate_visit
 from colorvisit.words import full_priority
 
 
@@ -444,6 +443,15 @@ def test_pipeline_priority_must_cover_all_colors():
     assert report.verified
 
 
+def test_pipeline_rejects_a_bad_budget_before_the_build():
+    def row(lo, his):
+        raise AssertionError(f"colored the row of {lo}")
+
+    for budget in (0, -3):
+        with pytest.raises(VisitError, match=f"budget {budget} must be at least 1"):
+            homog_pipeline(Coloring(3, row), 10**5, budget)
+
+
 def test_pipeline_verified_on_random_colorings():
     rng = random.Random(23)
     for _ in range(15):
@@ -457,7 +465,8 @@ def test_pipeline_verified_on_random_colorings():
 def test_census_equals_class_sizes():
     report, visit = homog_pipeline(builtin_coloring("sum-mod", 2), 50, 500)
     assert report.census == {i: len(c) for i, c in enumerate(report.classes)}
-    branch = branch_approx_of(visit_words(visit), visit.parent)
+    order = visit_words(visit)
+    branch = [order[i] for i in visit.branch()]
     assert report.census == branch_census(branch, 2)
 
 

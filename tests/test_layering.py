@@ -129,7 +129,7 @@ def test_visit_run_loads_only_the_visit_modules(tmp_path, cli_env):
         tmp_path, cli_env)
     assert code == 0
     assert package_modules(modules) == {
-        "cli", "words", "trees", "visit", "stability", "export"}
+        "cli", "words", "trees", "visit", "export"}
     # the trace of a builtin tree is written without the json module
     assert not {"dataclasses", "random", "json"} & modules
 
@@ -143,7 +143,7 @@ def test_homog_run_loads_no_reference_module(tmp_path, cli_env):
             tmp_path, cli_env)
         assert code == 0
         assert package_modules(modules) == {
-            "cli", "words", "trees", "visit", "stability", "export",
+            "cli", "words", "trees", "visit", "export",
             "colorings", "dsl", "erdos"}
         assert not {"dataclasses", "random"} & modules
 
@@ -156,7 +156,7 @@ def test_homog_table_loads_no_dsl(tmp_path, cli_env):
         tmp_path, cli_env)
     assert code == 0
     assert package_modules(modules) == {
-        "cli", "words", "trees", "visit", "stability", "export",
+        "cli", "words", "trees", "visit", "export",
         "colorings", "erdos"}
 
 

@@ -9,7 +9,7 @@ from hypothesis import given
 
 from colorvisit.dsl import dsl_coloring
 from colorvisit.erdos import build_erdos
-from colorvisit.export import dumps_canonical, visit_trace_json
+from colorvisit.export import dumps_canonical, visit_trace_pieces
 from colorvisit.oracles import (
     TreeGenParams,
     all_visits,
@@ -23,7 +23,6 @@ from colorvisit.oracles import (
     visit_trace,
     visit_words,
 )
-from colorvisit.stability import stable_indices
 from colorvisit.suites import tree_corpus
 from colorvisit.trees import (
     OracleColorTree,
@@ -62,7 +61,7 @@ def test_parent_is_the_index_of_the_one_letter_prefix(visit):
 
 @given(visit=st_visits())
 def test_trace_json_matches_the_reference_dict(visit):
-    assert visit_trace_json(visit) == dumps_canonical(visit_trace(visit))
+    assert "".join(visit_trace_pieces(visit)) == dumps_canonical(visit_trace(visit))
 
 
 def test_trace_json_matches_the_reference_on_oracle_trees():
@@ -73,7 +72,7 @@ def test_trace_json_matches_the_reference_on_oracle_trees():
         (unary_tree(), (), (), 5),
     ):
         visit = enumerate_visit(tree, priority, root, budget)
-        assert visit_trace_json(visit) == dumps_canonical(visit_trace(visit))
+        assert "".join(visit_trace_pieces(visit)) == dumps_canonical(visit_trace(visit))
 
 
 def test_golden_trace_unary_budget():
@@ -150,7 +149,7 @@ def test_lex_order_sorts_by_words(visit):
     # from every horizon-stable index on, the entries are its descendants
     order = visit_words(visit)
     letter = [-1] + [w[-1] for w in order[1:]]
-    for m in stable_indices(visit):
+    for m in visit.stable():
         assert lex_order(visit.parent, letter, m) == sorted(
             range(m, len(order)), key=order.__getitem__
         )
@@ -265,7 +264,8 @@ def test_full_tree_visits_like_its_word_oracle():
                     assert (a.parent, a.letter, a.terminated) == (
                         b.parent, b.letter, b.terminated)
                     assert visit_words(a) == visit_words(b)
-                    assert visit_trace_json(a) == visit_trace_json(b)
+                    assert "".join(visit_trace_pieces(a)) == "".join(
+                        visit_trace_pieces(b))
                     runs += 1
     assert runs == 3 * 4 * (2 + 2 + 5 + 16)
 
