@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, NoReturn, Optional, Sequence, Union
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .words import full_priority, parse_int, parse_word, validate_priority
 
@@ -85,16 +85,12 @@ def _parse_priority(text: Optional[str], k: int) -> tuple[int, ...]:
     return priority
 
 
-def _write(path: Path, payload: Union[str, Iterable[str]]) -> None:
-    """Write a string, or pieces of text in order without joining them."""
+def _write(path: Path, pieces: Iterable[str]) -> None:
+    """Write pieces of text in order, each as it is made, without joining
+    them: a renderer's output is never held whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(payload, str):
-        # encoding a multi-megabyte text in one piece would hold a second
-        # full copy of it; slices keep the extra memory to one slice
-        text = payload
-        payload = (text[i : i + (1 << 20)] for i in range(0, len(text), 1 << 20))
     with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(payload)
+        fh.writelines(pieces)
 
 
 def cmd_visit(args: argparse.Namespace) -> int:
@@ -111,14 +107,13 @@ def cmd_visit(args: argparse.Namespace) -> int:
     priority = _parse_priority(args.priority, tree.k)
     root = parse_word(args.root)
     visit = enumerate_visit(tree, priority, root, _int_option(args, "budget"))
-    suffix = {"json": ".json", "dot": ".dot", "text": ".txt"}[args.emit]
-    path = _out_path(args.out, "visit" + suffix)
-    if args.emit == "json":
-        _write(path, export.visit_trace_pieces(visit))
-    elif args.emit == "dot":
-        _write(path, export.visit_dot(visit))
-    else:
-        _write(path, export.visit_text(visit))
+    name, render = {
+        "json": ("visit.json", export.visit_trace_pieces),
+        "dot": ("visit.dot", export.visit_dot),
+        "text": ("visit.txt", export.visit_text),
+    }[args.emit]
+    path = _out_path(args.out, name)
+    _write(path, render(visit))
     print(
         f"visit: {len(visit.parent)} entries, terminated={visit.terminated}, "
         f"wrote {path}"
@@ -155,6 +150,8 @@ def cmd_homog(args: argparse.Namespace) -> int:
         raise ValueError(
             f"horizon {horizon} exceeds the limit of {MAX_HORIZON}"
         )
+    if horizon < 1:
+        raise ValueError(f"--horizon {horizon} must be at least 1")
     # the coloring is compiled before the pipeline's modules load: a bad
     # expression fails without them, and dsl, the largest module a homog run
     # compiles from source, compiles on the smallest heap
@@ -164,14 +161,13 @@ def cmd_homog(args: argparse.Namespace) -> int:
 
     priority = _parse_priority(args.priority, coloring.k)
     report, visit = homog_pipeline(coloring, horizon, budget, priority)
-    suffix = {"json": ".json", "dot": ".dot", "text": ".txt"}[args.emit]
-    path = _out_path(args.out, "homog" + suffix)
-    if args.emit == "json":
-        _write(path, export.report_json(report))
-    elif args.emit == "dot":
-        _write(path, export.erdos_dot(report))
-    else:
-        _write(path, export.report_text(report))
+    name, render = {
+        "json": ("homog.json", export.report_json),
+        "dot": ("homog.dot", export.erdos_dot),
+        "text": ("homog.txt", export.report_text),
+    }[args.emit]
+    path = _out_path(args.out, name)
+    _write(path, render(report))
     if args.trace_out:
         _write(Path(args.trace_out), export.visit_trace_pieces(visit))
     sizes = " ".join(f"H{i}={len(c)}" for i, c in enumerate(report.classes))

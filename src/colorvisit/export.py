@@ -6,9 +6,10 @@ same canonical form directly: each entry's word is rendered once from its
 parent's rendering, through ``Visit.parent`` and ``Visit.letter``, so the
 cost is the size of the output rather than one encoder step per letter, and
 no word is spelled as a tuple.  The stable indices and the branch are the
-visit's own readings, ``Visit.stable`` and ``Visit.branch``.  The trace
-comes as pieces that a writer passes on one by one, so the whole text is
-never held as one string.
+visit's own readings, ``Visit.stable`` and ``Visit.branch``.  Every renderer
+yields pieces of text that a writer passes on one by one, made as they are
+taken, so no output is ever held as one string; the visit's DOT and text
+renderings hold no more word texts than its trace.
 ``oracles.visit_trace`` keeps the dict the trace encodes as the reference.
 """
 
@@ -109,43 +110,48 @@ def visit_trace_pieces(visit: Visit) -> Iterator[str]:
     )
 
 
-def visit_dot(visit: Visit) -> str:
+def _dot_id(opened: str) -> str:
+    return "n_" + opened[1:].replace(",", "_") if len(opened) > 1 else "n"
+
+
+def visit_dot(visit: Visit) -> Iterator[str]:
     """One DOT node per enumerated word, edges labeled by the final letter,
-    stable nodes double-bordered and branch nodes filled."""
+    stable nodes double-bordered and branch nodes filled.  The nodes and
+    then the edges each take one pass over the open texts: an edge's parent
+    text is its child's up to the last comma."""
     stable = set(visit.stable())
     entries = range(len(visit.parent))
     branch = set(visit.branch())
-    letters = [opened[1:] for opened in _open_lists(visit, entries)]
-    ids = ["n_" + ls.replace(",", "_") if ls else "n" for ls in letters]
-    lines = ["digraph visit {", "  rankdir=TB;"]
-    for i, ls in enumerate(letters):
-        attrs = [f'label="<{ls}>"']
+    yield "digraph visit {\n  rankdir=TB;\n"
+    for i, opened in enumerate(_open_lists(visit, entries)):
+        attrs = f'label="<{opened[1:]}>"'
         if i in branch:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=lightblue")
+            attrs += ", style=filled, fillcolor=lightblue"
         if i in stable:
-            attrs.append("peripheries=2")
-        lines.append(f"  {ids[i]} [{', '.join(attrs)}];")
-    for i in range(1, len(ids)):
-        lines.append(
-            f'  {ids[visit.parent[i]]} -> {ids[i]} [label="{visit.letter[i]}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            attrs += ", peripheries=2"
+        yield f"  {_dot_id(opened)} [{attrs}];\n"
+    for i, opened in enumerate(_open_lists(visit, entries)):
+        if i:
+            above = _dot_id(opened[: max(opened.rfind(","), 1)])
+            yield f'  {above} -> {_dot_id(opened)} [label="{visit.letter[i]}"];\n'
+    yield "}\n"
 
 
-def visit_text(visit: Visit) -> str:
+def visit_text(visit: Visit) -> Iterator[str]:
     """Short human-readable summary of a run."""
     entries = range(len(visit.parent))
-    shown = [f"<{opened[1:]}>" for opened in _open_lists(visit, entries)]
-    lines = [
-        f"k={visit.k} priority={list(visit.priority)} root={list(visit.root)}",
-        f"entries={len(visit.parent)} terminated={visit.terminated}",
-        f"stable indices: {list(visit.stable())}",
-        "branch: " + " ".join(shown[i] for i in visit.branch()),
-        "order: " + " ".join(shown),
-    ]
-    return "\n".join(lines) + "\n"
+    yield (
+        f"k={visit.k} priority={list(visit.priority)} root={list(visit.root)}\n"
+        f"entries={len(entries)} terminated={visit.terminated}\n"
+        f"stable indices: {list(visit.stable())}\n"
+        "branch:"
+    )
+    for opened in _open_lists(visit, visit.branch()):
+        yield f" <{opened[1:]}>"
+    yield "\norder:"
+    for opened in _open_lists(visit, entries):
+        yield f" <{opened[1:]}>"
+    yield "\n"
 
 
 # --- homogeneity reports --------------------------------------------------------
@@ -164,23 +170,22 @@ def report_dict(report: HomogeneousReport) -> dict:
     }
 
 
-def report_json(report: HomogeneousReport) -> str:
-    return dumps_canonical(report_dict(report))
+def report_json(report: HomogeneousReport) -> Iterator[str]:
+    yield dumps_canonical(report_dict(report))
 
 
-def report_text(report: HomogeneousReport) -> str:
-    lines = [f"k={report.k} N={report.size} verified={report.verified}"]
+def report_text(report: HomogeneousReport) -> Iterator[str]:
+    yield f"k={report.k} N={report.size} verified={report.verified}\n"
     for i, cls in enumerate(report.classes):
         members = sorted(cls)
         shown = ", ".join(str(m) for m in members[:12])
         if len(members) > 12:
             shown += ", ..."
-        lines.append(f"H{i} ({len(members)}): {{{shown}}}")
-    lines.append("branch nodes: " + " ".join(str(n) for n in report.branch_nodes))
-    return "\n".join(lines) + "\n"
+        yield f"H{i} ({len(members)}): {{{shown}}}\n"
+    yield "branch nodes: " + " ".join(str(n) for n in report.branch_nodes) + "\n"
 
 
-def erdos_dot(report: HomogeneousReport) -> str:
+def erdos_dot(report: HomogeneousReport) -> Iterator[str]:
     """DOT rendering of a report's comparison tree: branch nodes are bold
     and every node in class i gets the i-th palette fill."""
     tree = report.tree
@@ -189,16 +194,14 @@ def erdos_dot(report: HomogeneousReport) -> str:
     for i, cls in enumerate(report.classes):
         for node in cls:
             fill[node] = _PALETTE[i % len(_PALETTE)]
-    lines = ["digraph erdos {", "  rankdir=TB;"]
+    yield "digraph erdos {\n  rankdir=TB;\n"
     for n in range(tree.size):
-        attrs = [f'label="{n}"']
+        attrs = f'label="{n}"'
         if n in fill:
-            attrs.append("style=filled")
-            attrs.append(f"fillcolor={fill[n]}")
+            attrs += f", style=filled, fillcolor={fill[n]}"
         if n in branch:
-            attrs.append("penwidth=2")
-        lines.append(f"  v{n} [{', '.join(attrs)}];")
+            attrs += ", penwidth=2"
+        yield f"  v{n} [{attrs}];\n"
     for n in range(1, tree.size):
-        lines.append(f'  v{tree.parent[n]} -> v{n} [label="{tree.edge_color[n]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  v{tree.parent[n]} -> v{n} [label="{tree.edge_color[n]}"];\n'
+    yield "}\n"

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given
 
 from colorvisit.cli import MAX_COLORS, MAX_HORIZON, main
 from colorvisit.colorings import builtin_coloring
@@ -20,9 +21,14 @@ from colorvisit.export import (
     visit_text,
     visit_trace_pieces,
 )
-from colorvisit.oracles import complete_tree, visit_trace
-from colorvisit.trees import save_tree
-from conftest import MAX_ERROR_LINE
+from colorvisit.oracles import (
+    brute_stable_indices,
+    complete_tree,
+    visit_trace,
+    visit_words,
+)
+from colorvisit.trees import full_tree, save_tree
+from conftest import MAX_ERROR_LINE, st_visits
 from colorvisit.visit import enumerate_visit
 
 GOLDEN = [[], [1], [1, 1], [0], [0, 0], [0, 1], [1, 0]]
@@ -145,7 +151,7 @@ def test_visit_dot_output(tree_file, tmp_path):
 
 def test_visit_dot_and_text_from_an_inner_root(binary_depth2):
     visit = enumerate_visit(binary_depth2, (0, 1), (1,), budget=100)
-    assert visit_dot(visit) == (
+    assert "".join(visit_dot(visit)) == (
         "digraph visit {\n"
         "  rankdir=TB;\n"
         '  n_1 [label="<1>", style=filled, fillcolor=lightblue, peripheries=2];\n'
@@ -155,7 +161,7 @@ def test_visit_dot_and_text_from_an_inner_root(binary_depth2):
         '  n_1 -> n_1_0 [label="0"];\n'
         "}\n"
     )
-    assert visit_text(visit) == (
+    assert "".join(visit_text(visit)) == (
         "k=2 priority=[0, 1] root=[1]\n"
         "entries=3 terminated=True\n"
         "stable indices: [0, 2]\n"
@@ -166,7 +172,7 @@ def test_visit_dot_and_text_from_an_inner_root(binary_depth2):
 
 def test_visit_dot_and_text_of_a_cut_visit(binary_depth2):
     visit = enumerate_visit(binary_depth2, (1, 0), (), budget=4)
-    assert visit_dot(visit) == (
+    assert "".join(visit_dot(visit)) == (
         "digraph visit {\n"
         "  rankdir=TB;\n"
         '  n [label="<>", style=filled, fillcolor=lightblue, peripheries=2];\n'
@@ -178,13 +184,76 @@ def test_visit_dot_and_text_of_a_cut_visit(binary_depth2):
         '  n -> n_1 [label="1"];\n'
         "}\n"
     )
-    assert visit_text(visit) == (
+    assert "".join(visit_text(visit)) == (
         "k=2 priority=[1, 0] root=[]\n"
         "entries=4 terminated=False\n"
         "stable indices: [0, 3]\n"
         "branch: <> <1>\n"
         "order: <> <0> <0,0> <1>\n"
     )
+
+
+def _letters(word):
+    return ",".join(map(str, word))
+
+
+def reference_dot_and_text(visit):
+    """The lines of the DOT and text renderings of ``visit``, built from its
+    words, with the stable indices and the branch found from the words alone
+    (quadratic)."""
+    order = visit_words(visit)
+    stable = set(brute_stable_indices(order))
+    deepest = order[-1]
+    branch = [deepest[:i] for i in range(len(visit.root), len(deepest) + 1)]
+
+    def ident(word):
+        return "n" + "".join(f"_{c}" for c in word)
+
+    lines = ["digraph visit {", "  rankdir=TB;"]
+    for i, word in enumerate(order):
+        attrs = [f'label="<{_letters(word)}>"']
+        if word in branch:
+            attrs += ["style=filled", "fillcolor=lightblue"]
+        if i in stable:
+            attrs.append("peripheries=2")
+        lines.append(f"  {ident(word)} [{', '.join(attrs)}];")
+    for word in order[1:]:
+        lines.append(f'  {ident(word[:-1])} -> {ident(word)} [label="{word[-1]}"];')
+    lines.append("}")
+    text = [
+        f"k={visit.k} priority={list(visit.priority)} root={list(visit.root)}",
+        f"entries={len(order)} terminated={visit.terminated}",
+        f"stable indices: {sorted(stable)}",
+        "branch:" + "".join(f" <{_letters(w)}>" for w in branch),
+        "order:" + "".join(f" <{_letters(w)}>" for w in order),
+    ]
+    return lines, text
+
+
+def assert_renders_as_the_reference(visit):
+    # compared line by line, so that a failure names the first line that
+    # differs rather than diffing two long texts
+    dot, text = reference_dot_and_text(visit)
+    assert "".join(visit_dot(visit)).split("\n") == [*dot, ""]
+    assert "".join(visit_text(visit)).split("\n") == [*text, ""]
+
+
+@given(visit=st_visits())
+def test_visit_dot_and_text_match_the_word_reference(visit):
+    assert_renders_as_the_reference(visit)
+
+
+@pytest.mark.parametrize(
+    "tree, root",
+    [(full_tree(12), ()), (full_tree(12), (10, 11)), (complete_tree(12, 2), ())],
+    ids=["full-empty-root", "full-two-digit-root", "complete-mixed-letters"],
+)
+def test_visit_dot_and_text_with_two_digit_letters(tree, root):
+    # an edge's parent is its child's text up to the last comma, which must
+    # hold for two-digit letters under the empty root and an inner one
+    visit = enumerate_visit(tree, (0, 3, 10, 11), root, budget=40)
+    assert max(visit.letter) >= 10
+    assert_renders_as_the_reference(visit)
 
 
 def test_homog_writes_report(tmp_path):
@@ -290,8 +359,14 @@ def test_color_counts_above_the_cap_are_rejected_first(tmp_path, capsys):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
-def test_homog_bad_horizon():
-    assert main(["homog", "--coloring", "x", "--k", "2", "--horizon", "0"]) == 2
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_homog_bad_horizon(horizon, capsys):
+    # the message names the option given, not the comparison tree's size
+    assert main(["homog", "--coloring", "x", "--k", "2",
+                 "--horizon", horizon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --horizon {horizon} must be at least 1\n"
 
 
 def test_horizons_above_the_cap_are_rejected_first(tmp_path, capsys, monkeypatch):
@@ -443,14 +518,14 @@ def test_exports_render_reports():
     report, visit = homog_pipeline(coloring, 20, 200)
     data = report_dict(report)
     assert set(data) == {"k", "N", "branch", "H", "verified", "census"}
-    assert report_json(report).endswith("\n")
-    dot = erdos_dot(report)
+    assert "".join(report_json(report)).endswith("\n")
+    dot = "".join(erdos_dot(report))
     assert dot.startswith("digraph erdos {") and "penwidth=2" in dot
     trace = visit_trace(visit)
     assert set(trace) == {
         "k", "priority", "root", "order", "terminated", "stable", "branch",
     }
-    assert visit_dot(visit).startswith("digraph visit {")
+    assert "".join(visit_dot(visit)).startswith("digraph visit {")
 
 
 def test_cli_outputs_are_byte_identical_across_runs(tmp_path, tree_file,
@@ -479,19 +554,29 @@ def test_trace_json_matches_library_rendering(tree_file, tmp_path):
 
 
 # sha256 and length of outputs recorded before homog compiled its coloring
-# rows; any change to the tree, the visit, the branch or the report shows
+# rows; any change to the tree, the visit, the branch or the report shows.
+# The DOT and text reports were recorded while their renderers returned one
+# string.
 HOMOG_PINS = [
     (
         ["--coloring", "if x < y then x else y", "--horizon", "200",
          "--budget", "400"],
         {"homog.json": (1463, "3a891b6e730671ddc89a67691e993722"
-                              "d86917e7635e0d9588c057d98cea44b9")},
+                              "d86917e7635e0d9588c057d98cea44b9"),
+         "homog.dot": (18997, "455ddbe193401346207d1bd33ebaa849"
+                              "1bd31b511b21886f6089e05199e43035"),
+         "homog.txt": (907, "247cda3a5b97661d2576c3faa04582aa"
+                            "949689a60b799fb2a5a5ef1cbc7d1a47")},
     ),
     (
         ["--coloring", "((x * 56340 + y) * (y * 26247 + x) + 49673) % 65521",
          "--horizon", "2000", "--budget", "4000", "--trace-out", "trace.json"],
         {"homog.json": (138, "d0ace9eee6cc476fc455b0fc04737035"
                              "d6e01e5bcfce3a4c7beb75b3e95b285d"),
+         "homog.dot": (102994, "9a18a1af1dad1e064853c59d7a005e8a"
+                               "ec815a4f831df2a0f032719eae639dc7"),
+         "homog.txt": (126, "f185a591766e23e62d783ac5d90c0272"
+                            "9dfcba412d88fa1a7143ab1b568dde96"),
          "trace.json": (29660, "7ce7cf2f54ac2cb9a2d7db697acd6d87"
                                "47af019efb848c5d6f9cfaaceff5d75e")},
     ),
@@ -580,14 +665,16 @@ def test_builtin_visit_output_bytes_are_pinned(name, tmp_path, capsys):
     assert (len(data), hashlib.sha256(data).hexdigest()) == pin
 
 
-def test_visit_trace_is_written_without_holding_it(tmp_path, capsys):
-    # the trace of a 3000-deep chain is 18 MB of JSON; rendered as it is
-    # written, only about one root path of it is held at a time
-    out = tmp_path / "deep.json"
+@pytest.mark.parametrize("emit", ["json", "dot", "text"])
+def test_visit_trace_is_written_without_holding_it(emit, tmp_path, capsys):
+    # the output of a 3000-deep chain is 18 MB of JSON or text, 36 MB of DOT;
+    # rendered as it is written, only about one root path of it is held at
+    # a time
+    out = tmp_path / f"deep.{emit}"
     tracemalloc.start()
     try:
         assert main(["visit", "--tree", "full:2", "--priority", "0,1",
-                     "--budget", "3000", "--out", str(out)]) == 0
+                     "--budget", "3000", "--emit", emit, "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -602,8 +689,12 @@ def test_visit_trace_is_written_without_holding_it(tmp_path, capsys):
 )
 def test_homog_output_bytes_are_pinned(args, pins, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert main(["homog", *args, "--k", "3", "--emit", "json",
-                 "--out", "homog.json"]) == 0
+    for emit, name in [("json", "homog.json"), ("dot", "homog.dot"),
+                       ("text", "homog.txt")]:
+        if name in pins:
+            assert main(["homog", *args, "--k", "3", "--emit", emit,
+                         "--out", name]) == 0
     for name, (size, digest) in pins.items():
         data = (tmp_path / name).read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
