@@ -16,7 +16,6 @@ threads is safe.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Mapping, Sequence
 
 from .words import Record, parse_int
@@ -150,8 +149,14 @@ def table_from_dict(data: dict) -> Coloring:
 
 
 def load_table(path: str) -> Coloring:
+    import json  # only table files need it, not expressions or builtins
+
     with open(path, "r", encoding="utf-8") as fh:
-        return table_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ColoringError("table file is nested too deeply") from None
+    return table_from_dict(data)
 
 
 def _int_suffix(name: str) -> int:

@@ -1,16 +1,19 @@
 """Canonical JSON and DOT rendering for visits and homogeneity reports.
 
-All JSON is dumped with sorted keys and fixed separators so that identical
-runs produce byte-identical files.  The visit trace is written out in that
-same canonical form directly: each entry's word is rendered once from its
-parent's rendering, through ``Visit.parent`` and ``Visit.letter``, so the
-cost is the size of the output rather than one encoder step per letter, and
-no word is spelled as a tuple.  The stable indices and the branch are the
-visit's own readings, ``Visit.stable`` and ``Visit.branch``.  Every renderer
-yields pieces of text that a writer passes on one by one, made as they are
-taken, so no output is ever held as one string; the visit's DOT and text
-renderings hold no more word texts than its trace.
-``oracles.visit_trace`` keeps the dict the trace encodes as the reference.
+All JSON is written in one canonical form, keys sorted and no spaces, so
+that identical runs produce byte-identical files: the form
+``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` gives, plus a
+final newline.  Both JSON outputs are written in that form directly,
+without the ``json`` module.  The visit trace renders each entry's word
+once from its parent's rendering, through ``Visit.parent`` and
+``Visit.letter``, so the cost is the size of the output rather than one
+encoder step per letter, and no word is spelled as a tuple.  The stable
+indices and the branch are the visit's own readings, ``Visit.stable`` and
+``Visit.branch``.  Every renderer yields pieces of text that a writer
+passes on one by one, made as they are taken, so no output is ever held as
+one string; the visit's DOT and text renderings hold no more word texts
+than its trace.  ``oracles.visit_trace`` and :func:`report_dict` keep the
+dicts the two JSON outputs encode, as the references.
 """
 
 from __future__ import annotations
@@ -33,12 +36,6 @@ _PALETTE = (
     "lightgray",
     "wheat",
 )
-
-
-def dumps_canonical(obj: object) -> str:
-    import json  # the visit trace is written without it
-
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # --- visit traces --------------------------------------------------------------
@@ -88,7 +85,7 @@ def _json_ints(values: Sequence[int]) -> str:
 
 def visit_trace_pieces(visit: Visit) -> Iterator[str]:
     """Trace schema: k, priority, root, order, terminated, stable, branch;
-    pieces whose concatenation is byte for byte ``dumps_canonical`` of that
+    pieces whose concatenation is byte for byte the canonical JSON of that
     dict, with each word rendered once from its parent's rendering instead
     of letter by letter.
 
@@ -171,7 +168,18 @@ def report_dict(report: HomogeneousReport) -> dict:
 
 
 def report_json(report: HomogeneousReport) -> Iterator[str]:
-    yield dumps_canonical(report_dict(report))
+    """The canonical JSON of :func:`report_dict`, keys in sorted order;
+    census keys are strings, so they sort as strings ("10" before "2")."""
+    census = sorted((str(c), n) for c, n in report.census.items())
+    yield (
+        '{"H":[' + ",".join(_json_ints(sorted(cls)) for cls in report.classes)
+        + '],"N":' + str(report.size)
+        + ',"branch":' + _json_ints(report.branch_nodes)
+        + ',"census":{' + ",".join(f'"{c}":{n}' for c, n in census)
+        + '},"k":' + str(report.k)
+        + ',"verified":' + ("true" if report.verified else "false")
+        + "}\n"
+    )
 
 
 def report_text(report: HomogeneousReport) -> Iterator[str]:

@@ -217,7 +217,11 @@ def load_tree(path: str) -> FiniteColorTree:
     import json  # only tree files need it, not the builtin trees
 
     with open(path, "r", encoding="utf-8") as fh:
-        return tree_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise TreeError("tree file is nested too deeply") from None
+    return tree_from_dict(data)
 
 
 def save_tree(tree: FiniteColorTree, path: str) -> None:

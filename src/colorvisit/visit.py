@@ -43,10 +43,12 @@ and ``oracles.branch_census``, live with the other oracles.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .trees import ColorTree, RootNotInTree
 from .words import ROOT, Record, Word, rotate, validate_priority
+
+if TYPE_CHECKING:
+    from .trees import ColorTree
 
 
 class VisitError(ValueError):
@@ -244,6 +246,8 @@ def enumerate_visit(
     prio = validate_priority(priority, tree.k)
     root = tuple(root)
     if not tree.contains(root):
+        from .trees import RootNotInTree  # a homog run loads no trees
+
         raise RootNotInTree(root)
     _, parent, letter, terminated = visit_nodes(
         tree, prio, tree.node(root), budget

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +48,12 @@ class ProbeLog:
     def child(self, node, c: int):
         self.probes.append((node, c))
         return self.inner.child(node, c)
+
+
+def dumps_canonical(obj: object) -> str:
+    """The canonical JSON that ``export`` writes without the json module:
+    sorted keys, no spaces and a final newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # the longest stderr line of an exit 2: the prefix, the message cut to

@@ -11,8 +11,8 @@ from hypothesis import given
 
 from colorvisit.cli import MAX_COLORS, MAX_HORIZON, main
 from colorvisit.colorings import builtin_coloring
-from colorvisit.dsl import UnknownIdentifier, parse
-from colorvisit.erdos import homog_pipeline
+from colorvisit.dsl import UnknownIdentifier, dsl_coloring, parse
+from colorvisit.erdos import HomogeneousReport, homog_pipeline
 from colorvisit.export import (
     erdos_dot,
     report_dict,
@@ -28,7 +28,7 @@ from colorvisit.oracles import (
     visit_words,
 )
 from colorvisit.trees import full_tree, save_tree
-from conftest import MAX_ERROR_LINE, st_visits
+from conftest import MAX_ERROR_LINE, dumps_canonical, st_visits
 from colorvisit.visit import enumerate_visit
 
 GOLDEN = [[], [1], [1, 1], [0], [0, 0], [0, 1], [1, 0]]
@@ -513,6 +513,20 @@ def test_visit_tree_file_rejects_non_integers(data, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["[" * 200000, "[" * 5000 + "]" * 5000],
+                         ids=["open", "closed"])
+@pytest.mark.parametrize("command, option", [("homog", "--table"),
+                                             ("visit", "--tree")])
+def test_deeply_nested_input_file_is_config_error(command, option, text,
+                                                   tmp_path, cli_env):
+    (tmp_path / "deep.json").write_text(text)
+    result = run_cli([command, option, "deep.json", "--out", "out"],
+                     cwd=tmp_path, env=cli_env)
+    assert result.returncode == 2
+    assert result.stderr == f"error: {option[2:]} file is nested too deeply\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_exports_render_reports():
     coloring = builtin_coloring("sum-mod", 2)
     report, visit = homog_pipeline(coloring, 20, 200)
@@ -526,6 +540,37 @@ def test_exports_render_reports():
         "k", "priority", "root", "order", "terminated", "stable", "branch",
     }
     assert "".join(visit_dot(visit)).startswith("digraph visit {")
+
+
+HASH = "((x * 56340 + y) * (y * 26247 + x) + 49673) % 65521"
+
+
+@pytest.mark.parametrize("size", [1, 300])
+@pytest.mark.parametrize("k", [1, 2, 3, 11, 12])
+def test_report_json_is_the_canonical_dump_of_report_dict(k, size):
+    # from k = 11 on the census keys sort as strings, "10" before "2"; the
+    # hash fills some of the 11 or 12 classes, among them the last, and
+    # leaves the others empty, and a horizon of 1 leaves every class empty
+    report, _ = homog_pipeline(dsl_coloring(HASH, k), size, 4000)
+    assert "".join(report_json(report)) == dumps_canonical(report_dict(report))
+    if size == 1:
+        assert report.size == 1 and not any(report.classes)
+    elif k >= 11:
+        assert report.classes[-1] and not all(report.classes)
+
+
+def test_report_json_renders_an_unverified_report():
+    report, _ = homog_pipeline(dsl_coloring(HASH, 12), 300, 4000)
+    rigged = HomogeneousReport(
+        tree=report.tree,
+        branch_nodes=(0, 10, 2),
+        classes=(frozenset({10, 2}),) + (frozenset(),) * 10 + (frozenset({7}),),
+        verified=False,
+    )
+    text = "".join(report_json(rigged))
+    assert text == dumps_canonical(report_dict(rigged))
+    assert '"H":[[2,10],[]' in text and '"verified":false}' in text
+    assert '"census":{"0":2,"1":0,"10":0,"11":1,"2":0' in text
 
 
 def test_cli_outputs_are_byte_identical_across_runs(tmp_path, tree_file,

@@ -9,11 +9,15 @@ The front end imports each command's modules inside the command, and the
 package resolves its exports on first use, so a fresh interpreter running
 ``visit`` loads no coloring code and neither ``visit`` nor ``homog`` loads
 the suites, the oracles, ``dataclasses`` or ``random``.  No package module
-imports ``dataclasses``, so ``check`` loads it neither.
+imports ``dataclasses``, so ``check`` loads it neither.  Only the readers
+of table and tree files import ``json``, inside the reader, so neither a
+``homog`` run from an expression nor a ``check`` run loads it, and a
+``homog`` run loads no ``trees``.
 """
 
 import ast
 import importlib
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +66,31 @@ def package_imports(tree: ast.Module) -> list[tuple[str, bool]]:
             name = name.removeprefix("colorvisit.")
             found.append((name, id(node) in typing_only))
     return found
+
+
+def module_level_imports(tree: ast.Module) -> set[str]:
+    """The top-level names of every module imported when ``tree`` runs,
+    that is outside function bodies."""
+    names = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+        pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_json_at_module_level():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py"))
+    assert "colorings" in modules and "typing" in module_level_imports(
+        parse("colorings"))
+    for module in modules:
+        assert "json" not in module_level_imports(parse(module)), module
 
 
 def test_run_path_imports_no_reference_module():
@@ -135,17 +164,19 @@ def test_visit_run_loads_only_the_visit_modules(tmp_path, cli_env):
 
 
 def test_homog_run_loads_no_reference_module(tmp_path, cli_env):
-    # a builtin coloring is compiled from its expression, as --coloring is
-    for source in (["--coloring", "x"], ["--builtin", "sum-mod"]):
+    # a builtin coloring is compiled from its expression, as --coloring is;
+    # the report and the trace are written without the json module
+    for emit, source in itertools.product(
+            ["json", "dot", "text"], [["--coloring", "x"], ["--builtin", "sum-mod"]]):
         code, modules = loaded_modules(
             ["homog", *source, "--k", "2", "--horizon", "2",
-             "--budget", "1", "--out", "h.json"],
+             "--budget", "1", "--emit", emit, "--out", "h.out",
+             "--trace-out", "t.json"],
             tmp_path, cli_env)
         assert code == 0
         assert package_modules(modules) == {
-            "cli", "words", "trees", "visit", "export",
-            "colorings", "dsl", "erdos"}
-        assert not {"dataclasses", "random"} & modules
+            "cli", "words", "visit", "export", "colorings", "dsl", "erdos"}
+        assert not {"dataclasses", "random", "json"} & modules
 
 
 def test_homog_table_loads_no_dsl(tmp_path, cli_env):
@@ -156,15 +187,14 @@ def test_homog_table_loads_no_dsl(tmp_path, cli_env):
         tmp_path, cli_env)
     assert code == 0
     assert package_modules(modules) == {
-        "cli", "words", "trees", "visit", "export",
-        "colorings", "erdos"}
+        "cli", "words", "visit", "export", "colorings", "erdos"}
 
 
 def test_check_run_loads_no_dataclasses(tmp_path, cli_env):
     code, modules = loaded_modules(
-        ["check", "--suite", "erdos", "--cases", "1"], tmp_path, cli_env)
+        ["check", "--suite", "all", "--cases", "1"], tmp_path, cli_env)
     assert code == 0
-    assert "dataclasses" not in modules
+    assert not {"dataclasses", "json"} & modules
 
 
 def test_package_exports_resolve_on_first_use():

@@ -9,7 +9,7 @@ from hypothesis import given
 
 from colorvisit.dsl import dsl_coloring
 from colorvisit.erdos import build_erdos
-from colorvisit.export import dumps_canonical, visit_trace_pieces
+from colorvisit.export import visit_trace_pieces
 from colorvisit.oracles import (
     TreeGenParams,
     all_visits,
@@ -34,7 +34,7 @@ from colorvisit.trees import (
 from colorvisit.visit import VisitError, enumerate_visit, lex_order, visit_nodes
 from colorvisit.words import InvalidPriority
 
-from conftest import ProbeLog, st_visits
+from conftest import ProbeLog, dumps_canonical, st_visits
 
 GOLDEN = ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
 
