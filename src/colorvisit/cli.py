@@ -37,6 +37,11 @@ MAX_COLORS = 4096
 # O(H) lists before its first coloring, and the build colors up to H²/2 pairs
 MAX_HORIZON = 1_000_000
 
+# the largest visit budget the command line takes; a visit holds about 300
+# bytes per entry, so a run stays near 0.3 GB (a homog visit ends within
+# horizon entries and needs no cap)
+MAX_BUDGET = 1_000_000
+
 # every domain error in the package derives from one of these
 _CONFIG_ERRORS = (ValueError, ArithmeticError, OSError)
 
@@ -98,6 +103,9 @@ def cmd_visit(args: argparse.Namespace) -> int:
     from .trees import builtin_tree, load_tree
     from .visit import enumerate_visit
 
+    budget = _int_option(args, "budget")
+    if budget > MAX_BUDGET:
+        raise ValueError(f"budget {budget} exceeds the limit of {MAX_BUDGET}")
     source = args.tree
     try:
         is_file = Path(source).exists()
@@ -106,7 +114,7 @@ def cmd_visit(args: argparse.Namespace) -> int:
     tree = load_tree(source) if is_file else builtin_tree(source)
     priority = _parse_priority(args.priority, tree.k)
     root = parse_word(args.root)
-    visit = enumerate_visit(tree, priority, root, _int_option(args, "budget"))
+    visit = enumerate_visit(tree, priority, root, budget)
     name, render = {
         "json": ("visit.json", export.visit_trace_pieces),
         "dot": ("visit.dot", export.visit_dot),
@@ -228,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_visit.add_argument("--root", default="",
                          help="comma-separated root word (default the empty word)")
     p_visit.add_argument("--budget", default="1000",
-                         help="maximum number of enumerated nodes")
+                         help="maximum number of enumerated nodes, "
+                              f"at most {MAX_BUDGET}")
     p_visit.add_argument("--emit", choices=("json", "dot", "text"), default="json")
     p_visit.add_argument("--out", default=None, help="output path")
     p_visit.set_defaults(func=cmd_visit)

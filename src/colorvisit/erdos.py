@@ -14,18 +14,18 @@ the same tree top-down, one :meth:`Coloring.split` per node: each node
 groups every number below it by color at once, a group per child.
 Verification of the extracted sets also splits a row per class member.
 
-Children are color-unique, so the tree keeps all its edges in one map
-keyed ``x * k + c`` and is a finite color tree with node ids in place of
-words: the priority visit runs on it through :meth:`ErdosTree.child`, and
-the root path of the node it visits last, :meth:`Visit.branch` read as
-tree nodes, is the branch whose edges yield the extracted sets.  A visited
-node's word is the edge colors on its root path; the visit keeps only each
-node's last one.
+Children are color-unique, so the tree keeps one map per color from a
+node to its child of that color, and is a finite color tree with node ids
+in place of words: the priority visit steps through it with those maps'
+``get``, one C call per probe, and the root path of the node it visits
+last, :meth:`Visit.branch` read as tree nodes, is the branch whose edges
+yield the extracted sets.  A visited node's word is the edge colors on its
+root path; the visit keeps only each node's last one.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .colorings import Coloring, ColoringError
 from .visit import Visit, VisitError, visit_nodes
@@ -45,10 +45,9 @@ class ErdosTree(Record):
     """Rooted tree on 0..size-1 with at most one child per color per node.
 
     Built by :func:`build_erdos` or by :func:`insert`; parents always
-    precede children numerically.  ``children`` is one map from ``x * k +
-    c`` to x's ``c``-child, holding each node's children in the order they
-    were attached.  The fields default to the lone root 0.  Treat instances
-    as immutable once construction finishes.
+    precede children numerically.  ``children[c]`` maps each node that has
+    a ``c``-child to that child.  The fields default to the lone root 0.
+    Treat instances as immutable once construction finishes.
     """
 
     __slots__ = ("k", "parent", "edge_color", "children")
@@ -58,21 +57,23 @@ class ErdosTree(Record):
         k: int,
         parent: Optional[list[Optional[int]]] = None,
         edge_color: Optional[list[Optional[int]]] = None,
-        children: Optional[dict[int, int]] = None,
+        children: Optional[list[dict[int, int]]] = None,
     ) -> None:
         super().__init__(
             k,
             [None] if parent is None else parent,
             [None] if edge_color is None else edge_color,
-            {} if children is None else children,
+            [{} for _ in range(k)] if children is None else children,
         )
 
     @property
     def size(self) -> int:
         return len(self.parent)
 
-    def child(self, x: int, c: int) -> Optional[int]:
-        return self.children.get(x * self.k + c)
+    def step(self, c: int) -> Callable[[int], Optional[int]]:
+        """The ``c``-child of a node or None: a C-level ``dict.get``, of an
+        empty dict for a color outside ``0..k-1``."""
+        return self.children[c].get if 0 <= c < self.k else {}.get
 
 
 def insert(tree: ErdosTree, n: int, coloring: Coloring) -> ErdosTree:
@@ -84,13 +85,13 @@ def insert(tree: ErdosTree, n: int, coloring: Coloring) -> ErdosTree:
     """
     if n != tree.size:
         raise NonContiguousInsert(n, tree.size)
-    k, children = tree.k, tree.children
+    children = tree.children
     x = 0
     while True:
         i = coloring(x, n)
-        nxt = children.get(x * k + i)
+        nxt = children[i].get(x)
         if nxt is None:
-            children[x * k + i] = n
+            children[i][x] = n
             tree.parent.append(x)
             tree.edge_color.append(i)
             return tree
@@ -105,8 +106,7 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     groups them by color: the smallest member of each group is x's child of
     that color and the rest stay below it, and a child with nothing below it
     gets no row.  This evaluates the same pairs as insertion, one per node
-    and ancestor, and meets each node's children in the order insertion
-    attaches them.  When the coloring fails, the tree is built again by
+    and ancestor.  When the coloring fails, the tree is built again by
     insertion so that the error raised is the first one insertion meets.
     """
     if size < 1:
@@ -114,7 +114,7 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     parent: list[Optional[int]] = [None] * size
     edge_color: list[Optional[int]] = [None] * size
     k = coloring.k
-    children: dict[int, int] = {}
+    children: list[dict[int, int]] = [{} for _ in range(k)]
     work = [(0, list(range(1, size)))]
     try:
         while work:
@@ -122,7 +122,7 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
             for i, group in coloring.split(x, below).items():
                 child = group[0]
                 parent[child], edge_color[child] = x, i
-                children[x * k + i] = child
+                children[i][x] = child
                 if len(group) > 1:
                     work.append((child, group[1:]))
     except (ColoringError, ArithmeticError):

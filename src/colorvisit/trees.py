@@ -1,7 +1,7 @@
 """Prefix-closed color trees.
 
 Three representations share one interface (``k``, ``contains``, ``node``,
-``child``, ``nodes``):
+``step``, ``nodes``):
 
 * :class:`FiniteColorTree` -- an explicit, validated node set; ``contains``
   is a set lookup and ``nodes`` is the full frozenset.
@@ -13,15 +13,15 @@ Three representations share one interface (``k``, ``contains``, ``node``,
   ``full:k`` and ``unary`` (k = 1); ``nodes`` is ``None``.
 
 ``contains`` takes a word.  The run path calls it to check a visit's root
-and, in the word trees, inside ``child``; the references in ``oracles``
-probe words with it directly.  A visit starts from ``node(root)``, the node
-the root word names, and steps by ``child(node, c)``, the ``c``-child of a
-node or None.  The nodes of the first two are their words: ``child(w, c)`` is
-``w + (c,)`` when the tree contains it, at one ``contains`` probe, so it
-costs O(depth) to copy and test the word.  All the nodes of one depth of a
-full tree have the same children, so its nodes are depths and ``child`` is
-one comparison that builds no word.  All trees are immutable after
-construction and safe to share.
+and, in the word trees, inside a step; the references in ``oracles`` probe
+words with it directly.  A visit starts from ``node(root)``, the node the
+root word names, and fetches ``step(c)`` once per color: a function of one
+node that returns its ``c``-child or None.  The nodes of the first two are
+their words: a step maps ``w`` to ``w + (c,)`` when the tree contains it,
+at one ``contains`` probe, so it costs O(depth) to copy and test the word.
+All the nodes of one depth of a full tree have the same children, so its
+nodes are depths and a step is ``d + 1`` in C, building no word.  All trees
+are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -72,10 +72,16 @@ class _WordTree(Record):
     def node(self, w: Word) -> Word:
         return w
 
-    def child(self, w: Word, c: int) -> Optional[Word]:
-        """``w + (c,)`` if the tree contains it: one probe, O(depth)."""
-        v = w + (c,)
-        return v if self.contains(v) else None
+    def step(self, c: int) -> Callable[[Word], Optional[Word]]:
+        """Maps ``w`` to ``w + (c,)`` if the tree contains it: one probe,
+        O(depth)."""
+        contains = self.contains
+
+        def step(w: Word) -> Optional[Word]:
+            v = w + (c,)
+            return v if contains(v) else None
+
+        return step
 
 
 class FiniteColorTree(_WordTree):
@@ -96,8 +102,8 @@ class FiniteColorTree(_WordTree):
 class OracleColorTree(_WordTree):
     """Possibly infinite tree given by a pure membership predicate.
 
-    ``child`` builds the child's word and calls the predicate on it once,
-    so a step costs O(depth) plus whatever the predicate costs.
+    A step builds the child's word and calls the predicate on it once, so
+    it costs O(depth) plus whatever the predicate costs.
     """
 
     __slots__ = ("k", "membership", "nodes")
@@ -113,7 +119,8 @@ class FullColorTree(Record):
     """The complete infinite k-ary tree: every word over 0..k-1.
 
     Its nodes are depths, so the word a node stands for is not kept:
-    ``child(d, c)`` is ``d + 1`` for a color below k and None otherwise.
+    ``step(c)`` maps ``d`` to ``d + 1`` for a color below k and to None
+    otherwise.
     """
 
     __slots__ = ("k", "nodes")
@@ -128,8 +135,9 @@ class FullColorTree(Record):
     def node(self, w: Word) -> int:
         return len(w)
 
-    def child(self, d: int, c: int) -> Optional[int]:
-        return d + 1 if 0 <= c < self.k else None
+    def step(self, c: int) -> Callable[[int], Optional[int]]:
+        # both run in C; an empty dict's get gives None for every depth
+        return (1).__add__ if 0 <= c < self.k else {}.get
 
 
 ColorTree = Union[FiniteColorTree, OracleColorTree, FullColorTree]

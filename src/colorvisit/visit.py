@@ -23,8 +23,9 @@ opens no frame.
 Every step of the generator needs only finitely many child probes, so
 oracle-backed (potentially infinite) trees can be visited under a budget.
 The generator treats nodes as opaque and reaches them only through
-``tree.child(node, c)``, so it runs on the words of a color tree, the
-depths of a full tree and the ids of a comparison tree alike.  Its frames
+``tree.step(c)``, a function per color from a node to its ``c``-child or
+None, so it runs on the words of a color tree, the depths of a full tree
+and the ids of a comparison tree alike, at one call per probe.  Its frames
 hold order indices: it records each emitted entry's parent index and last
 letter and orders bases by a walk over those arrays instead of comparing
 words.  :class:`Visit` carries those two arrays and no words, and reads
@@ -43,7 +44,7 @@ and ``oracles.branch_census``, live with the other oracles.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .words import ROOT, Record, Word, rotate, validate_priority
 
@@ -156,10 +157,11 @@ def visit_nodes(
     colors (-1 for the head) and whether completion was seen with fewer
     than ``budget`` entries.
 
-    Nodes are opaque: ``tree`` needs only ``child(node, c)``, the
-    ``c``-child of a node or None.  ``priority`` must be validated.  The
-    visit a node heads, with inner priority ``P``, runs the visits with
-    priorities ``P[level:]`` from ``len(P)`` (the node alone) down to 0.
+    Nodes are opaque: ``tree`` needs only ``step(c)``, a function from a
+    node to its ``c``-child or None, which is fetched once per priority
+    color.  ``priority`` must be validated.  The visit a node heads, with
+    inner priority ``P``, runs the visits with priorities ``P[level:]``
+    from ``len(P)`` (the node alone) down to 0.
     While only the node is emitted, each level step probes the node alone,
     so on emission it is probed for ``P[-1]``, ``P[-2]``, ... up to its
     first child.  A node with none is a complete visit and opens no frame;
@@ -174,25 +176,27 @@ def visit_nodes(
     if budget < 1:
         raise VisitError(f"budget {budget} must be at least 1")
 
-    def openings(prio: Word) -> list[tuple[Word, int, int]]:
-        # the order in which a new head with priority prio is probed
-        return [(prio, level, prio[level]) for level in reversed(range(len(prio)))]
+    step = {c: tree.step(c) for c in priority}
 
-    child = tree.child
+    def openings(prio: Word) -> list[tuple[Word, int, Callable]]:
+        # the order in which a new head with priority prio is probed
+        return [(prio, level, step[prio[level]])
+                for level in reversed(range(len(prio)))]
+
     nodes = [head]
     parent = [-1]
     letter = [-1]
     if budget == 1:
         return nodes, parent, letter, False
     stack = []
-    for prio, level, c in openings(priority):
-        node = child(head, c)
+    for prio, level, child in openings(priority):
+        node = child(head)
         if node is not None:
             stack.append([prio, level, 0, [(0, node)], 0])
             break
     # the openings of rotate(P[level:]), the priority of the heads that a
     # frame at (P, level) emits
-    inners: dict[tuple[Word, int], list[tuple[Word, int, int]]] = {}
+    inners: dict[tuple[Word, int], list[tuple[Word, int, Callable]]] = {}
     while stack:
         frame = stack[-1]
         prio, level, first, expansions, j = frame
@@ -210,17 +214,17 @@ def visit_nodes(
             probes = inners.get((prio, level))
             if probes is None:
                 probes = inners[prio, level] = openings(rotate(prio[level:]))
-            for inner, level, c in probes:
-                kid = child(node, c)
+            for inner, level, child in probes:
+                kid = child(node)
                 if kid is not None:
                     stack.append([inner, level, h, [(h, kid)], 0])
                     break
         elif level:
             level -= 1
-            c = prio[level]
+            child = step[prio[level]]
             expansions = []
             for base in lex_order(parent, letter, first):
-                node = child(nodes[base], c)
+                node = child(nodes[base])
                 if node is not None:
                     expansions.append((base, node))
             frame[1], frame[3], frame[4] = level, expansions, 0

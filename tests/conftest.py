@@ -39,15 +39,20 @@ class CountingTree:
 
 
 class ProbeLog:
-    """Tree wrapper that logs every child step ``(node, c)`` in order."""
+    """Tree wrapper whose steps log every probe ``(node, c)`` in call order."""
 
     def __init__(self, inner) -> None:
         self.inner = inner
         self.probes: list[tuple[object, int]] = []
 
-    def child(self, node, c: int):
-        self.probes.append((node, c))
-        return self.inner.child(node, c)
+    def step(self, c: int):
+        inner = self.inner.step(c)
+
+        def step(node):
+            self.probes.append((node, c))
+            return inner(node)
+
+        return step
 
 
 def dumps_canonical(obj: object) -> str:

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from colorvisit.cli import MAX_COLORS, MAX_HORIZON, main
+from colorvisit.cli import MAX_BUDGET, MAX_COLORS, MAX_HORIZON, main
 from colorvisit.colorings import builtin_coloring
 from colorvisit.dsl import UnknownIdentifier, dsl_coloring, parse
 from colorvisit.erdos import HomogeneousReport, homog_pipeline
@@ -386,6 +386,29 @@ def test_horizons_above_the_cap_are_rejected_first(tmp_path, capsys, monkeypatch
         assert main(["homog", "--builtin", "sum-mod", "--k", "2",
                      "--horizon", horizon, "--out", str(tmp_path / "h.json")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_visit_budgets_above_the_cap_are_rejected_first(tmp_path, capsys, monkeypatch):
+    # a visit holds about 300 bytes per entry, so the cap is checked before
+    # the tree is read or the visit starts
+    def no_visit(*args):
+        raise AssertionError("the visit ran")
+
+    out = tmp_path / "v.json"
+    over = str(MAX_BUDGET + 1)
+    expected = f"error: budget {over} exceeds the limit of {MAX_BUDGET}\n"
+    with monkeypatch.context() as patch:
+        patch.setattr("colorvisit.visit.enumerate_visit", no_visit)
+        for tree in ("full:2", "unary", str(tmp_path / "missing.json")):
+            assert main(["visit", "--tree", tree, "--budget", over,
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", expected)
+    assert not out.exists()
+    # a finite tree's visit ends long before a budget at the cap
+    save_tree(complete_tree(2, 2), str(tmp_path / "tree.json"))
+    assert main(["visit", "--tree", str(tmp_path / "tree.json"),
+                 "--budget", str(MAX_BUDGET), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("visit: 7 entries, terminated=True")
 
 
 @pytest.mark.parametrize(

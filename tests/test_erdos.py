@@ -48,8 +48,8 @@ def ancestors(tree, y):
 
 
 def children_of(tree, x):
-    """x's children by color, read through ``tree.child``."""
-    kids = {c: tree.child(x, c) for c in range(tree.k)}
+    """x's children by color, read through ``tree.step``."""
+    kids = {c: tree.step(c)(x) for c in range(tree.k)}
     return {c: n for c, n in kids.items() if n is not None}
 
 
@@ -96,17 +96,11 @@ def test_build_rejects_empty():
         build_erdos(builtin_coloring("sum-mod", 2), 0)
 
 
-def children_in_order(tree):
-    """The child map's edges node by node, each node's in the order they
-    were attached (the sort is stable)."""
-    return sorted(tree.children.items(), key=lambda edge: edge[0] // tree.k)
-
-
 def assert_same_tree(tree, reference):
+    # the fields, the per-color child maps among them
     assert tree == reference
     for x in range(tree.size):
         assert children_of(tree, x) == children_of(reference, x)
-    assert children_in_order(tree) == children_in_order(reference)
 
 
 def test_build_equals_insertion_on_random_tables():
@@ -138,10 +132,10 @@ def test_child_map_holds_exactly_the_edges():
             cases += [(dsl_coloring(source, k), size) for size in (1, 2, 17, 60)]
     for coloring, size in cases:
         for tree in (build_erdos(coloring, size), build_by_insertion(coloring, size)):
-            k = tree.k
+            assert len(tree.children) == tree.k
             for n in range(1, size):
-                assert tree.children[tree.parent[n] * k + tree.edge_color[n]] == n
-            assert len(tree.children) == size - 1
+                assert tree.children[tree.edge_color[n]][tree.parent[n]] == n
+            assert sum(map(len, tree.children)) == size - 1
 
 
 def test_build_equals_insertion_on_zero_divisor_expressions():
@@ -276,7 +270,7 @@ def test_erdos_property_detects_violation():
         k=2,
         parent=[None, 0, 1],
         edge_color=[None, 0, 0],
-        children={0 * 2 + 0: 1, 1 * 2 + 0: 2},
+        children=[{0: 1, 1: 2}, {}],
     )
     bad = {(0, 1): 0, (1, 2): 0, (0, 2): 1}
     assert check_erdos_property(tree, table_coloring(bad, 2)) is False
@@ -324,11 +318,17 @@ def test_word_index_is_a_bijection():
         assert len(to_word_tree(tree).nodes) == tree.size
 
 
-def test_child_steps_through_the_children():
+def test_step_walks_the_children():
     tree = build_erdos(builtin_coloring("sum-mod", 2), 5)
-    assert [tree.child(0, c) for c in (0, 1)] == [2, 1]
-    assert tree.child(2, 0) == 4 and tree.child(2, 1) is None
-    assert tree.child(4, 0) is None
+    zero, one = tree.step(0), tree.step(1)
+    # a probe is the color's map's own get, called in C
+    assert (zero, one) == (tree.children[0].get, tree.children[1].get)
+    assert not hasattr(tree, "child")
+    assert [zero(0), one(0)] == [2, 1]
+    assert zero(2) == 4 and one(2) is None
+    assert zero(4) is None
+    # a color outside 0..k-1 has no children, not another color's
+    assert [tree.step(c)(x) for c in (-1, 2) for x in range(5)] == [None] * 10
 
 
 def test_id_visit_equals_the_word_visit():
@@ -350,7 +350,7 @@ def test_id_visit_equals_the_word_visit():
         assert visit.priority == prio and visit.root == ()
         leaf = 0
         for c in order[-1]:
-            leaf = tree.child(leaf, c)
+            leaf = tree.step(c)(leaf)
         assert report.branch_nodes == tuple(root_path(tree, leaf))
 
 

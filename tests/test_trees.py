@@ -145,7 +145,7 @@ def test_builtin_tree_count_takes_ascii_digits_only(name):
         builtin_tree(name)
 
 
-def test_child_is_one_probe(binary_depth2, monkeypatch):
+def test_step_is_one_probe(binary_depth2, monkeypatch):
     probed = []
     for cls in (FiniteColorTree, OracleColorTree):
         contains = cls.contains
@@ -156,15 +156,17 @@ def test_child_is_one_probe(binary_depth2, monkeypatch):
     depth2 = OracleColorTree(k=2, membership=lambda w: len(w) <= 2)
     for tree in (binary_depth2, depth2):
         probed.clear()
+        step = tree.step(0)
+        assert probed == []
         assert tree.node((0,)) == (0,)
-        assert tree.child((0,), 0) == (0, 0)
+        assert step((0,)) == (0, 0)
         assert probed == [(0, 0)]
         probed.clear()
-        assert tree.child((0, 1), 0) is None
+        assert step((0, 1)) is None
         assert probed == [(0, 1, 0)]
 
 
-def test_builtin_child_agrees_with_contains(monkeypatch):
+def test_builtin_step_agrees_with_contains(monkeypatch):
     probed = []
     contains = FullColorTree.contains
     monkeypatch.setattr(
@@ -174,7 +176,7 @@ def test_builtin_child_agrees_with_contains(monkeypatch):
     for tree in [full_tree(k) for k in (1, 2, 3, 4)] + [unary_tree()]:
         words = [w for n in range(4) for w in itertools.product(range(tree.k), repeat=n)]
         steps = {
-            (w, c): tree.child(tree.node(w), c)
+            (w, c): tree.step(c)(tree.node(w))
             for w in words for c in range(-3, 7)
         }
         assert probed == []

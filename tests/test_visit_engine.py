@@ -20,6 +20,7 @@ from colorvisit.oracles import (
     random_coloring,
     random_tree,
     restricted_nodes,
+    to_word_tree,
     visit_trace,
     visit_words,
 )
@@ -334,3 +335,16 @@ def test_budget_cut_visits_are_prefixes_of_the_full_run():
             assert all(v != n[-1] for v, _ in cut)
             runs += 1
     assert runs > 1000
+
+
+def test_id_steps_visit_the_hash_tree_like_its_words():
+    # the homog-hash benchmark's shape: a shallow bushy comparison tree
+    coloring = dsl_coloring("((x * 56340 + y) * (y * 26247 + x) + 49673) % 65521", 3)
+    tree = build_erdos(coloring, 2000)
+    words = to_word_tree(tree)
+    for priority in itertools.permutations(range(3)):
+        (_, parent, letter, done), probes = probed_visit(tree, priority, 0, 2001)
+        reference = enumerate_visit(words, priority, (), 2001)
+        assert (tuple(parent), tuple(letter), done) == (
+            reference.parent, reference.letter, reference.terminated)
+        assert done and len(probes) == len(parent) * 3
