@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .colorings import Coloring, ColoringError
+from .colorings import Coloring
 from .visit import Visit, VisitError, visit_nodes
 from .words import ROOT, Record, full_priority, validate_priority
 
@@ -106,8 +106,9 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     groups them by color: the smallest member of each group is x's child of
     that color and the rest stay below it, and a child with nothing below it
     gets no row.  This evaluates the same pairs as insertion, one per node
-    and ancestor.  When the coloring fails, the tree is built again by
-    insertion so that the error raised is the first one insertion meets.
+    and ancestor, in another order: rows are taken depth first, the row of
+    the largest child first.  A coloring error propagates from the row that
+    meets it, so it may name another pair than insertion would meet first.
     """
     if size < 1:
         raise ErdosError(f"size {size} must be at least 1")
@@ -116,18 +117,14 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     k = coloring.k
     children: list[dict[int, int]] = [{} for _ in range(k)]
     work = [(0, list(range(1, size)))]
-    try:
-        while work:
-            x, below = work.pop()
-            for i, group in coloring.split(x, below).items():
-                child = group[0]
-                parent[child], edge_color[child] = x, i
-                children[i][x] = child
-                if len(group) > 1:
-                    work.append((child, group[1:]))
-    except (ColoringError, ArithmeticError):
-        build_by_insertion(coloring, size)
-        raise
+    while work:
+        x, below = work.pop()
+        for i, group in coloring.split(x, below).items():
+            child = group[0]
+            parent[child], edge_color[child] = x, i
+            children[i][x] = child
+            if len(group) > 1:
+                work.append((child, group[1:]))
     return ErdosTree(k, parent, edge_color, children)
 
 
@@ -243,19 +240,3 @@ def homog_pipeline(
     report = extract_homogeneous(tree, [nodes[i] for i in visit.branch()], coloring)
     return report, visit
 
-
-def horizon_comparison(
-    small: HomogeneousReport, large: HomogeneousReport
-) -> dict[str, object]:
-    """Compare two runs of growing horizon.
-
-    When the smaller run's branch is a prefix of the larger one's, the
-    largest class can only grow; when it is not, the runs disagree about
-    the branch and the instability is reported instead of hidden.
-    """
-    prefix = small.branch_nodes == large.branch_nodes[: len(small.branch_nodes)]
-    return {
-        "branch_prefix": prefix,
-        "max_class_small": max(len(c) for c in small.classes),
-        "max_class_large": max(len(c) for c in large.classes),
-    }

@@ -495,17 +495,10 @@ class TreeGenParams(Record):
         k: int,
         max_depth: int,
         max_nodes: int,
-        branching: float | tuple[float, ...] = 0.5,
+        branching: float = 0.5,
         seed: int = 0,
     ) -> None:
         super().__init__(k, max_depth, max_nodes, branching, seed)
-
-    def per_color(self) -> tuple[float, ...]:
-        if isinstance(self.branching, (int, float)):
-            return (float(self.branching),) * self.k
-        if len(self.branching) != self.k:
-            raise ValueError("branching probabilities must match the color count")
-        return tuple(float(p) for p in self.branching)
 
 
 def random_tree(params: TreeGenParams) -> FiniteColorTree:
@@ -516,7 +509,6 @@ def random_tree(params: TreeGenParams) -> FiniteColorTree:
     tree up to the depth bound.
     """
     rng = random.Random(params.seed)
-    probs = params.per_color()
     nodes: set[Word] = {ROOT}
     queue: list[Word] = [ROOT]
     while queue and len(nodes) < params.max_nodes:
@@ -526,7 +518,7 @@ def random_tree(params: TreeGenParams) -> FiniteColorTree:
         for c in range(params.k):
             if len(nodes) >= params.max_nodes:
                 break
-            if rng.random() < probs[c]:
+            if rng.random() < params.branching:
                 child = node + (c,)
                 nodes.add(child)
                 queue.append(child)

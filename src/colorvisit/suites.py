@@ -47,23 +47,26 @@ class SuiteResult(Record):
         super().__init__(name, passed, cases, failure)
 
 
-def tree_corpus(
-    seed: int, count: int, k_max: int = 4, max_nodes: int = 40
-) -> Iterator[tuple[FiniteColorTree, Word]]:
+# the corpus's largest color count and node count
+K_MAX = 4
+MAX_NODES = 40
+
+
+def tree_corpus(seed: int, count: int) -> Iterator[tuple[FiniteColorTree, Word]]:
     """Deterministic stream of (tree, priority) cases mixing random shapes
     with chains, stars and complete trees."""
     rng = random.Random(seed)
     produced = 0
     while produced < count:
-        k = rng.randint(1, k_max)
+        k = rng.randint(1, K_MAX)
         shape = rng.randrange(8)
         if shape == 0:
-            tree = chain_tree(k, rng.randrange(k), rng.randint(0, max_nodes - 1))
+            tree = chain_tree(k, rng.randrange(k), rng.randint(0, MAX_NODES - 1))
         elif shape == 1:
             tree = star_tree(k)
         elif shape == 2:
             depth = 1
-            while _complete_size(k, depth + 1) <= max_nodes:
+            while _complete_size(k, depth + 1) <= MAX_NODES:
                 depth += 1
             tree = complete_tree(k, depth)
         else:
@@ -71,7 +74,7 @@ def tree_corpus(
                 TreeGenParams(
                     k=k,
                     max_depth=rng.randint(1, 7),
-                    max_nodes=rng.randint(1, max_nodes),
+                    max_nodes=rng.randint(1, MAX_NODES),
                     branching=rng.uniform(0.2, 1.0),
                     seed=rng.randrange(2**32),
                 )

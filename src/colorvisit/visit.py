@@ -13,12 +13,12 @@ must be finished completely before the next expansion starts.
 The recursive definition itself is decided by ``oracles.check_visit``, a
 specification-level reference for small inputs.  This module holds only
 the generator: :func:`visit_nodes` / :func:`enumerate_visit` produce the
-enumeration with an explicit stack of frames, one per emitted node that
-has a child in its visit's colors, and their only correctness contract is
-agreement with that reference, which the test suite checks exhaustively
-at desk scale.  Each node is probed as soon as it is emitted, color by
-color from the top priority down to its first child, and a node with none
-opens no frame.
+enumeration with an explicit stack of frames, one that emits the head and
+one per emitted node that has a child in its visit's colors, and their
+only correctness contract is agreement with that reference, which the
+test suite checks exhaustively at desk scale.  Each node is probed as
+soon as it is emitted, color by color from the top priority down to its
+first child, and a node with none opens no frame.
 
 Every step of the generator needs only finitely many child probes, so
 oracle-backed (potentially infinite) trees can be visited under a budget.
@@ -171,7 +171,10 @@ def visit_nodes(
     ``first`` on; it steps ``level`` down and takes the ``P[level]``-children
     of those entries, bases in lexicographic order, as the heads of its next
     segments, each a visit with priority ``rotate(P[level:])``.  At level 0
-    it closes.  No node is probed once ``budget`` entries are emitted.
+    it closes.  The head is the one expansion of a first frame at level 0,
+    whose heads have inner priority ``priority``, so it is emitted, with
+    parent and letter -1, and probed like every other entry.  No node is
+    probed once ``budget`` entries are emitted.
     """
     if budget < 1:
         raise VisitError(f"budget {budget} must be at least 1")
@@ -183,20 +186,15 @@ def visit_nodes(
         return [(prio, level, step[prio[level]])
                 for level in reversed(range(len(prio)))]
 
-    nodes = [head]
-    parent = [-1]
-    letter = [-1]
-    if budget == 1:
-        return nodes, parent, letter, False
-    stack = []
-    for prio, level, child in openings(priority):
-        node = child(head)
-        if node is not None:
-            stack.append([prio, level, 0, [(0, node)], 0])
-            break
+    nodes: list = []
+    parent: list[int] = []
+    letter: list[int] = []
+    # the head's frame: its letter and its base are -1
+    stack = [[(-1,), 0, -1, [(-1, head)], 0]]
     # the openings of rotate(P[level:]), the priority of the heads that a
     # frame at (P, level) emits
-    inners: dict[tuple[Word, int], list[tuple[Word, int, Callable]]] = {}
+    inners: dict[tuple[Word, int], list[tuple[Word, int, Callable]]] = {
+        ((-1,), 0): openings(priority)}
     while stack:
         frame = stack[-1]
         prio, level, first, expansions, j = frame

@@ -20,7 +20,6 @@ from colorvisit.erdos import (
     build_erdos,
     extract_homogeneous,
     homog_pipeline,
-    horizon_comparison,
     insert,
 )
 from colorvisit.oracles import (
@@ -185,32 +184,43 @@ def test_build_equals_insertion_with_one_color_rows(name, k):
             assert tree.parent != [None] + list(range(size - 1))
 
 
-def test_build_raises_the_error_insertion_meets_first():
-    # insertion meets the missing pair (1, 2) before (0, 3); a row of 0
-    # alone would meet (0, 3) first
+def test_build_raises_the_error_of_the_row_that_meets_it():
+    # the root's row meets the missing pair (0, 3); insertion would meet
+    # (1, 2) first, inserting 2 below 1
     table = table_coloring({(0, 1): 0, (0, 2): 0, (0, 4): 1}, 2)
     with pytest.raises(TableIncomplete) as info:
         build_erdos(table, 5)
-    assert info.value.pair == (1, 2)
+    assert info.value.pair == (0, 3)
+    # the root's row meets the remainder at (0, 3) before node 1's row, the
+    # one with the division, is taken; insertion meets the division at (1, 2)
     strict = dsl_coloring(
         "if x == 1 then y / 0 else if y == 3 then x % 0 else 0", 2, strict=True
     )
-    with pytest.raises(DivisionByZero, match="division"):
+    with pytest.raises(DivisionByZero, match="remainder"):
         build_erdos(strict, 5)
-    # rows of one color down to node 2, whose row divides by zero at (2, 3);
-    # the root's row would meet the remainder at (0, 4) first
+    # the root's row meets the remainder at (0, 4); insertion, going down
+    # the chain, meets the division at (2, 3) first
     chain = dsl_coloring(
         "if x == 2 then y / 0 else if y == 4 then x % 0 else 0", 2, strict=True
     )
-    with pytest.raises(DivisionByZero, match="division"):
+    with pytest.raises(DivisionByZero, match="remainder"):
         build_erdos(chain, 6)
-    # rows without y, each evaluated once: node 1's row meets the remainder
-    # at (1, 2), and so does insertion
+    # rows without y, each evaluated once: the root's row is all 0, and
+    # node 1's row meets the remainder at (1, 2)
     constant = dsl_coloring(
         "if x == 0 then 0 else if x == 1 then x % 0 else x / 0", 2, strict=True
     )
     with pytest.raises(DivisionByZero, match="remainder"):
         build_erdos(constant, 5)
+
+
+def test_build_stops_at_the_row_that_fails(pair_evaluations):
+    # the root's row fails at its last pair (0, 99): the build colors that
+    # row's 99 pairs and no other
+    coloring = dsl_coloring("if y == 99 then x / 0 else x + y", 2, strict=True)
+    with pytest.raises(DivisionByZero, match="division"):
+        build_erdos(coloring, 100)
+    assert pair_evaluations[0] == 99
 
 
 def test_pair_evaluation_counts(pair_evaluations, tmp_path):
@@ -487,17 +497,3 @@ def test_every_natural_appears_once_with_parent_below():
                 assert tree.parent[n] < n
         children = [c for x in range(size) for c in children_of(tree, x).values()]
         assert sorted(children) == list(range(1, size))
-
-
-def test_horizon_comparison_reports_growth():
-    rng = random.Random(6)
-    colorings = [builtin_coloring("sum-mod", 2), builtin_coloring("sum-mod", 3),
-                 builtin_coloring("constant:1", 2)]
-    colorings += [random_coloring(rng.randrange(2**32), 3, 80) for _ in range(5)]
-    for coloring in colorings:
-        small, _ = homog_pipeline(coloring, 30, 300)
-        large, _ = homog_pipeline(coloring, 60, 600)
-        cmp = horizon_comparison(small, large)
-        assert {"branch_prefix", "max_class_small", "max_class_large"} <= set(cmp)
-        if cmp["branch_prefix"]:
-            assert cmp["max_class_large"] >= cmp["max_class_small"]

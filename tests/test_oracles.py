@@ -96,11 +96,6 @@ def test_random_tree_examples():
     assert a == b
 
 
-def test_random_tree_rejects_bad_branching_vector():
-    with pytest.raises(ValueError):
-        random_tree(TreeGenParams(k=2, max_depth=2, max_nodes=5, branching=(0.5,)))
-
-
 def test_degenerate_shapes():
     assert chain_tree(3, 2, 2).nodes == frozenset({(), (2,), (2, 2)})
     assert star_tree(2).nodes == frozenset({(), (0,), (1,)})
