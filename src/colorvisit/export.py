@@ -11,13 +11,18 @@ encoder step per letter, and no word is spelled as a tuple.  The stable
 indices and the branch are the visit's own readings, ``Visit.stable`` and
 ``Visit.branch``.  Every renderer yields pieces of text that a writer
 passes on one by one, made as they are taken, so no output is ever held as
-one string; the visit's DOT and text renderings hold no more word texts
-than its trace.  ``oracles.visit_trace`` and :func:`report_dict` keep the
+one string.  Each entry counts its children still to come, and its word's
+text is dropped when the last child's text is made, so the visit's trace,
+DOT and text renderings hold only the texts of entries with children still
+to come.  The trace and the text rendering join their word texts into
+pieces of about 64 KiB, so a writer makes a few large writes rather than
+one per word.  ``oracles.visit_trace`` and :func:`report_dict` keep the
 dicts the two JSON outputs encode, as the references.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .visit import Visit
@@ -41,42 +46,66 @@ _PALETTE = (
 # --- visit traces --------------------------------------------------------------
 
 
+# The least size of a piece of joined word texts, but the last: a writer
+# gets a few large pieces, not one per word.
+_PIECE = 65536
+
+
 def _open_lists(visit: Visit, indices: Sequence[int]) -> Iterator[str]:
     """The words of the entries ``indices`` in turn, each as a JSON list
     without its closing bracket (``"[1,0"``), built from its parent's text:
-    one concatenation per entry.
+    one concatenation per entry, of a letter's text from a per-color table.
 
     ``indices`` start at the root, ascend, and hold the parent of each
-    entry after the first.  A text is kept only until the last of its
-    children is built, so a chain holds one text at a time.
+    entry after the first.  Each entry counts its children still to come,
+    and its text is dropped when the last of them is built, so a chain
+    holds one text at a time.
     """
     parent, letter = visit.parent, visit.letter
-    last = [0] * len(parent)
+    left = [0] * len(parent)
     for i in indices[1:]:
-        last[parent[i]] = i
+        left[parent[i]] += 1
     held: list[Optional[str]] = [None] * len(parent)
     text = held[0] = "[" + ",".join(map(str, visit.root))
     yield text
+    tails = ["," + str(c) for c in range(visit.k)]
+    heads = tails if visit.root else [str(c) for c in range(visit.k)]
     for i in indices[1:]:
         p = parent[i]
-        above = held[p]
-        if last[p] == i:
+        text = held[p] + (tails if p else heads)[letter[i]]
+        left[p] -= 1
+        if not left[p]:
             held[p] = None
-        text = above + ("," if len(above) > 1 else "") + str(letter[i])
-        if last[i]:
+        if left[i]:
             held[i] = text
         yield text
 
 
-def _list_pieces(opened: Iterable[str]) -> Iterator[str]:
-    """The JSON list of the words whose open renderings are ``opened``, as
-    pieces, so that no intermediate copy is made."""
-    sep = "["
-    for item in opened:
-        yield sep
-        yield item
-        sep = "],"
-    yield "]]"
+def _joined(opened: Iterable[str], sep: str, head: str = "") -> Iterator[str]:
+    """``head + sep.join(opened)`` in pieces of at least ``_PIECE``
+    characters but the last.
+
+    A piece is joined from chunks of consecutive texts, each chunk sized
+    from the last one to about an eighth of a piece, so that short texts
+    are dropped once their chunk is joined rather than held for the whole
+    piece, and the texts are taken at C speed.
+    """
+    opened = iter(opened)
+    chunks = [head + next(opened, "")]
+    size = len(chunks[0])
+    count = 1
+    # a text is never empty, so an empty chunk means no text was left
+    while chunk := sep.join(islice(opened, count)):
+        count = max(1, min(2 * count, count * (_PIECE >> 3) // len(chunk)))
+        chunks.append(chunk)
+        size += len(chunk)
+        if size >= _PIECE:
+            # the next piece opens with sep; this one is held as the chunk,
+            # so the next chunk drops it
+            chunk, chunks, size = sep.join(chunks), [""], 0
+            yield chunk
+    if size:
+        yield sep.join(chunks)
 
 
 def _json_ints(values: Sequence[int]) -> str:
@@ -89,17 +118,20 @@ def visit_trace_pieces(visit: Visit) -> Iterator[str]:
     dict, with each word rendered once from its parent's rendering instead
     of letter by letter.
 
-    The pieces are made as they are taken, and each word's text is dropped
-    once its children's are made, so a writer that passes them on one by
-    one holds only the texts of entries with children still to come, not
-    the trace.
+    The pieces are made as they are taken, each of about ``_PIECE``
+    characters, and each word's text is dropped once its children's are
+    made, so a writer that passes them on one by one holds only the texts
+    of entries with children still to come and one piece, not the trace.
     """
-    yield '{"branch":'
-    yield from _list_pieces(_open_lists(visit, visit.branch()))
-    yield ',"k":' + str(visit.k) + ',"order":'
-    yield from _list_pieces(_open_lists(visit, range(len(visit.parent))))
+    # a word list is its open texts joined by "],", between "[" and "]]";
+    # the text between the lists opens the next one's first piece
+    yield from _joined(_open_lists(visit, visit.branch()), "],", '{"branch":[')
+    yield from _joined(
+        _open_lists(visit, range(len(visit.parent))), "],",
+        ']],"k":' + str(visit.k) + ',"order":[',
+    )
     yield (
-        ',"priority":' + _json_ints(visit.priority)
+        ']],"priority":' + _json_ints(visit.priority)
         + ',"root":' + _json_ints(visit.root)
         + ',"stable":' + _json_ints(visit.stable())
         + ',"terminated":' + ("true" if visit.terminated else "false")
@@ -134,6 +166,15 @@ def visit_dot(visit: Visit) -> Iterator[str]:
     yield "}\n"
 
 
+def _text_words(visit: Visit, indices: Sequence[int]) -> Iterator[str]:
+    """The words of the entries ``indices`` as `` <1,0>`` each, in pieces
+    of joined texts: an open text has one "[", at its start, and " <" takes
+    its place."""
+    for piece in _joined(_open_lists(visit, indices), ">"):
+        yield piece.replace("[", " <")
+    yield ">"
+
+
 def visit_text(visit: Visit) -> Iterator[str]:
     """Short human-readable summary of a run."""
     entries = range(len(visit.parent))
@@ -143,11 +184,9 @@ def visit_text(visit: Visit) -> Iterator[str]:
         f"stable indices: {list(visit.stable())}\n"
         "branch:"
     )
-    for opened in _open_lists(visit, visit.branch()):
-        yield f" <{opened[1:]}>"
+    yield from _text_words(visit, visit.branch())
     yield "\norder:"
-    for opened in _open_lists(visit, entries):
-        yield f" <{opened[1:]}>"
+    yield from _text_words(visit, entries)
     yield "\n"
 
 

@@ -92,17 +92,20 @@ class Visit(Record):
         """The horizon-stable indices: all m whose entry's word is a proper
         prefix of every later entry's.
 
-        Parents come before their children, so the descendants of entry m
-        all lie at or after m, and m qualifies exactly when its subtree
-        holds all ``n - m`` entries from m on; one right-to-left pass adds
-        each entry's subtree size to its parent's.
+        Parents come before their children, so m qualifies exactly when
+        no entry after m has its parent before m: then each entry after m
+        descends from m through parents at or after m.  One right-to-left
+        pass keeps the least parent of the entries after m.
         """
         parent = self.parent
-        n = len(parent)
-        size = [1] * n
-        for i in range(n - 1, 0, -1):
-            size[parent[i]] += size[i]
-        return tuple(m for m in range(n) if size[m] == n - m)
+        low = len(parent)
+        stable = []
+        for m in range(len(parent) - 1, -1, -1):
+            if low >= m:
+                stable.append(m)
+            if parent[m] < low:
+                low = parent[m]
+        return tuple(reversed(stable))
 
     def branch(self) -> tuple[int, ...]:
         """The indices on the root path of the last entry, from the root.

@@ -302,6 +302,19 @@ def test_homog_syntax_error_exit(capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
+def test_homog_expression_with_a_leading_minus_takes_the_equals_form(
+        tmp_path, capsys):
+    # after a space, argparse reads "-x" as an option, not as the value
+    assert main(["homog", "--coloring", "-x", "--k", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: argument --coloring: expected one argument\n")
+    out = tmp_path / "homog.json"
+    assert main(["homog", "--coloring=-x", "--k", "3", "--horizon", "20",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["verified"] is True
+
+
 def test_homog_rejects_too_deep_expressions(capsys):
     shapes = [
         "(" * 2000 + "x" + ")" * 2000,
