@@ -28,7 +28,6 @@ _EXPORTS = {
     "build_erdos": "erdos",
     "extract_homogeneous": "erdos",
     "homog_pipeline": "erdos",
-    "insert": "erdos",
     "ColorTree": "trees",
     "FiniteColorTree": "trees",
     "FullColorTree": "trees",

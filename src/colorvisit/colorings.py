@@ -92,9 +92,7 @@ class Coloring(Record):
         )
 
 
-def table_coloring(
-    pairs: Mapping[tuple[int, int], int], k: int, name: str = "table"
-) -> Coloring:
+def table_coloring(pairs: Mapping[tuple[int, int], int], k: int) -> Coloring:
     """Explicit finite coloring; queries beyond the table raise
     :class:`TableIncomplete`.  Endpoints and colors must be ``int``s: a
     float, bool or string is rejected, not rounded or read as a number."""
@@ -120,7 +118,7 @@ def table_coloring(
         except KeyError as missing:
             raise TableIncomplete(missing.args[0]) from None
 
-    return Coloring(k, row, name)
+    return Coloring(k, row, "table")
 
 
 def table_from_dict(data: dict) -> Coloring:

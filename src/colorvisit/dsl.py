@@ -104,7 +104,6 @@ Expr = Union[Lit, Var, Neg, BinOp, Cmp, If]
 # --- tokenizer -----------------------------------------------------------------
 
 _SYMBOLS = ("<=", "==", "!=", "<", "+", "-", "*", "/", "%", "(", ")", ",")
-_KEYWORDS = frozenset({"if", "then", "else", "min", "max", "x", "y"})
 
 
 class _Token(Record):

@@ -9,10 +9,11 @@ of ``x``, the edge ``{x, y}`` has color ``i``.  Consequently any chain in
 the tree is colored, pair by pair, by the edge colors along it, and the
 smaller endpoints of same-colored chain edges form a monochromatic set.
 
-:func:`insert` is the reference construction.  :func:`build_erdos` grows
-the same tree top-down, one :meth:`Coloring.split` per node: each node
-groups every number below it by color at once, a group per child.
-Verification of the extracted sets also splits a row per class member.
+:func:`build_by_insertion` is the reference construction, one pair at a
+time.  :func:`build_erdos` grows the same tree top-down, one
+:meth:`Coloring.split` per node: each node groups every number below it by
+color at once, a group per child.  Verification of the extracted sets also
+splits a row per class member.
 
 Children are color-unique, so the tree keeps one map per color from a
 node to its child of that color, and is a finite color tree with node ids
@@ -36,18 +37,13 @@ class ErdosError(ValueError):
     """Base class for comparison-tree errors."""
 
 
-class NonContiguousInsert(ErdosError):
-    def __init__(self, n: int, size: int) -> None:
-        super().__init__(f"expected insertion of {size}, got {n}")
-
-
 class ErdosTree(Record):
     """Rooted tree on 0..size-1 with at most one child per color per node.
 
-    Built by :func:`build_erdos` or by :func:`insert`; parents always
-    precede children numerically.  ``children[c]`` maps each node that has
-    a ``c``-child to that child.  The fields default to the lone root 0.
-    Treat instances as immutable once construction finishes.
+    Built by :func:`build_erdos` or :func:`build_by_insertion`; parents
+    always precede children numerically.  ``children[c]`` maps each node
+    that has a ``c``-child to that child.  Nothing changes an instance once
+    it is built.
     """
 
     __slots__ = ("k", "parent", "edge_color", "children")
@@ -55,16 +51,11 @@ class ErdosTree(Record):
     def __init__(
         self,
         k: int,
-        parent: Optional[list[Optional[int]]] = None,
-        edge_color: Optional[list[Optional[int]]] = None,
-        children: Optional[list[dict[int, int]]] = None,
+        parent: list[Optional[int]],
+        edge_color: list[Optional[int]],
+        children: list[dict[int, int]],
     ) -> None:
-        super().__init__(
-            k,
-            [None] if parent is None else parent,
-            [None] if edge_color is None else edge_color,
-            [{} for _ in range(k)] if children is None else children,
-        )
+        super().__init__(k, parent, edge_color, children)
 
     @property
     def size(self) -> int:
@@ -74,28 +65,6 @@ class ErdosTree(Record):
         """The ``c``-child of a node or None: a C-level ``dict.get``, of an
         empty dict for a color outside ``0..k-1``."""
         return self.children[c].get if 0 <= c < self.k else {}.get
-
-
-def insert(tree: ErdosTree, n: int, coloring: Coloring) -> ErdosTree:
-    """Attach node ``n`` by root-to-leaf descent along edge colors.
-
-    ``n`` must equal the current size (nodes are inserted contiguously) and
-    the coloring must be total on pairs from 0..n.  Mutates and returns the
-    tree.
-    """
-    if n != tree.size:
-        raise NonContiguousInsert(n, tree.size)
-    children = tree.children
-    x = 0
-    while True:
-        i = coloring(x, n)
-        nxt = children[i].get(x)
-        if nxt is None:
-            children[i][x] = n
-            tree.parent.append(x)
-            tree.edge_color.append(i)
-            return tree
-        x = nxt
 
 
 def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
@@ -129,11 +98,21 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
 
 
 def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:
-    """Reference build: :func:`insert` 1..size-1 in order into {0}."""
-    tree = ErdosTree(k=coloring.k)
+    """Reference build: node ``n`` = 1..size-1 in order descends from the
+    root along the colors of its edges to the nodes it passes, and attaches
+    at the first node that has no child of that color."""
+    parent: list[Optional[int]] = [None]
+    edge_color: list[Optional[int]] = [None]
+    children: list[dict[int, int]] = [{} for _ in range(coloring.k)]
     for n in range(1, size):
-        insert(tree, n, coloring)
-    return tree
+        x, i = 0, coloring(0, n)
+        while x in children[i]:
+            x = children[i][x]
+            i = coloring(x, n)
+        children[i][x] = n
+        parent.append(x)
+        edge_color.append(i)
+    return ErdosTree(coloring.k, parent, edge_color, children)
 
 
 class HomogeneousReport(Record):

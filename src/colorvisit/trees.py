@@ -188,7 +188,8 @@ def full_tree(k: int) -> FullColorTree:
 
 
 def builtin_tree(name: str) -> FullColorTree:
-    """Resolve a builtin tree name: ``unary`` or ``full:<k>``."""
+    """Resolve a builtin tree name: ``unary`` or ``full:<k>``.  The front
+    end reads a ``--tree`` text as a builtin name when no file has it."""
     if name == "unary":
         return unary_tree()
     if name.startswith("full:"):
@@ -196,7 +197,7 @@ def builtin_tree(name: str) -> FullColorTree:
             return full_tree(parse_int(name.split(":", 1)[1]))
         except ValueError:
             raise TreeError(f"bad color count in builtin tree {name!r}") from None
-    raise TreeError(f"unknown builtin tree {name!r}")
+    raise TreeError(f"unknown builtin tree {name!r}, and no file has that name")
 
 
 # --- JSON file format ---------------------------------------------------------

@@ -2,9 +2,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import pytest
 from hypothesis import strategies as st
@@ -14,7 +13,7 @@ from colorvisit.cli import MAX_MESSAGE
 from colorvisit.colorings import Coloring
 from colorvisit.dsl import BinOp, Cmp, If, Lit, Neg, Var
 from colorvisit.oracles import TreeGenParams, complete_tree, random_tree
-from colorvisit.trees import FiniteColorTree, OracleColorTree, validate_tree
+from colorvisit.trees import FiniteColorTree, validate_tree
 from colorvisit.visit import Visit, enumerate_visit
 
 

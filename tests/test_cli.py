@@ -109,8 +109,12 @@ def test_homog_unverified_report_exits_3(monkeypatch, tmp_path):
     assert json.loads(out.read_text())["verified"] is False
 
 
-def test_visit_missing_tree_file_is_config_error(tmp_path):
-    assert main(["visit", "--tree", str(tmp_path / "nope.json")]) == 2
+def test_visit_missing_tree_file_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["visit", "--tree", "nope.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown builtin tree 'nope.json', and no file has that name\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -15,12 +15,10 @@ from colorvisit.dsl import DivisionByZero, dsl_coloring
 from colorvisit.erdos import (
     ErdosError,
     ErdosTree,
-    NonContiguousInsert,
     build_by_insertion,
     build_erdos,
     extract_homogeneous,
     homog_pipeline,
-    insert,
 )
 from colorvisit.oracles import (
     ancestor_formula_relation,
@@ -31,7 +29,6 @@ from colorvisit.oracles import (
     visit_words,
 )
 from colorvisit.visit import VisitError, enumerate_visit
-from colorvisit.words import full_priority
 
 
 def root_path(tree, n):
@@ -53,23 +50,15 @@ def children_of(tree, x):
 
 
 def test_insert_attaches_to_root_on_empty_descent():
-    tree = ErdosTree(k=2)
-    insert(tree, 1, builtin_coloring("constant:0", 2))
+    tree = build_by_insertion(builtin_coloring("constant:0", 2), 2)
     assert tree.parent[1] == 0 and tree.edge_color[1] == 0
 
 
 def test_insert_descends_along_edge_colors():
-    parity = builtin_coloring("sum-mod", 2)
-    tree = build_erdos(parity, 4)
-    insert(tree, 4, parity)
+    tree = build_by_insertion(builtin_coloring("sum-mod", 2), 5)
     # 4 walks 0 -> 2 (edge color 0) and attaches as 2's 0-child
     assert tree.parent[4] == 2 and tree.edge_color[4] == 0
-
-
-def test_insert_rejects_gaps():
-    tree = ErdosTree(k=2)
-    with pytest.raises(NonContiguousInsert):
-        insert(tree, 2, builtin_coloring("constant:0", 2))
+    assert children_of(tree, 2) == {0: 4}
 
 
 def test_build_constant_gives_a_chain():

@@ -21,6 +21,7 @@ import itertools
 import subprocess
 import sys
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,49 @@ def test_oracles_stays_below_the_parser_step():
     peak memory of ``check --suite all --seed 3 --cases 200`` from 15.711
     to 15.855 MB (medians of 5 cold runs on one CPU)."""
     assert parser_tokens("oracles") < 4096
+
+
+def top_level_names(tree: ast.Module) -> list[str]:
+    """The functions, classes and assigned names a module defines at its
+    top level, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign):
+            names.append(node.target.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def name_counts(paths) -> Counter:
+    """How often each identifier occurs in the files as a name, or as a
+    string literal that spells it (as ``_EXPORTS`` and ``setattr`` do)."""
+    counts: Counter = Counter()
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            for t in tokenize.generate_tokens(f.readline):
+                text = t.string
+                if t.type == tokenize.STRING:
+                    text = text.strip("'\"")
+                elif t.type != tokenize.NAME:
+                    continue
+                counts[text] += 1
+    return counts
+
+
+def test_every_top_level_name_is_used():
+    """A package name that occurs only in its own definition is dead code:
+    nothing in the package, the tests or the scripts names it."""
+    root = Path(__file__).resolve().parent.parent
+    files = [*PACKAGE.glob("*.py"), *root.glob("tests/*.py"), *root.glob("scripts/*.py")]
+    counts = name_counts(files)
+    defined = Counter(name for path in PACKAGE.glob("*.py")
+                      for name in top_level_names(parse(path.stem)))
+    assert "ErdosTree" in defined
+    unused = sorted(n for n, d in defined.items() if counts[n] <= d)
+    assert unused == []
 
 
 # runs a command line in a fresh interpreter and prints the modules loaded
