@@ -9,10 +9,10 @@ of ``x``, the edge ``{x, y}`` has color ``i``.  Consequently any chain in
 the tree is colored, pair by pair, by the edge colors along it, and the
 smaller endpoints of same-colored chain edges form a monochromatic set.
 
-:func:`build_by_insertion` is the reference construction, one pair at a
-time.  :func:`build_erdos` grows the same tree top-down, one
-:meth:`Coloring.split` per node: each node groups every number below it by
-color at once, a group per child.  Verification of the extracted sets also
+:func:`build_erdos` grows this tree top-down, one :meth:`Coloring.split`
+per node: each node groups every number below it by color at once, a group
+per child.  The reference construction, one pair at a time, is
+``oracles.build_by_insertion``.  Verification of the extracted sets also
 splits a row per class member.
 
 Children are color-unique, so the tree keeps one map per color from a
@@ -40,10 +40,10 @@ class ErdosError(ValueError):
 class ErdosTree(Record):
     """Rooted tree on 0..size-1 with at most one child per color per node.
 
-    Built by :func:`build_erdos` or :func:`build_by_insertion`; parents
-    always precede children numerically.  ``children[c]`` maps each node
-    that has a ``c``-child to that child.  Nothing changes an instance once
-    it is built.
+    Built by :func:`build_erdos`, or by the reference
+    ``oracles.build_by_insertion``; parents always precede children
+    numerically.  ``children[c]`` maps each node that has a ``c``-child to
+    that child.  Nothing changes an instance once it is built.
     """
 
     __slots__ = ("k", "parent", "edge_color", "children")
@@ -95,24 +95,6 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
             if len(group) > 1:
                 work.append((child, group[1:]))
     return ErdosTree(k, parent, edge_color, children)
-
-
-def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:
-    """Reference build: node ``n`` = 1..size-1 in order descends from the
-    root along the colors of its edges to the nodes it passes, and attaches
-    at the first node that has no child of that color."""
-    parent: list[Optional[int]] = [None]
-    edge_color: list[Optional[int]] = [None]
-    children: list[dict[int, int]] = [{} for _ in range(coloring.k)]
-    for n in range(1, size):
-        x, i = 0, coloring(0, n)
-        while x in children[i]:
-            x = children[i][x]
-            i = coloring(x, n)
-        children[i][x] = n
-        parent.append(x)
-        edge_color.append(i)
-    return ErdosTree(coloring.k, parent, edge_color, children)
 
 
 class HomogeneousReport(Record):

@@ -1,4 +1,5 @@
-"""Brute-force reference implementations and seeded generators.
+"""Brute-force reference implementations, the insertion build of the
+comparison tree, and seeded generators.
 
 Everything here, from the declarative visit checker :func:`check_visit` on,
 exists to cross-check the efficient code paths, and only the ``check``
@@ -19,7 +20,7 @@ from .colorings import Coloring, TableIncomplete
 from .dsl import BinOp, Cmp, DivisionByZero, Expr, If, Lit, Neg, Var
 from .erdos import ErdosTree
 from .trees import ColorTree, FiniteColorTree, RootNotInTree
-from .visit import Visit, VisitError
+from .visit import Visit
 from .words import ROOT, Record, Word, validate_priority
 
 
@@ -55,64 +56,26 @@ def visit_words(visit: Visit) -> tuple[Word, ...]:
 
 # --- the declarative checker and its helpers ------------------------------------
 
-class EntryNotInTree(VisitError):
-    def __init__(self, entry: Word) -> None:
-        self.entry = entry
-        super().__init__(f"entry {entry} is not in the tree")
-
-
-def is_color_complete(
-    tree: ColorTree,
-    entries: Sequence[Word],
-    color: int,
-    *,
-    check_entries: bool = True,
+def is_complete_for(
+    tree: ColorTree, entries: Sequence[Word], priority: Iterable[int]
 ) -> bool:
-    """True iff every ``color``-child (in the tree) of an entry is an entry.
+    """True iff, for every color in the priority list (vacuous if empty),
+    every child of that color (in the tree) of an entry is an entry.
 
-    The completeness scan itself uses exactly ``len(entries)`` membership
-    probes, one per candidate child.  With ``check_entries`` (the default)
-    an extra validation pass raises :class:`EntryNotInTree` on entries
-    outside the tree; internal callers that construct entries from the tree
-    skip it.
+    One membership probe per entry and color, the colors in priority
+    order, stopping at the first missing child.
     """
-    if check_entries:
-        for w in entries:
-            if not tree.contains(w):
-                raise EntryNotInTree(w)
     entry_set = set(entries)
-    for w in entries:
-        child = w + (color,)
-        if tree.contains(child) and child not in entry_set:
-            return False
+    for c in priority:
+        for w in entries:
+            child = w + (c,)
+            if tree.contains(child) and child not in entry_set:
+                return False
     return True
 
 
-def is_complete_for(
-    tree: ColorTree,
-    entries: Sequence[Word],
-    priority: Iterable[int],
-    *,
-    check_entries: bool = True,
-) -> bool:
-    """Completeness for every color in the priority list (vacuous if empty)."""
-    if check_entries:
-        for w in entries:
-            if not tree.contains(w):
-                raise EntryNotInTree(w)
-    return all(
-        is_color_complete(tree, entries, c, check_entries=False)
-        for c in priority
-    )
-
-
 def nth_expansion(
-    tree: ColorTree,
-    bases: Sequence[Word],
-    n: int,
-    color: int,
-    *,
-    check_entries: bool = True,
+    tree: ColorTree, bases: Sequence[Word], n: int, color: int
 ) -> Optional[Word]:
     """The n-th (0-indexed) word ``base + (color,)`` present in the tree,
     scanning bases in lexicographic order; ``None`` if fewer than n+1 exist.
@@ -122,14 +85,6 @@ def nth_expansion(
     """
     if n < 0:
         return None
-    if check_entries:
-        seen: set[Word] = set()
-        for w in bases:
-            if w in seen:
-                raise VisitError(f"duplicate base {w}")
-            seen.add(w)
-            if not tree.contains(w):
-                raise EntryNotInTree(w)
     hits = 0
     for base in sorted(bases):
         child = base + (color,)
@@ -209,7 +164,7 @@ class _Checker:
             if m == hi:
                 return True  # n = 0: no expansion happened yet
             segment = self.entries[lo:m]
-            if not is_complete_for(self.tree, segment, rest, check_entries=False):
+            if not is_complete_for(self.tree, segment, rest):
                 continue
             if self._segments(0, m, hi, segment, d0, rotated, prio):
                 return True
@@ -231,7 +186,7 @@ class _Checker:
         collector runs."""
         if lo == hi:
             return True
-        head = nth_expansion(self.tree, m_entries, j, d0, check_entries=False)
+        head = nth_expansion(self.tree, m_entries, j, d0)
         if head is None or self.entries[lo] != head:
             return False
         for end in range(lo + 1, hi + 1):
@@ -239,9 +194,7 @@ class _Checker:
                 continue
             if end == hi:
                 return True  # last segment needs no completeness
-            if not is_complete_for(
-                self.tree, self.entries[lo:end], all_colors, check_entries=False
-            ):
+            if not is_complete_for(self.tree, self.entries[lo:end], all_colors):
                 continue
             if self._segments(j + 1, end, hi, m_entries, d0, rotated, all_colors):
                 return True
@@ -377,6 +330,24 @@ def visit_trace(visit: Visit) -> dict:
             list(deepest[:i]) for i in range(len(visit.root), len(deepest) + 1)
         ],
     }
+
+
+def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:
+    """Reference build: node ``n`` = 1..size-1 in order descends from the
+    root along the colors of its edges to the nodes it passes, and attaches
+    at the first node that has no child of that color."""
+    parent: list[Optional[int]] = [None]
+    edge_color: list[Optional[int]] = [None]
+    children: list[dict[int, int]] = [{} for _ in range(coloring.k)]
+    for n in range(1, size):
+        x, i = 0, coloring(0, n)
+        while x in children[i]:
+            x = children[i][x]
+            i = coloring(x, n)
+        children[i][x] = n
+        parent.append(x)
+        edge_color.append(i)
+    return ErdosTree(coloring.k, parent, edge_color, children)
 
 
 def to_word_tree(tree: ErdosTree) -> FiniteColorTree:

@@ -14,12 +14,13 @@ from typing import Callable, Iterator, Optional
 
 from .colorings import Coloring, builtin_coloring
 from .dsl import dsl_coloring
-from .erdos import build_by_insertion, build_erdos, homog_pipeline
+from .erdos import build_erdos, homog_pipeline
 from .oracles import (
     ALL_VISITS_NODE_CAP,
     TreeGenParams,
     all_visits,
     ancestor_formula_relation,
+    build_by_insertion,
     chain_tree,
     check_erdos_property,
     complete_tree,

@@ -196,7 +196,9 @@ def builtin_tree(name: str) -> FullColorTree:
         try:
             return full_tree(parse_int(name.split(":", 1)[1]))
         except ValueError:
-            raise TreeError(f"bad color count in builtin tree {name!r}") from None
+            raise TreeError(
+                f"bad color count in builtin tree {name!r}, and no file has that name"
+            ) from None
     raise TreeError(f"unknown builtin tree {name!r}, and no file has that name")
 
 

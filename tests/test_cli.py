@@ -117,6 +117,15 @@ def test_visit_missing_tree_file_is_config_error(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_visit_missing_full_tree_file_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["visit", "--tree", "full:2.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad color count in builtin tree 'full:2.json', "
+        "and no file has that name\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "name, message",
     [

@@ -15,7 +15,6 @@ from colorvisit.dsl import DivisionByZero, dsl_coloring
 from colorvisit.erdos import (
     ErdosError,
     ErdosTree,
-    build_by_insertion,
     build_erdos,
     extract_homogeneous,
     homog_pipeline,
@@ -23,6 +22,7 @@ from colorvisit.erdos import (
 from colorvisit.oracles import (
     ancestor_formula_relation,
     branch_census,
+    build_by_insertion,
     check_erdos_property,
     random_coloring,
     to_word_tree,

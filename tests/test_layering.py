@@ -36,9 +36,9 @@ RUN_PATH = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in REFERENC
 ALLOWED = {"cli": {"suites"}}
 
 MOVED = {
-    "check_visit", "_Checker", "is_color_complete", "is_complete_for",
-    "nth_expansion", "EntryNotInTree", "evaluate", "in_restricted",
-    "lex_compare", "is_proper_prefix", "branch_census", "check_erdos_property",
+    "check_visit", "_Checker", "is_complete_for", "nth_expansion",
+    "evaluate", "in_restricted", "lex_compare", "is_proper_prefix",
+    "branch_census", "check_erdos_property", "build_by_insertion",
 }
 
 
@@ -120,6 +120,9 @@ def test_references_are_defined_only_in_oracles():
             assert not names & MOVED, module
     assert defined["visit"] == {
         "VisitError", "Visit", "lex_order", "visit_nodes", "enumerate_visit"}
+    assert defined["erdos"] == {
+        "ErdosError", "ErdosTree", "build_erdos", "HomogeneousReport",
+        "extract_homogeneous", "homog_pipeline"}
     assert not hasattr(colorvisit.Visit, "order")
     assert not MOVED & set(vars(colorvisit))
 
@@ -134,10 +137,10 @@ def parser_tokens(module: str) -> int:
 
 def test_oracles_stays_below_the_parser_step():
     """CPython 3.11's parser doubles its token array at 4096 tokens, and
-    every ``check`` run compiles ``oracles`` on a cold tree.  Moving the
-    insertion build into it took it from 4084 to 4299 tokens, and the
-    peak memory of ``check --suite all --seed 3 --cases 200`` from 15.711
-    to 15.855 MB (medians of 5 cold runs on one CPU)."""
+    every ``check`` run compiles ``oracles`` on a cold tree.  Taking it
+    from 4084 to 4299 tokens once raised the peak memory of
+    ``check --suite all --seed 3 --cases 200`` from 15.711 to 15.855 MB
+    (medians of 5 cold runs on one CPU)."""
     assert parser_tokens("oracles") < 4096
 
 

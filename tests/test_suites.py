@@ -2,6 +2,8 @@
 
 import pytest
 
+from colorvisit import suites
+from colorvisit.cli import main
 from colorvisit.suites import SUITES, _shrink_tree, run_suite, tree_corpus
 from colorvisit.trees import FiniteColorTree, validate_tree
 
@@ -27,6 +29,21 @@ def test_suites_pass_at_benchmark_seeds(seed):
 def test_run_suite_rejects_unknown():
     with pytest.raises(KeyError):
         run_suite("nosuch", 0, 1)
+
+
+def test_a_visit_word_outside_the_tree_fails_the_visits_suite(monkeypatch, capsys):
+    """A generator that emits a word outside its tree is a failed property,
+    exit 1 with a shrunk counterexample, not a configuration error."""
+    words = suites.visit_words
+    monkeypatch.setattr(suites, "visit_words", lambda v: words(v) + ((99,),))
+    result = run_suite("visits", 0, 5)
+    assert not result.passed
+    assert "enumeration invariant failed" in result.failure
+    assert "tree=" in result.failure
+    assert main(["check", "--suite", "visits", "--cases", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("suite visits: FAIL")
+    assert captured.err.startswith("counterexample for suite visits:\n")
 
 
 def test_corpus_is_deterministic_and_mixed():

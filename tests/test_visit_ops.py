@@ -2,18 +2,13 @@
 
 import itertools
 
-import pytest
-
 from colorvisit.oracles import (
-    EntryNotInTree,
     check_visit,
-    is_color_complete,
     is_complete_for,
     naive_nth_expansion,
     nth_expansion,
 )
 from colorvisit.trees import validate_tree
-from colorvisit.visit import VisitError
 
 from conftest import CountingTree
 
@@ -22,22 +17,24 @@ GOLDEN = ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
 
 def test_color_complete_examples(binary_depth2):
     entries = [(), (1,), (1, 1)]
-    assert is_color_complete(binary_depth2, entries, 1) is True
+    assert is_complete_for(binary_depth2, entries, (1,)) is True
     # the root has the 0-child (0,), which is missing from the list
-    assert is_color_complete(binary_depth2, entries, 0) is False
-    assert is_color_complete(binary_depth2, [], 0) is True
-
-
-def test_color_complete_rejects_foreign_entries(binary_depth2):
-    with pytest.raises(EntryNotInTree):
-        is_color_complete(binary_depth2, [(0, 0, 0)], 1)
+    assert is_complete_for(binary_depth2, entries, (0,)) is False
+    assert is_complete_for(binary_depth2, [], (0,)) is True
 
 
 def test_color_complete_probe_count():
     tree = CountingTree(validate_tree(GOLDEN, 2))
     entries = [(), (1,), (1, 1)]
-    is_color_complete(tree, entries, 1, check_entries=False)
+    assert is_complete_for(tree, entries, (1,)) is True
     assert tree.probes == len(entries)
+    tree.probes = 0
+    assert is_complete_for(tree, GOLDEN, (0, 1)) is True
+    assert tree.probes == len(GOLDEN) * 2
+    # color 1 probes every entry, color 0 stops at the root's missing child
+    tree.probes = 0
+    assert is_complete_for(tree, entries, (1, 0)) is False
+    assert tree.probes == len(entries) + 1 < len(entries) * 2
 
 
 def test_complete_for_examples(binary_depth1, binary_depth2):
@@ -58,17 +55,10 @@ def test_nth_expansion_examples():
     assert nth_expansion(t3, [(), (1,)], -1, 0) is None
 
 
-def test_nth_expansion_validates_bases(binary_depth2):
-    with pytest.raises(EntryNotInTree):
-        nth_expansion(binary_depth2, [(0, 0, 0)], 0, 0)
-    with pytest.raises(VisitError):
-        nth_expansion(binary_depth2, [(), ()], 0, 0)
-
-
 def test_nth_expansion_probe_bound():
     tree = CountingTree(validate_tree(GOLDEN, 2))
     bases = [(), (1,), (1, 1), (0,)]
-    nth_expansion(tree, bases, 1, 0, check_entries=False)
+    nth_expansion(tree, bases, 1, 0)
     assert tree.probes <= len(bases)
 
 
