@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .words import Record, parse_int
+from .words import Record, parse_int, read_json
 
 
 class ColoringError(ValueError):
@@ -147,14 +147,7 @@ def table_from_dict(data: dict) -> Coloring:
 
 
 def load_table(path: str) -> Coloring:
-    import json  # only table files need it, not expressions or builtins
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ColoringError("table file is nested too deeply") from None
-    return table_from_dict(data)
+    return table_from_dict(read_json(path, "table", ColoringError))
 
 
 def _int_suffix(name: str) -> int:

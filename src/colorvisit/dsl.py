@@ -11,6 +11,11 @@ Grammar (EBNF)::
             | "max(" expr "," expr ")" | "(" expr ")" | "-" factor
     nat    := ("0" | "1" | ... | "9")+     (ASCII digits only)
 
+Every infix operator, comparisons included, parses to a :class:`BinOp`, and
+so do ``min`` and ``max``.  One table, ``_LEVEL``, gives each infix
+operator the level of its rule above (``cmp`` 1, ``sum`` 2, ``term`` 3); the
+parser, the printer and :func:`fold_rows` all read it.
+
 All arithmetic is arbitrary-precision signed integer arithmetic; ``/`` is
 floor division and ``%`` the matching floor remainder.  Comparisons yield 0
 or 1 and the ``if`` condition treats any nonzero value as true.  By default
@@ -87,18 +92,18 @@ class Neg(Record):
 
 
 class BinOp(Record):
-    __slots__ = ("op", "left", "right")  # op: one of + - * / % min max
-
-
-class Cmp(Record):
-    __slots__ = ("op", "left", "right")  # op: one of < <= == !=
+    __slots__ = ("op", "left", "right")  # op: a key of _LEVEL, min or max
 
 
 class If(Record):
     __slots__ = ("cond", "then", "orelse")
 
 
-Expr = Union[Lit, Var, Neg, BinOp, Cmp, If]
+Expr = Union[Lit, Var, Neg, BinOp, If]
+
+# Each infix operator's precedence level, 1 binding the loosest.  An ``if``
+# is level 0 and a factor, ``min`` and ``max`` included, level 4.
+_LEVEL = {"<": 1, "<=": 1, "==": 1, "!=": 1, "+": 2, "-": 2, "*": 3, "/": 3, "%": 3}
 
 
 # --- tokenizer -----------------------------------------------------------------
@@ -207,39 +212,25 @@ class _Parser:
     def cond(self) -> tuple[Expr, int]:
         if self._at_keyword("if"):
             self.index += 1
-            cond, d_cond = self.cmp()
+            cond, d_cond = self.binary(1)
             self._take_keyword("then")
             then, d_then = self.expr()
             self._take_keyword("else")
             orelse, d_else = self.expr()
             return If(cond, then, orelse), self._deeper(max(d_cond, d_then, d_else))
-        return self.cmp()
+        return self.binary(1)
 
-    def cmp(self) -> tuple[Expr, int]:
-        left, depth = self.sum()
-        if self.current.kind in ("<", "<=", "==", "!="):
+    def binary(self, level: int) -> tuple[Expr, int]:
+        """A left-associative chain of the operators of ``level``, whose
+        operands are of the next level; comparisons (level 1) do not chain."""
+        node, depth = self.binary(level + 1) if level < 3 else self.factor()
+        while _LEVEL.get(self.current.kind) == level:
             op = self.current.kind
             self.index += 1
-            right, d_right = self.sum()
-            return Cmp(op, left, right), self._deeper(max(depth, d_right))
-        return left, depth
-
-    def sum(self) -> tuple[Expr, int]:
-        node, depth = self.term()
-        while self.current.kind in ("+", "-"):
-            op = self.current.kind
-            self.index += 1
-            right, d_right = self.term()
+            right, d_right = self.binary(level + 1) if level < 3 else self.factor()
             node, depth = BinOp(op, node, right), self._deeper(max(depth, d_right))
-        return node, depth
-
-    def term(self) -> tuple[Expr, int]:
-        node, depth = self.factor()
-        while self.current.kind in ("*", "/", "%"):
-            op = self.current.kind
-            self.index += 1
-            right, d_right = self.factor()
-            node, depth = BinOp(op, node, right), self._deeper(max(depth, d_right))
+            if level == 1:
+                break
         return node, depth
 
     def factor(self) -> tuple[Expr, int]:
@@ -292,27 +283,10 @@ def parse(source: str) -> Expr:
 
 # --- pretty printer ------------------------------------------------------------
 
-# Precedence levels, loosest first; used to insert the minimal parentheses
-# that the recursive-descent grammar needs to reparse the same shape.
-_LEVEL_COND = 0
-_LEVEL_CMP = 1
-_LEVEL_SUM = 2
-_LEVEL_TERM = 3
-_LEVEL_FACTOR = 4
-
-
 def _level(expr: Expr) -> int:
     if isinstance(expr, If):
-        return _LEVEL_COND
-    if isinstance(expr, Cmp):
-        return _LEVEL_CMP
-    if isinstance(expr, BinOp):
-        if expr.op in ("+", "-"):
-            return _LEVEL_SUM
-        if expr.op in ("*", "/", "%"):
-            return _LEVEL_TERM
-        return _LEVEL_FACTOR  # min/max render as calls
-    return _LEVEL_FACTOR
+        return 0
+    return _LEVEL.get(expr.op, 4) if isinstance(expr, BinOp) else 4
 
 
 def _wrap(expr: Expr, floor: int) -> str:
@@ -321,31 +295,26 @@ def _wrap(expr: Expr, floor: int) -> str:
 
 
 def to_text(expr: Expr) -> str:
-    """Canonical rendering; printing, parsing and printing again is a
-    fixpoint."""
+    """Canonical rendering with the fewest parentheses that reparse the same
+    tree; printing, parsing and printing again is a fixpoint.  An operand
+    is bracketed when it binds more loosely than its operator, or as
+    tightly on the right or beside a comparison: chains associate to the
+    left, and comparisons do not chain."""
     if isinstance(expr, Lit):
         return str(expr.value)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Neg):
-        return "-" + _wrap(expr.operand, _LEVEL_FACTOR)
-    if isinstance(expr, Cmp):
-        left = _wrap(expr.left, _LEVEL_SUM)
-        right = _wrap(expr.right, _LEVEL_SUM)
-        return f"{left} {expr.op} {right}"
+        return "-" + _wrap(expr.operand, 4)
     if isinstance(expr, If):
-        cond = _wrap(expr.cond, _LEVEL_CMP)
+        cond = _wrap(expr.cond, 1)
         return f"if {cond} then {to_text(expr.then)} else {to_text(expr.orelse)}"
     if isinstance(expr, BinOp):
         if expr.op in ("min", "max"):
             return f"{expr.op}({to_text(expr.left)}, {to_text(expr.right)})"
-        if expr.op in ("+", "-"):
-            left = _wrap(expr.left, _LEVEL_SUM)
-            right = _wrap(expr.right, _LEVEL_TERM)
-        else:
-            left = _wrap(expr.left, _LEVEL_TERM)
-            right = _wrap(expr.right, _LEVEL_FACTOR)
-        return f"{left} {expr.op} {right}"
+        level = _LEVEL[expr.op]
+        left = _wrap(expr.left, level + (level == 1))
+        return f"{left} {expr.op} {_wrap(expr.right, level + 1)}"
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -382,8 +351,6 @@ def _source(expr: Expr) -> str:
         return "x" if expr.name == "x" else "y"
     if isinstance(expr, Neg):
         return f"(-{_source(expr.operand)})"
-    if isinstance(expr, Cmp) and expr.op in ("<", "<=", "==", "!="):
-        return f"({_source(expr.left)} {expr.op} {_source(expr.right)})"
     if isinstance(expr, If):
         cond, then, orelse = map(_source, (expr.cond, expr.then, expr.orelse))
         return f"({then} if {cond} else {orelse})"
@@ -391,7 +358,9 @@ def _source(expr: Expr) -> str:
         left, right = _source(expr.left), _source(expr.right)
         if expr.op in ("min", "max"):
             return f"{expr.op}({left}, {right})"
-        if expr.op in ("+", "-", "*"):
+        # a fixed list, not the keys of _LEVEL: only these texts reach the
+        # compiler, whatever the table holds
+        if expr.op in ("+", "-", "*", "<", "<=", "==", "!="):
             return f"({left} {expr.op} {right})"
         if expr.op in ("/", "%"):
             if isinstance(expr.right, Lit) and expr.right.value != 0:
@@ -441,15 +410,15 @@ def fold_rows(expr: Expr) -> Expr:
         if isinstance(cond, Lit):
             return fold_rows(expr.then if cond.value else expr.orelse)
         return If(cond, fold_rows(expr.then), fold_rows(expr.orelse))
-    if isinstance(expr, (BinOp, Cmp)):
+    if isinstance(expr, BinOp):
         left, right = fold_rows(expr.left), fold_rows(expr.right)
         if isinstance(left, Var) and isinstance(right, Var) and left != right:
             if expr.op in ("min", "max"):
                 return Var("x" if expr.op == "min" else "y")
-            if isinstance(expr, Cmp):  # "x" < "y" as names and as values
+            if _LEVEL[expr.op] == 1:  # "x" < "y" as names and as values
                 ordered = left.name < right.name
                 return Lit(int(ordered if "<" in expr.op else expr.op == "!="))
-        return type(expr)(expr.op, left, right)
+        return BinOp(expr.op, left, right)
     return expr
 
 

@@ -17,7 +17,7 @@ import random
 from typing import Iterable, Optional, Sequence
 
 from .colorings import Coloring, TableIncomplete
-from .dsl import BinOp, Cmp, DivisionByZero, Expr, If, Lit, Neg, Var
+from .dsl import BinOp, DivisionByZero, Expr, If, Lit, Neg, Var
 from .erdos import ErdosTree
 from .trees import ColorTree, FiniteColorTree, RootNotInTree
 from .visit import Visit
@@ -412,16 +412,6 @@ def evaluate(expr: Expr, x: int, y: int, strict: bool = False) -> int:
         return x if expr.name == "x" else y
     if isinstance(expr, Neg):
         return -evaluate(expr.operand, x, y, strict)
-    if isinstance(expr, Cmp):
-        left = evaluate(expr.left, x, y, strict)
-        right = evaluate(expr.right, x, y, strict)
-        if expr.op == "<":
-            return int(left < right)
-        if expr.op == "<=":
-            return int(left <= right)
-        if expr.op == "==":
-            return int(left == right)
-        return int(left != right)
     if isinstance(expr, If):
         if evaluate(expr.cond, x, y, strict) != 0:
             return evaluate(expr.then, x, y, strict)
@@ -439,6 +429,14 @@ def evaluate(expr: Expr, x: int, y: int, strict: bool = False) -> int:
             return min(left, right)
         if expr.op == "max":
             return max(left, right)
+        if expr.op == "<":
+            return int(left < right)
+        if expr.op == "<=":
+            return int(left <= right)
+        if expr.op == "==":
+            return int(left == right)
+        if expr.op == "!=":
+            return int(left != right)
         if expr.op == "/":
             if right == 0:
                 if strict:

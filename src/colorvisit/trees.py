@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Union
 
-from .words import ROOT, Record, Word, parse_int
+from .words import ROOT, Record, Word, parse_int, read_json
 
 
 class TreeError(ValueError):
@@ -225,14 +225,7 @@ def tree_from_dict(data: dict) -> FiniteColorTree:
 
 
 def load_tree(path: str) -> FiniteColorTree:
-    import json  # only tree files need it, not the builtin trees
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise TreeError("tree file is nested too deeply") from None
-    return tree_from_dict(data)
+    return tree_from_dict(read_json(path, "tree", TreeError))
 
 
 def save_tree(tree: FiniteColorTree, path: str) -> None:

@@ -246,8 +246,6 @@ def enumerate_visit(
     is True only when completion was actually observed within the budget.
     The loop starts from ``tree.node(root)`` and keeps no word.
     """
-    if budget < 1:
-        raise VisitError(f"budget {budget} must be at least 1")
     prio = validate_priority(priority, tree.k)
     root = tuple(root)
     if not tree.contains(root):

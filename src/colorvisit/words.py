@@ -5,8 +5,9 @@ root of every tree.  The only order used anywhere in the package is plain
 sequence-lexicographic order in which a proper prefix sorts before all of
 its extensions.
 
-The module also holds the two pieces every other run-path module shares:
-:func:`parse_int`, the one reader of integers in user text, and
+The module also holds the pieces the other run-path modules share:
+:func:`parse_int`, the one reader of integers in user text,
+:func:`read_json`, the one reader of tree and table files, and
 :class:`Record`, the base of the package's small immutable value classes.
 """
 
@@ -76,6 +77,18 @@ def parse_int(text: str) -> int:
         return int(body)
     except ValueError:  # more digits than the interpreter converts
         raise ValueError(f"an integer of {len(digits)} digits is too long") from None
+
+
+def read_json(path: str, kind: str, error: type[Exception]) -> object:
+    """The JSON value in the UTF-8 ``kind`` file at ``path``; ``error`` if
+    it is nested too deeply for the parser."""
+    import json  # only tree and table files need it
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise error(f"{kind} file is nested too deeply") from None
 
 
 class InvalidPriority(ValueError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import colorvisit
 from colorvisit.cli import MAX_MESSAGE
 from colorvisit.colorings import Coloring
-from colorvisit.dsl import BinOp, Cmp, If, Lit, Neg, Var
+from colorvisit.dsl import BinOp, If, Lit, Neg, Var
 from colorvisit.oracles import TreeGenParams, complete_tree, random_tree
 from colorvisit.trees import FiniteColorTree, validate_tree
 from colorvisit.visit import Visit, enumerate_visit
@@ -65,6 +65,10 @@ def dumps_canonical(obj: object) -> str:
 MAX_ERROR_LINE = len("error: ") + MAX_MESSAGE + len("...\n")
 
 
+# the operators of a BinOp: arithmetic, min and max, and the comparisons
+ARITHMETIC = ("+", "-", "*", "/", "%", "min", "max")
+COMPARISONS = ("<", "<=", "==", "!=")
+
 # coloring expressions: literals 0-9, x and y under every operator
 st_expr = st.recursive(
     st.one_of(
@@ -73,9 +77,8 @@ st_expr = st.recursive(
     ),
     lambda inner: st.one_of(
         inner.map(Neg),
-        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "%", "min", "max"]),
-                  inner, inner),
-        st.builds(Cmp, st.sampled_from(["<", "<=", "==", "!="]), inner, inner),
+        st.builds(BinOp, st.sampled_from(ARITHMETIC), inner, inner),
+        st.builds(BinOp, st.sampled_from(COMPARISONS), inner, inner),
         st.builds(If, inner, inner, inner),
     ),
     max_leaves=12,

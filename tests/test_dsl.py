@@ -20,7 +20,6 @@ from colorvisit.colorings import (
 )
 from colorvisit.dsl import (
     BinOp,
-    Cmp,
     DivisionByZero,
     DslSyntaxError,
     If,
@@ -37,14 +36,14 @@ from colorvisit.dsl import (
     to_text,
 )
 from colorvisit.oracles import evaluate
-from conftest import first_appearance_groups, st_expr
+from conftest import ARITHMETIC, COMPARISONS, first_appearance_groups, st_expr
 
 
 def test_parse_shapes():
     expr = parse("(x + y) % 2")
     assert expr == BinOp("%", BinOp("+", Var("x"), Var("y")), Lit(2))
     cond = parse("if x < y then 0 else 1")
-    assert cond == If(Cmp("<", Var("x"), Var("y")), Lit(0), Lit(1))
+    assert cond == If(BinOp("<", Var("x"), Var("y")), Lit(0), Lit(1))
     assert parse("-x") == Neg(Var("x"))
     assert parse("min(x, y) % 3") == BinOp("%", BinOp("min", Var("x"), Var("y")), Lit(3))
 
@@ -93,6 +92,19 @@ def test_precedence_and_associativity():
     assert parse("8 - 3 - 2") == BinOp("-", BinOp("-", Lit(8), Lit(3)), Lit(2))
     assert evaluate(parse("8 - 3 - 2"), 0, 1) == 3
     assert evaluate(parse("8 / 2 / 2"), 0, 1) == 2
+    # comparisons do not chain; brackets nest them
+    for source, position, expected in (
+        ("x < y < 1", 6, "end of input, found <"),
+        ("x == y != 1", 7, "end of input, found !="),
+        ("if x < y < 1 then 0 else 1", 9, "then, found <"),
+    ):
+        with pytest.raises(DslSyntaxError) as info:
+            parse(source)
+        assert info.value.position == position
+        assert str(info.value).endswith(f"expected one of {expected}")
+    nested = parse("(x < y) < 1")
+    assert nested == BinOp("<", BinOp("<", Var("x"), Var("y")), Lit(1))
+    assert to_text(nested) == "(x < y) < 1"
 
 
 def test_eval_examples():
@@ -147,6 +159,32 @@ def test_pretty_print_parse_round_trip(expr):
     assert to_text(reparsed) == text
     for x, y in ((0, 1), (3, 7), (12, 5)):
         assert evaluate(reparsed, x, y) == evaluate(expr, x, y)
+
+
+def bracket_pairs(text: str) -> list[tuple[int, int]]:
+    """The positions of each matching pair of parentheses in ``text``."""
+    pairs, opened = [], []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")":
+            pairs.append((opened.pop(), i))
+    return pairs
+
+
+@given(expr=st_expr)
+def test_pretty_print_brackets_are_minimal(expr):
+    # without any one pair of brackets that is not a call's, the text no
+    # longer parses, or it parses to another tree
+    text = to_text(expr)
+    for open_, close in bracket_pairs(text):
+        if text[open_ - 3:open_] in ("min", "max"):
+            continue
+        shorter = text[:open_] + text[open_ + 1:close] + text[close + 1:]
+        try:
+            assert parse(shorter) != expr, shorter
+        except DslSyntaxError:
+            pass
 
 
 @given(expr=st_expr, x=st.integers(0, 10**9), y=st.integers(0, 10**9))
@@ -399,16 +437,15 @@ def test_row_kernel_agrees_with_reference(expr, strict, k, lo, gaps):
 # of x and y, and ifs on them
 st_var = st.sampled_from(["x", "y"]).map(Var)
 st_decided = st.one_of(
-    st.builds(Cmp, st.sampled_from(["<", "<=", "==", "!="]), st_var, st_var),
+    st.builds(BinOp, st.sampled_from(COMPARISONS), st_var, st_var),
     st.builds(BinOp, st.sampled_from(["min", "max"]), st_var, st_var),
 )
 st_row_expr = st.recursive(
     st.one_of(st.integers(0, 9).map(Lit), st_var, st_decided),
     lambda inner: st.one_of(
         inner.map(Neg),
-        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "%", "min", "max"]),
-                  inner, inner),
-        st.builds(Cmp, st.sampled_from(["<", "<=", "==", "!="]), inner, inner),
+        st.builds(BinOp, st.sampled_from(ARITHMETIC), inner, inner),
+        st.builds(BinOp, st.sampled_from(COMPARISONS), inner, inner),
         st.builds(If, st.one_of(st_decided, inner), inner, inner),
     ),
     max_leaves=12,
