@@ -34,7 +34,6 @@ _EXPORTS = {
     "OracleColorTree": "trees",
     "full_tree": "trees",
     "load_tree": "trees",
-    "save_tree": "trees",
     "unary_tree": "trees",
     "validate_tree": "trees",
     "Visit": "visit",

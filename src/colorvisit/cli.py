@@ -8,6 +8,14 @@ property suite, 2 for configuration or validation errors, and 3 when a
 homogeneity report fails verification.  Identical configurations (seed
 included) produce byte-identical output files.
 
+Each command's options are one table that ``parse_args`` reads in one
+pass over argv, with argparse's rules but exact option names:
+``--name value`` and ``--name=value`` both set a value, the last
+occurrence wins, and a value after a space may start with ``-`` only if
+it spells a negative number or holds a space.  ``--help`` prints the
+usage the tables give.  A run thus imports neither ``argparse`` nor the
+``gettext`` and ``locale`` that argparse's messages load.
+
 Each command imports the modules it runs when it starts, so a ``visit``
 run loads no coloring code and neither ``visit`` nor ``homog`` loads the
 suites or their oracles.
@@ -15,18 +23,18 @@ suites or their oracles.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, NoReturn, Optional, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Optional, Sequence
 
 from .words import full_priority, parse_int, parse_word, validate_priority
 
 OUTDIR_ENV = "COLORVISIT_OUTDIR"
 
-# the names of ``suites.SUITES``, sorted, for the help text and the
-# unknown-suite message without importing the suites
+# the names of ``suites.SUITES``, sorted, for the unknown-suite message
+# without importing the suites
 SUITE_NAMES = ("erdos", "expansions", "homog", "restricted", "visits")
 
 # the largest color count the command line takes; the default priority, the
@@ -60,7 +68,7 @@ def _out_path(arg: Optional[str], default_name: str) -> Path:
     return _outdir() / default_name
 
 
-def _int_option(args: argparse.Namespace, name: str) -> Optional[int]:
+def _int_option(args: SimpleNamespace, name: str) -> Optional[int]:
     """The integer that option ``--name`` spells, or None when it is unset.
 
     Integer options reach the commands as text, so that a bad value gets
@@ -98,7 +106,7 @@ def _write(path: Path, pieces: Iterable[str]) -> None:
         fh.writelines(pieces)
 
 
-def cmd_visit(args: argparse.Namespace) -> int:
+def cmd_visit(args: SimpleNamespace) -> int:
     from . import export
     from .trees import builtin_tree, load_tree
     from .visit import enumerate_visit
@@ -129,7 +137,7 @@ def cmd_visit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _homog_coloring(args: argparse.Namespace, k: Optional[int]):
+def _homog_coloring(args: SimpleNamespace, k: Optional[int]):
     from .colorings import builtin_coloring, load_table
 
     if args.coloring is not None:
@@ -150,7 +158,7 @@ def _homog_coloring(args: argparse.Namespace, k: Optional[int]):
     return coloring
 
 
-def cmd_homog(args: argparse.Namespace) -> int:
+def cmd_homog(args: SimpleNamespace) -> int:
     k = _int_option(args, "k")
     horizon = _int_option(args, "horizon")
     budget = _int_option(args, "budget")
@@ -187,7 +195,7 @@ def cmd_homog(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     seed = _int_option(args, "seed")
     cases = _int_option(args, "cases")
     if cases < 1:
@@ -211,73 +219,135 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises its and its subparsers' errors as one line, with the line
-    breaks escaped, since argparse echoes unknown options raw."""
+# each command's options and their defaults: False makes a flag, a tuple
+# lists the values an option takes (the first is the default), and
+# REQUIRED marks an option that must be given
+REQUIRED = object()
+EMITS = ("json", "dot", "text")
+VISIT_OPTIONS = {"--tree": REQUIRED, "--priority": None, "--root": "",
+                 "--budget": "1000", "--emit": EMITS, "--out": None}
+HOMOG_OPTIONS = {"--coloring": None, "--builtin": None, "--table": None,
+                 "--k": None, "--horizon": "100", "--budget": "1000",
+                 "--priority": None, "--strict": False, "--emit": EMITS,
+                 "--out": None, "--trace-out": None}
+CHECK_OPTIONS = {"--suite": REQUIRED, "--seed": "0", "--cases": "100"}
+# each command's function, options, and the options of which it takes
+# exactly one
+COMMANDS = {
+    "visit": (cmd_visit, VISIT_OPTIONS, ()),
+    "homog": (cmd_homog, HOMOG_OPTIONS, ("--coloring", "--builtin", "--table")),
+    "check": (cmd_check, CHECK_OPTIONS, ()),
+}
+HELP = ("-h", "--help")
 
-    def error(self, message: str) -> NoReturn:
-        raise ValueError(message.replace("\r", "\\r").replace("\n", "\\n"))
+
+def _usage(command: str) -> str:
+    _, options, group = COMMANDS[command]
+    words = ["usage: colorvisit", command]
+    if group:
+        words.append(f"({' | '.join(f'{n} {n[2:].upper()}' for n in group)})")
+    for name, default in options.items():
+        if name not in group:
+            if type(default) is tuple:
+                name += f" {{{','.join(default)}}}"
+            elif default is not False:
+                name += f" {name[2:].upper()}"
+            words.append(name if default is REQUIRED else f"[{name}]")
+    return " ".join(words)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="colorvisit",
-        description="Priority-driven tree enumeration and monochromatic-set extraction",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _invalid_choice(name: str, value: str, choices) -> ValueError:
+    return ValueError(f"argument {name}: invalid choice: {value!r} "
+                      f"(choose from {', '.join(map(repr, choices))})")
 
-    p_visit = sub.add_parser("visit", help="enumerate a tree and write the trace")
-    p_visit.add_argument("--tree", required=True,
-                         help="tree JSON file, or builtin: unary, full:<k>; "
-                              f"k at most {MAX_COLORS}")
-    p_visit.add_argument("--priority", default=None,
-                         help="comma-separated colors, lowest priority first "
-                              "(default 0,...,k-1)")
-    p_visit.add_argument("--root", default="",
-                         help="comma-separated root word (default the empty word)")
-    p_visit.add_argument("--budget", default="1000",
-                         help="maximum number of enumerated nodes, "
-                              f"at most {MAX_BUDGET}")
-    p_visit.add_argument("--emit", choices=("json", "dot", "text"), default="json")
-    p_visit.add_argument("--out", default=None, help="output path")
-    p_visit.set_defaults(func=cmd_visit)
 
-    p_homog = sub.add_parser("homog", help="extract candidate monochromatic sets")
-    src = p_homog.add_mutually_exclusive_group(required=True)
-    src.add_argument("--coloring", default=None, help="coloring expression over x and y")
-    src.add_argument("--builtin", default=None,
-                     help="constant:<i>, sum-mod, diff-mod, block:<b>")
-    src.add_argument("--table", default=None, help="table coloring JSON file")
-    p_homog.add_argument("--k", default=None,
-                         help=f"number of colors, at most {MAX_COLORS}")
-    p_homog.add_argument("--horizon", default="100",
-                         help="how many naturals the comparison tree covers, "
-                              f"at most {MAX_HORIZON}")
-    p_homog.add_argument("--budget", default="1000",
-                         help="visit budget on the comparison tree")
-    p_homog.add_argument("--priority", default=None,
-                         help="visit priority listing all k colors")
-    p_homog.add_argument("--strict", action="store_true",
-                         help="make division/remainder by zero an error")
-    p_homog.add_argument("--emit", choices=("json", "dot", "text"), default="json")
-    p_homog.add_argument("--out", default=None, help="output path")
-    p_homog.add_argument("--trace-out", default=None,
-                         help="also write the visit trace JSON here")
-    p_homog.set_defaults(func=cmd_homog)
+def _is_option(arg: str, names) -> bool:
+    """Whether ``arg`` is read as an option, not as a value: an option
+    name, with or without ``=value``, or text that starts with ``-`` and
+    spells neither a negative number nor anything with a space."""
+    if arg.partition("=")[0] in names:
+        return True
+    if len(arg) < 2 or arg[0] != "-" or " " in arg:
+        return False
+    # a negative number is -D or -D.D, D decimal digits, the part before
+    # the point optional, and one final newline allowed
+    number = arg[1:].removesuffix("\n")
+    return not number.replace(".", "", 1).isdecimal() or number.endswith(".")
 
-    p_check = sub.add_parser("check", help="run the seeded property suites")
-    p_check.add_argument("--suite", required=True,
-                         help=f"one of: {', '.join(SUITE_NAMES)}, all")
-    p_check.add_argument("--seed", default="0")
-    p_check.add_argument("--cases", default="100")
-    p_check.set_defaults(func=cmd_check)
-    return parser
+
+def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The command function and option values that ``argv`` gives, as
+    ``func`` and one attribute per option (``--trace-out`` as
+    ``trace_out``); None once ``--help`` has printed a usage.
+
+    Option names are exact, ``--name value`` and ``--name=value`` both
+    set a value, and the last occurrence wins.  A bad command line raises
+    ValueError with a one-line message."""
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    command, *argv = argv
+    if command in HELP:
+        print("\n".join(map(_usage, COMMANDS)))
+        return None
+    if command not in COMMANDS:
+        raise _invalid_choice("command", command, COMMANDS)
+    func, options, group = COMMANDS[command]
+    names = {*options, *HELP}
+    given = {}
+    extras = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg == "--":  # from here on every argument is a stray value
+            extras += argv[i - 1:]
+            break
+        if arg in HELP:
+            print(_usage(command))
+            return None
+        name, equals, value = arg.partition("=")
+        if name not in options:  # an unknown option or a stray value
+            extras.append(arg)
+            continue
+        default = options[name]
+        if default is False:
+            if equals:
+                raise ValueError(
+                    f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif not equals:
+            if i == len(argv) or _is_option(argv[i], names):
+                raise ValueError(f"argument {name}: expected one argument")
+            value = argv[i]
+            i += 1
+        if type(default) is tuple and value not in default:
+            raise _invalid_choice(name, value, default)
+        if name in group:
+            for other in group:
+                if other != name and other in given:
+                    raise ValueError(
+                        f"argument {name}: not allowed with argument {other}")
+        given[name] = value
+    missing = [n for n, d in options.items() if d is REQUIRED and n not in given]
+    if missing:
+        raise ValueError(
+            f"the following arguments are required: {', '.join(missing)}")
+    if group and given.keys().isdisjoint(group):
+        raise ValueError(f"one of the arguments {' '.join(group)} is required")
+    if extras:
+        # unknown options are echoed as given, bar their line breaks
+        shown = " ".join(extras).replace("\r", "\\r").replace("\n", "\\n")
+        raise ValueError(f"unrecognized arguments: {shown}")
+    return SimpleNamespace(func=func, **{
+        name[2:].replace("-", "_"):
+            given.get(name, default[0] if type(default) is tuple else default)
+        for name, default in options.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else args.func(args)
     except _CONFIG_ERRORS as exc:
         message = str(exc)
         if len(message) > MAX_MESSAGE:

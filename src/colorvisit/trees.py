@@ -226,11 +226,3 @@ def tree_from_dict(data: dict) -> FiniteColorTree:
 
 def load_tree(path: str) -> FiniteColorTree:
     return tree_from_dict(read_json(path, "tree", TreeError))
-
-
-def save_tree(tree: FiniteColorTree, path: str) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_dict(tree), fh, sort_keys=True)
-        fh.write("\n")

@@ -13,7 +13,7 @@ from colorvisit.cli import MAX_MESSAGE
 from colorvisit.colorings import Coloring
 from colorvisit.dsl import BinOp, If, Lit, Neg, Var
 from colorvisit.oracles import TreeGenParams, complete_tree, random_tree
-from colorvisit.trees import FiniteColorTree, validate_tree
+from colorvisit.trees import FiniteColorTree, tree_to_dict, validate_tree
 from colorvisit.visit import Visit, enumerate_visit
 
 
@@ -58,6 +58,13 @@ def dumps_canonical(obj: object) -> str:
     """The canonical JSON that ``export`` writes without the json module:
     sorted keys, no spaces and a final newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def save_tree(tree: FiniteColorTree, path: str) -> None:
+    """Write ``tree`` as a tree file that ``trees.load_tree`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(tree_to_dict(tree), fh, sort_keys=True)
+        fh.write("\n")
 
 
 # the longest stderr line of an exit 2: the prefix, the message cut to

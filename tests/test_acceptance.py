@@ -37,8 +37,9 @@ from colorvisit.oracles import (
     star_tree,
     visit_words,
 )
-from colorvisit.trees import save_tree, unary_tree
+from colorvisit.trees import unary_tree
 from colorvisit.visit import enumerate_visit
+from conftest import save_tree
 
 
 def criterion(label):

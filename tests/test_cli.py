@@ -27,8 +27,8 @@ from colorvisit.oracles import (
     visit_trace,
     visit_words,
 )
-from colorvisit.trees import full_tree, save_tree
-from conftest import MAX_ERROR_LINE, dumps_canonical, st_visits
+from colorvisit.trees import full_tree
+from conftest import MAX_ERROR_LINE, dumps_canonical, save_tree, st_visits
 from colorvisit.visit import enumerate_visit
 
 GOLDEN = [[], [1], [1, 1], [0], [0, 0], [0, 1], [1, 0]]
@@ -317,7 +317,7 @@ def test_homog_syntax_error_exit(capsys):
 
 def test_homog_expression_with_a_leading_minus_takes_the_equals_form(
         tmp_path, capsys):
-    # after a space, argparse reads "-x" as an option, not as the value
+    # after a space, "-x" is read as an option, not as the value
     assert main(["homog", "--coloring", "-x", "--k", "3"]) == 2
     assert capsys.readouterr().err == (
         "error: argument --coloring: expected one argument\n")

@@ -12,7 +12,9 @@ the suites, the oracles, ``dataclasses`` or ``random``.  No package module
 imports ``dataclasses``, so ``check`` loads it neither.  Only the readers
 of table and tree files import ``json``, inside the reader, so neither a
 ``homog`` run from an expression nor a ``check`` run loads it, and a
-``homog`` run loads no ``trees``.
+``homog`` run loads no ``trees``.  The front end reads its options from
+tables, so no run loads ``argparse``, or the ``gettext`` and ``locale``
+that argparse's messages load.
 """
 
 import ast
@@ -212,6 +214,10 @@ def loaded_modules(argv, cwd, env) -> tuple[int, set[str]]:
     return int(code), set(modules)
 
 
+# what an argparse front end would load
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 def package_modules(modules: set[str]) -> set[str]:
     return {m.removeprefix("colorvisit.") for m in modules
             if m.startswith("colorvisit.")}
@@ -225,7 +231,7 @@ def test_visit_run_loads_only_the_visit_modules(tmp_path, cli_env):
     assert package_modules(modules) == {
         "cli", "words", "trees", "visit", "export"}
     # the trace of a builtin tree is written without the json module
-    assert not {"dataclasses", "random", "json"} & modules
+    assert not {"dataclasses", "random", "json", *PARSER_MODULES} & modules
 
 
 def test_homog_run_loads_no_reference_module(tmp_path, cli_env):
@@ -241,7 +247,7 @@ def test_homog_run_loads_no_reference_module(tmp_path, cli_env):
         assert code == 0
         assert package_modules(modules) == {
             "cli", "words", "visit", "export", "colorings", "dsl", "erdos"}
-        assert not {"dataclasses", "random", "json"} & modules
+        assert not {"dataclasses", "random", "json", *PARSER_MODULES} & modules
 
 
 def test_homog_table_loads_no_dsl(tmp_path, cli_env):
@@ -253,13 +259,14 @@ def test_homog_table_loads_no_dsl(tmp_path, cli_env):
     assert code == 0
     assert package_modules(modules) == {
         "cli", "words", "visit", "export", "colorings", "erdos"}
+    assert not PARSER_MODULES & modules
 
 
 def test_check_run_loads_no_dataclasses(tmp_path, cli_env):
     code, modules = loaded_modules(
         ["check", "--suite", "all", "--cases", "1"], tmp_path, cli_env)
     assert code == 0
-    assert not {"dataclasses", "json"} & modules
+    assert not {"dataclasses", "json", *PARSER_MODULES} & modules
 
 
 def test_package_exports_resolve_on_first_use():

@@ -19,12 +19,12 @@ from colorvisit.trees import (
     builtin_tree,
     full_tree,
     load_tree,
-    save_tree,
     tree_from_dict,
     tree_to_dict,
     unary_tree,
     validate_tree,
 )
+from conftest import save_tree
 
 
 def test_validate_accepts_root_only():
