@@ -13,12 +13,12 @@ import argparse
 
 from colorvisit.colorings import builtin_coloring
 from colorvisit.erdos import homog_pipeline
-from colorvisit.trees import unary_tree
+from colorvisit.trees import full_tree
 from colorvisit.visit import enumerate_visit
 
 
 def unary_row(budget: int) -> dict[int, int]:
-    visit = enumerate_visit(unary_tree(), (0,), (), budget=budget)
+    visit = enumerate_visit(full_tree(1), (0,), (), budget=budget)
     letters = [visit.letter[i] for i in visit.branch()[1:]]
     return {c: letters.count(c) for c in range(visit.k)}
 

@@ -31,10 +31,8 @@ _EXPORTS = {
     "ColorTree": "trees",
     "FiniteColorTree": "trees",
     "FullColorTree": "trees",
-    "OracleColorTree": "trees",
     "full_tree": "trees",
     "load_tree": "trees",
-    "unary_tree": "trees",
     "validate_tree": "trees",
     "Visit": "visit",
     "enumerate_visit": "visit",

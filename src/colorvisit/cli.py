@@ -205,11 +205,11 @@ def cmd_check(args: SimpleNamespace) -> int:
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}; available: "
                              f"{', '.join(SUITE_NAMES)}, all")
-    from .suites import run_suite
+    from .suites import SUITES
 
     failed = False
     for name in names:
-        result = run_suite(name, seed, cases)
+        result = SUITES[name](seed, cases)
         status = "pass" if result.passed else "FAIL"
         print(f"suite {name}: {status} ({result.cases} cases)")
         if not result.passed:

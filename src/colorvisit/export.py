@@ -3,9 +3,11 @@
 All JSON is written in one canonical form, keys sorted and no spaces, so
 that identical runs produce byte-identical files: the form
 ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` gives, plus a
-final newline.  Both JSON outputs are written in that form directly,
-without the ``json`` module.  The visit trace renders each entry's word
-once from its parent's rendering, through ``Visit.parent`` and
+final newline.  Both JSON outputs are written in that form without the
+``json`` module, by one small writer of ints, bools, lists and dicts: the
+report as the canonical JSON of :func:`report_dict`, and the visit trace
+but for its two word lists.  The trace renders each entry's word once
+from its parent's rendering, through ``Visit.parent`` and
 ``Visit.letter``, so the cost is the size of the output rather than one
 encoder step per letter, and no word is spelled as a tuple.  The stable
 indices and the branch are the visit's own readings, ``Visit.stable`` and
@@ -16,8 +18,8 @@ text is dropped when the last child's text is made, so the visit's trace,
 DOT and text renderings hold only the texts of entries with children still
 to come.  The trace and the text rendering join their word texts into
 pieces of about 64 KiB, so a writer makes a few large writes rather than
-one per word.  ``oracles.visit_trace`` and :func:`report_dict` keep the
-dicts the two JSON outputs encode, as the references.
+one per word.  ``oracles.visit_trace`` keeps the dict the trace encodes,
+as the reference.
 """
 
 from __future__ import annotations
@@ -108,8 +110,21 @@ def _joined(opened: Iterable[str], sep: str, head: str = "") -> Iterator[str]:
         yield sep.join(chunks)
 
 
-def _json_ints(values: Sequence[int]) -> str:
-    return "[" + ",".join(map(str, values)) + "]"
+def _json(value: object) -> str:
+    """The canonical JSON of ``value``: an int, a bool, or a list, tuple or
+    dict of such values, the dict's keys strings that JSON spells as they
+    are, written in sorted order.  A list or tuple of ints only is joined
+    in C."""
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is int:
+        return str(value)
+    if type(value) is dict:
+        return "{" + ",".join(
+            f'"{key}":{_json(v)}' for key, v in sorted(value.items())) + "}"
+    if {int}.issuperset(map(type, value)):
+        return "[" + ",".join(map(str, value)) + "]"
+    return "[" + ",".join(map(_json, value)) + "]"
 
 
 def visit_trace_pieces(visit: Visit) -> Iterator[str]:
@@ -130,13 +145,11 @@ def visit_trace_pieces(visit: Visit) -> Iterator[str]:
         _open_lists(visit, range(len(visit.parent))), "],",
         ']],"k":' + str(visit.k) + ',"order":[',
     )
-    yield (
-        ']],"priority":' + _json_ints(visit.priority)
-        + ',"root":' + _json_ints(visit.root)
-        + ',"stable":' + _json_ints(visit.stable())
-        + ',"terminated":' + ("true" if visit.terminated else "false")
-        + "}\n"
-    )
+    tail = {"priority": visit.priority, "root": visit.root,
+            "stable": visit.stable(), "terminated": visit.terminated}
+    # these keys sort after "order": the text that closes the order list
+    # takes the place of the writer's opening brace
+    yield "]]," + _json(tail)[1:] + "\n"
 
 
 def _dot_id(opened: str) -> str:
@@ -202,23 +215,13 @@ def report_dict(report: HomogeneousReport) -> dict:
         "branch": list(report.branch_nodes),
         "H": [sorted(cls) for cls in report.classes],
         "verified": report.verified,
-        "census": {str(c): n for c, n in sorted(report.census.items())},
+        "census": {str(c): n for c, n in report.census.items()},
     }
 
 
 def report_json(report: HomogeneousReport) -> Iterator[str]:
-    """The canonical JSON of :func:`report_dict`, keys in sorted order;
-    census keys are strings, so they sort as strings ("10" before "2")."""
-    census = sorted((str(c), n) for c, n in report.census.items())
-    yield (
-        '{"H":[' + ",".join(_json_ints(sorted(cls)) for cls in report.classes)
-        + '],"N":' + str(report.size)
-        + ',"branch":' + _json_ints(report.branch_nodes)
-        + ',"census":{' + ",".join(f'"{c}":{n}' for c, n in census)
-        + '},"k":' + str(report.k)
-        + ',"verified":' + ("true" if report.verified else "false")
-        + "}\n"
-    )
+    """The canonical JSON of :func:`report_dict`."""
+    yield _json(report_dict(report)) + "\n"
 
 
 def report_text(report: HomogeneousReport) -> Iterator[str]:

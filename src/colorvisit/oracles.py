@@ -224,8 +224,8 @@ def all_visits(
     recursive definition), which the test suite re-checks against a full
     permutation search on very small trees.
     """
-    if tree.nodes is None or len(tree.nodes) > ALL_VISITS_NODE_CAP:
-        raise TreeTooLarge(len(tree.nodes) if tree.nodes is not None else -1)
+    if len(tree.nodes) > ALL_VISITS_NODE_CAP:
+        raise TreeTooLarge(len(tree.nodes))
     candidates = sorted(tree.nodes)
     found: list[tuple[Word, ...]] = []
     frontier: list[tuple[Word, ...]] = []

@@ -310,7 +310,3 @@ SUITES: dict[str, Callable[[int, int], SuiteResult]] = {
     "homog": suite_homog,
     "restricted": suite_restricted,
 }
-
-
-def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
-    return SUITES[name](seed, cases)

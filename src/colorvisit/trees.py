@@ -1,27 +1,23 @@
 """Prefix-closed color trees.
 
-Three representations share one interface (``k``, ``contains``, ``node``,
-``step``, ``nodes``):
+A run builds one of two trees, which share one interface (``k``,
+``contains``, ``node``, ``step``):
 
-* :class:`FiniteColorTree` -- an explicit, validated node set; ``contains``
-  is a set lookup and ``nodes`` is the full frozenset.
-* :class:`OracleColorTree` -- a membership predicate over an unbounded word
-  space; ``nodes`` is ``None``.  The predicate must be pure and the word set
-  it accepts must contain the root and be closed under prefix; neither
-  property is checkable here, so they are the caller's contract.
+* :class:`FiniteColorTree` -- a tree file: an explicit, validated node set
+  ``nodes``, and ``contains`` is a set lookup.
 * :class:`FullColorTree` -- every word over ``0..k-1``, the builtins
-  ``full:k`` and ``unary`` (k = 1); ``nodes`` is ``None``.
+  ``full:k`` and ``unary`` (k = 1).
 
 ``contains`` takes a word.  The run path calls it to check a visit's root
-and, in the word trees, inside a step; the references in ``oracles`` probe
+and, in a finite tree, inside a step; the references in ``oracles`` probe
 words with it directly.  A visit starts from ``node(root)``, the node the
 root word names, and fetches ``step(c)`` once per color: a function of one
-node that returns its ``c``-child or None.  The nodes of the first two are
-their words: a step maps ``w`` to ``w + (c,)`` when the tree contains it,
-at one ``contains`` probe, so it costs O(depth) to copy and test the word.
+node that returns its ``c``-child or None.  The nodes of a finite tree are
+its words: a step maps ``w`` to ``w + (c,)`` when the tree contains it, at
+one ``contains`` probe, so it costs O(depth) to copy and test the word.
 All the nodes of one depth of a full tree have the same children, so its
-nodes are depths and a step is ``d + 1`` in C, building no word.  All trees
-are immutable after construction and safe to share.
+nodes are depths and a step is ``d + 1`` in C, building no word.  Both
+trees are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -64,10 +60,16 @@ class RootNotInTree(TreeError):
         super().__init__(f"root {root} is not in the tree")
 
 
-class _WordTree(Record):
-    """Trees whose nodes are their words."""
+class FiniteColorTree(Record):
+    """Explicit finite tree: a validated, prefix-closed set of words."""
 
-    __slots__ = ()
+    __slots__ = ("k", "nodes")
+
+    def __init__(self, k: int, nodes: frozenset[Word]) -> None:
+        super().__init__(k, nodes)
+
+    def contains(self, w: Word) -> bool:
+        return w in self.nodes
 
     def node(self, w: Word) -> Word:
         return w
@@ -84,37 +86,6 @@ class _WordTree(Record):
         return step
 
 
-class FiniteColorTree(_WordTree):
-    """Explicit finite tree: a validated, prefix-closed set of words."""
-
-    __slots__ = ("k", "nodes")
-
-    def __init__(self, k: int, nodes: frozenset[Word]) -> None:
-        super().__init__(k, nodes)
-
-    def contains(self, w: Word) -> bool:
-        return w in self.nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-class OracleColorTree(_WordTree):
-    """Possibly infinite tree given by a pure membership predicate.
-
-    A step builds the child's word and calls the predicate on it once, so
-    it costs O(depth) plus whatever the predicate costs.
-    """
-
-    __slots__ = ("k", "membership", "nodes")
-
-    def __init__(self, k: int, membership: Callable[[Word], bool]) -> None:
-        super().__init__(k, membership, None)
-
-    def contains(self, w: Word) -> bool:
-        return bool(self.membership(w))
-
-
 class FullColorTree(Record):
     """The complete infinite k-ary tree: every word over 0..k-1.
 
@@ -123,10 +94,10 @@ class FullColorTree(Record):
     otherwise.
     """
 
-    __slots__ = ("k", "nodes")
+    __slots__ = ("k",)
 
     def __init__(self, k: int) -> None:
-        super().__init__(k, None)
+        super().__init__(k)
 
     def contains(self, w: Word) -> bool:
         # min and max run in C, a letter-by-letter test would not
@@ -140,7 +111,7 @@ class FullColorTree(Record):
         return (1).__add__ if 0 <= c < self.k else {}.get
 
 
-ColorTree = Union[FiniteColorTree, OracleColorTree, FullColorTree]
+ColorTree = Union[FiniteColorTree, FullColorTree]
 
 
 def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
@@ -175,11 +146,6 @@ def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
 
 # --- built-in trees -----------------------------------------------------------
 
-def unary_tree() -> FullColorTree:
-    """The infinite single-color chain: every word over {0}."""
-    return FullColorTree(1)
-
-
 def full_tree(k: int) -> FullColorTree:
     """The complete infinite k-ary tree: every word over 0..k-1."""
     if k < 1:
@@ -191,7 +157,7 @@ def builtin_tree(name: str) -> FullColorTree:
     """Resolve a builtin tree name: ``unary`` or ``full:<k>``.  The front
     end reads a ``--tree`` text as a builtin name when no file has it."""
     if name == "unary":
-        return unary_tree()
+        return full_tree(1)
     if name.startswith("full:"):
         try:
             return full_tree(parse_int(name.split(":", 1)[1]))

@@ -37,6 +37,28 @@ class CountingTree:
         return self.inner.contains(w)
 
 
+class PredicateTree:
+    """A possibly infinite word tree given by a pure membership predicate,
+    which must accept the root and be closed under prefix.  Its nodes are
+    its words, and a step builds the child's word and asks the predicate
+    once.  It shares no code with the package's trees, so a visit of it is
+    an independent spelling of the same tree."""
+
+    def __init__(self, k: int, membership) -> None:
+        self.k = k
+        self.contains = membership
+
+    def node(self, w):
+        return w
+
+    def step(self, c: int):
+        def step(w):
+            v = w + (c,)
+            return v if self.contains(v) else None
+
+        return step
+
+
 class ProbeLog:
     """Tree wrapper whose steps log every probe ``(node, c)`` in call order."""
 

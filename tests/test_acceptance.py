@@ -37,7 +37,7 @@ from colorvisit.oracles import (
     star_tree,
     visit_words,
 )
-from colorvisit.trees import unary_tree
+from colorvisit.trees import full_tree
 from colorvisit.visit import enumerate_visit
 from conftest import save_tree
 
@@ -209,7 +209,7 @@ def test_criterion_5_golden_traces():
     assert visit_words(visit) == ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
     assert visit.terminated
 
-    chain = enumerate_visit(unary_tree(), (0,), (), budget=5)
+    chain = enumerate_visit(full_tree(1), (0,), (), budget=5)
     order = visit_words(chain)
     assert order == ((), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0))
     assert not chain.terminated
@@ -281,7 +281,7 @@ def test_criterion_8_branch_reflection():
     # unary chain: color 0 occurs unboundedly
     counts = []
     for budget in budgets:
-        visit = enumerate_visit(unary_tree(), (0,), (), budget=budget)
+        visit = enumerate_visit(full_tree(1), (0,), (), budget=budget)
         order = visit_words(visit)
         assert stable_chain_ok(visit, order)
         counts.append(branch_census(order, 1)[0])

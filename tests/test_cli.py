@@ -7,13 +7,14 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from colorvisit.cli import MAX_BUDGET, MAX_COLORS, MAX_HORIZON, main
 from colorvisit.colorings import builtin_coloring
 from colorvisit.dsl import UnknownIdentifier, dsl_coloring, parse
 from colorvisit.erdos import HomogeneousReport, homog_pipeline
 from colorvisit.export import (
+    _json,
     erdos_dot,
     report_dict,
     report_json,
@@ -606,6 +607,22 @@ def test_report_json_is_the_canonical_dump_of_report_dict(k, size):
         assert report.size == 1 and not any(report.classes)
     elif k >= 11:
         assert report.classes[-1] and not all(report.classes)
+
+
+# the values the export writer takes: ints, bools, lists and tuples, and
+# dicts whose keys JSON spells as they are
+st_json = st.recursive(
+    st.integers(-10**20, 10**20) | st.booleans(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text("abkN019_", max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(value=st_json)
+def test_export_writer_is_the_canonical_dump(value):
+    assert _json(value) + "\n" == dumps_canonical(value)
 
 
 def test_report_json_renders_an_unverified_report():

@@ -125,6 +125,12 @@ def test_references_are_defined_only_in_oracles():
     assert defined["erdos"] == {
         "ErdosError", "ErdosTree", "build_erdos", "HomogeneousReport",
         "extract_homogeneous", "homog_pipeline"}
+    # the two trees a run builds, and no predicate tree or word-tree base
+    assert defined["trees"] == {
+        "TreeError", "MissingRoot", "NotPrefixClosed", "ColorOutOfRange",
+        "RootNotInTree", "FiniteColorTree", "FullColorTree", "validate_tree",
+        "full_tree", "builtin_tree", "tree_to_dict", "tree_from_dict",
+        "load_tree"}
     assert not hasattr(colorvisit.Visit, "order")
     assert not MOVED & set(vars(colorvisit))
 

@@ -1,7 +1,7 @@
 from hypothesis import given
 
 from colorvisit.oracles import branch_census, brute_stable_indices, visit_words
-from colorvisit.trees import unary_tree, validate_tree
+from colorvisit.trees import full_tree, validate_tree
 from colorvisit.visit import enumerate_visit
 
 from conftest import st_visits
@@ -10,7 +10,7 @@ GOLDEN = ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
 
 
 def test_stable_on_chain_every_index():
-    visit = enumerate_visit(unary_tree(), (0,), (), budget=3)
+    visit = enumerate_visit(full_tree(1), (0,), (), budget=3)
     assert visit.parent == (-1, 0, 1)
     assert visit.stable() == (0, 1, 2)
 
@@ -57,7 +57,7 @@ def test_branch_examples(binary_depth2):
     assert golden.branch() == (0, 1, 6)
     assert [GOLDEN[i] for i in golden.branch()] == [(), (1,), (1, 0)]
     assert [golden.letter[i] for i in golden.branch()] == [-1, 1, 0]
-    chain = enumerate_visit(unary_tree(), (0,), (), budget=5)
+    chain = enumerate_visit(full_tree(1), (0,), (), budget=5)
     assert chain.branch() == tuple(range(5))
 
 
@@ -101,7 +101,7 @@ def test_census_ignores_parentless_entries():
 
 
 def test_census_counts_match_visit_length():
-    visit = enumerate_visit(unary_tree(), (0,), (), budget=42)
+    visit = enumerate_visit(full_tree(1), (0,), (), budget=42)
     order = visit_words(visit)
     census = branch_census(order, 1)
     assert sum(census.values()) == len(order) - 1

@@ -4,13 +4,13 @@ import pytest
 
 from colorvisit import suites
 from colorvisit.cli import main
-from colorvisit.suites import SUITES, _shrink_tree, run_suite, tree_corpus
+from colorvisit.suites import SUITES, _shrink_tree, tree_corpus
 from colorvisit.trees import FiniteColorTree, validate_tree
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_each_suite_passes_briefly(name):
-    result = run_suite(name, seed=5, cases=8)
+    result = SUITES[name](5, 8)
     assert result.passed, result.failure
     assert result.cases >= 8
     assert result.name == name
@@ -21,14 +21,9 @@ def test_each_suite_passes_briefly(name):
 @pytest.mark.parametrize("seed", range(16))
 def test_suites_pass_at_benchmark_seeds(seed):
     for name in sorted(SUITES):
-        result = run_suite(name, seed=seed, cases=10)
+        result = SUITES[name](seed, 10)
         assert result.passed, (name, result.failure)
         assert result.cases >= 10
-
-
-def test_run_suite_rejects_unknown():
-    with pytest.raises(KeyError):
-        run_suite("nosuch", 0, 1)
 
 
 def test_a_visit_word_outside_the_tree_fails_the_visits_suite(monkeypatch, capsys):
@@ -36,7 +31,7 @@ def test_a_visit_word_outside_the_tree_fails_the_visits_suite(monkeypatch, capsy
     exit 1 with a shrunk counterexample, not a configuration error."""
     words = suites.visit_words
     monkeypatch.setattr(suites, "visit_words", lambda v: words(v) + ((99,),))
-    result = run_suite("visits", 0, 5)
+    result = SUITES["visits"](0, 5)
     assert not result.passed
     assert "enumeration invariant failed" in result.failure
     assert "tree=" in result.failure

@@ -13,7 +13,6 @@ from colorvisit.trees import (
     FullColorTree,
     MissingRoot,
     NotPrefixClosed,
-    OracleColorTree,
     RootNotInTree,
     TreeError,
     builtin_tree,
@@ -21,7 +20,6 @@ from colorvisit.trees import (
     load_tree,
     tree_from_dict,
     tree_to_dict,
-    unary_tree,
     validate_tree,
 )
 from conftest import save_tree
@@ -115,7 +113,7 @@ def test_in_restricted_is_prefix_closed_above_root(params, data):
 
 
 def test_oracle_trees():
-    u = unary_tree()
+    u = full_tree(1)
     assert u.contains((0, 0, 0)) and not u.contains((1,))
     f3 = full_tree(3)
     assert f3.contains((2, 1, 0)) and not f3.contains((3,))
@@ -128,14 +126,14 @@ def test_oracle_trees():
 
 
 def test_trees_are_immutable_values(binary_depth2):
-    for tree in (binary_depth2, full_tree(3), OracleColorTree(1, bool)):
+    for tree in (binary_depth2, full_tree(3)):
         assert copy.deepcopy(tree) == tree
         assert pickle.loads(pickle.dumps(tree)) == tree
         assert hash(copy.copy(tree)) == hash(tree)
         with pytest.raises(AttributeError):
             tree.k = 5
-    assert repr(full_tree(3)) == "FullColorTree(k=3, nodes=None)"
-    assert full_tree(3) != full_tree(2) and full_tree(1) == unary_tree()
+    assert repr(full_tree(3)) == "FullColorTree(k=3)"
+    assert full_tree(3) != full_tree(2) and full_tree(1) == builtin_tree("unary")
 
 
 @pytest.mark.parametrize("name", ["full:\u0662", "full:1_0", "full:+2", "full:\u00b2"])
@@ -147,23 +145,19 @@ def test_builtin_tree_count_takes_ascii_digits_only(name):
 
 def test_step_is_one_probe(binary_depth2, monkeypatch):
     probed = []
-    for cls in (FiniteColorTree, OracleColorTree):
-        contains = cls.contains
-        monkeypatch.setattr(
-            cls, "contains",
-            lambda self, w, contains=contains: probed.append(w) or contains(self, w),
-        )
-    depth2 = OracleColorTree(k=2, membership=lambda w: len(w) <= 2)
-    for tree in (binary_depth2, depth2):
-        probed.clear()
-        step = tree.step(0)
-        assert probed == []
-        assert tree.node((0,)) == (0,)
-        assert step((0,)) == (0, 0)
-        assert probed == [(0, 0)]
-        probed.clear()
-        assert step((0, 1)) is None
-        assert probed == [(0, 1, 0)]
+    contains = FiniteColorTree.contains
+    monkeypatch.setattr(
+        FiniteColorTree, "contains",
+        lambda self, w: probed.append(w) or contains(self, w),
+    )
+    step = binary_depth2.step(0)
+    assert probed == []
+    assert binary_depth2.node((0,)) == (0,)
+    assert step((0,)) == (0, 0)
+    assert probed == [(0, 0)]
+    probed.clear()
+    assert step((0, 1)) is None
+    assert probed == [(0, 1, 0)]
 
 
 def test_builtin_step_agrees_with_contains(monkeypatch):
@@ -173,7 +167,7 @@ def test_builtin_step_agrees_with_contains(monkeypatch):
         FullColorTree, "contains",
         lambda self, w: probed.append(w) or contains(self, w),
     )
-    for tree in [full_tree(k) for k in (1, 2, 3, 4)] + [unary_tree()]:
+    for tree in [full_tree(k) for k in (1, 2, 3, 4)] + [builtin_tree("unary")]:
         words = [w for n in range(4) for w in itertools.product(range(tree.k), repeat=n)]
         steps = {
             (w, c): tree.step(c)(tree.node(w))
@@ -192,7 +186,7 @@ def test_builtin_step_agrees_with_contains(monkeypatch):
 )
 def test_builtin_predicates_match_their_letter_by_letter_form(k, w):
     assert full_tree(k).contains(w) == all(0 <= c < k for c in w)
-    assert unary_tree().contains(w) == all(c == 0 for c in w)
+    assert builtin_tree("unary").contains(w) == all(c == 0 for c in w)
 
 
 def test_tree_json_round_trip(tmp_path, binary_depth2):

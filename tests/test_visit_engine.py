@@ -25,17 +25,11 @@ from colorvisit.oracles import (
     visit_words,
 )
 from colorvisit.suites import tree_corpus
-from colorvisit.trees import (
-    OracleColorTree,
-    RootNotInTree,
-    full_tree,
-    unary_tree,
-    validate_tree,
-)
+from colorvisit.trees import RootNotInTree, full_tree, validate_tree
 from colorvisit.visit import VisitError, enumerate_visit, lex_order, visit_nodes
 from colorvisit.words import InvalidPriority
 
-from conftest import ProbeLog, dumps_canonical, st_visits
+from conftest import PredicateTree, ProbeLog, dumps_canonical, st_visits
 
 GOLDEN = ((), (1,), (1, 1), (0,), (0, 0), (0, 1), (1, 0))
 
@@ -69,15 +63,15 @@ def test_trace_json_matches_the_reference_on_oracle_trees():
     for tree, priority, root, budget in (
         (full_tree(2), (0, 1), (), 40),
         (full_tree(3), (2, 0), (1, 2), 25),
-        (unary_tree(), (0,), (0, 0), 12),
-        (unary_tree(), (), (), 5),
+        (full_tree(1), (0,), (0, 0), 12),
+        (full_tree(1), (), (), 5),
     ):
         visit = enumerate_visit(tree, priority, root, budget)
         assert "".join(visit_trace_pieces(visit)) == dumps_canonical(visit_trace(visit))
 
 
 def test_golden_trace_unary_budget():
-    visit = enumerate_visit(unary_tree(), (0,), (), budget=5)
+    visit = enumerate_visit(full_tree(1), (0,), (), budget=5)
     assert visit_words(visit) == ((), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0))
     assert visit.terminated is False
 
@@ -138,7 +132,7 @@ def test_completion_at_exactly_the_budget_is_not_terminated():
     assert enumerate_visit(root_only, (0,), (), budget=1).terminated is False
     assert enumerate_visit(root_only, (0,), (), budget=2).terminated is True
     tree = complete_tree(2, 2)
-    assert len(tree) == 7
+    assert len(tree.nodes) == 7
     cut = enumerate_visit(tree, (0, 1), (), budget=7)
     assert visit_words(cut) == GOLDEN and cut.terminated is False
     done = enumerate_visit(tree, (0, 1), (), budget=8)
@@ -240,7 +234,7 @@ def test_generator_run_is_maximum_of_all_accepted_lists(binary_depth1):
 
 def test_deep_chain_does_not_hit_recursion_limits():
     # entry i is the word (0,) * i: spelling them would hold 12.5M letters
-    visit = enumerate_visit(unary_tree(), (0,), (), budget=5000)
+    visit = enumerate_visit(full_tree(1), (0,), (), budget=5000)
     assert len(visit.parent) == 5000
     assert visit.root == ()
     assert all(visit.parent[i] == i - 1 for i in range(1, 5000))
@@ -248,9 +242,9 @@ def test_deep_chain_does_not_hit_recursion_limits():
 
 
 def test_full_tree_visits_like_its_word_oracle():
-    cases = [(unary_tree(), OracleColorTree(k=1, membership=lambda w: not any(w)))]
+    cases = [(full_tree(1), PredicateTree(k=1, membership=lambda w: not any(w)))]
     for k in (1, 2, 3):
-        cases.append((full_tree(k), OracleColorTree(
+        cases.append((full_tree(k), PredicateTree(
             k=k, membership=lambda w, k=k: all(0 <= c < k for c in w))))
     runs = 0
     for fast, oracle in cases:
