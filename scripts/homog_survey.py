@@ -28,6 +28,8 @@ def main() -> None:
         builtin_coloring("block:7", 3),
         dsl_coloring("(x * y + x) % 3", 3),
         dsl_coloring("if x < y then x else y", 4),
+        # every row from x = 5 on has color 0: H0 is the class that grows
+        dsl_coloring("if x < 5 then x + y else 0", 3),
     ]
     rng = random.Random(args.seed)
     for _ in range(args.random_cases):

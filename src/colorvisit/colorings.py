@@ -16,7 +16,7 @@ threads is safe.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, Union
 
 from .words import Record, parse_int, read_json
 
@@ -37,16 +37,20 @@ class TableIncomplete(ColoringError):
         super().__init__(f"table coloring has no entry for pair {pair}")
 
 
-Row = Callable[[int, Sequence[int]], list[int]]
+# lo, the ascending his above it -> the color of each pair (lo, hi), or
+# one int when every pair of a non-empty row has that color
+Row = Callable[[int, Sequence[int]], Union[list[int], int]]
 
 
 class Coloring(Record):
     """A total symmetric coloring given by its row function.
 
     ``row(lo, his)`` lists the colors of the pairs ``(lo, hi)`` for an
-    ascending ``his`` above ``lo``, as ints, and raises the error of the
-    first pair it cannot color.  It checks neither its arguments nor the
-    range of its colors; :meth:`__call__` and :meth:`split` do.
+    ascending ``his`` above ``lo``, as ints, or returns one int when ``his``
+    is not empty and every pair has that color, so that a row of one color
+    costs O(1).  It raises the error of the first pair it cannot color,
+    and checks neither its arguments nor the range of its colors;
+    :meth:`__call__` and :meth:`split` do.
     """
 
     __slots__ = ("k", "row", "name")
@@ -58,7 +62,9 @@ class Coloring(Record):
         if x == y:
             raise ColoringError(f"colorings are defined on distinct pairs, got {x}")
         lo, hi = (x, y) if x < y else (y, x)
-        [color] = self.row(lo, (hi,))
+        color = self.row(lo, (hi,))
+        if type(color) is not int:
+            [color] = color
         if not 0 <= color < self.k:
             raise self._out_of_range(color)
         return color
@@ -66,13 +72,16 @@ class Coloring(Record):
     def split(self, lo: int, his: Sequence[int]) -> dict[int, Sequence[int]]:
         """``his``, ascending above ``lo``, grouped by the color of their pair
         with ``lo`` in order of first appearance; a row of one color comes
-        back whole as ``{color: his}``.  The first color out of range in row
-        order raises, as a single call of it does."""
+        back whole as ``{color: his}``, without a list built or counted when
+        the row function returns it as an int.  The first color out of range
+        in row order raises, as a single call of it does."""
         if his and his[0] <= lo:
             raise ColoringError(f"row of {lo} must lie above it, got {his[0]}")
         colors = self.row(lo, his)
-        if colors and colors.count(colors[0]) == len(colors):
-            groups: dict[int, Sequence[int]] = {colors[0]: his}
+        if type(colors) is int:
+            groups: dict[int, Sequence[int]] = {colors: his}
+        elif colors and colors.count(colors[0]) == len(colors):
+            groups = {colors[0]: his}
         else:
             groups = {}
             for hi, color in zip(his, colors):

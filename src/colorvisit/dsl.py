@@ -29,21 +29,24 @@ symmetric and total by construction.  Its rows are therefore evaluated under
 ``x < y``, ``x <= y`` and ``x != y`` are 1 and ``x == y`` is 0, in either
 order of the operands, ``min`` and ``max`` of ``x`` and ``y`` are ``x`` and
 ``y``, and an ``if`` on a literal is its chosen branch.  A row of an
-expression left with no ``y`` has one color, and costs one evaluation.
+expression left with no ``y`` has one color, and costs one evaluation; so
+does a row whose ``if`` conditions without ``y`` pick a branch without
+``y``, since each such condition is tested once per row.
 
 ``oracles.evaluate``, a tree-walking interpreter, is the reference that
 defines these semantics.  Colorings run compiled code: :func:`compile_row`
 turns the parsed syntax tree into one Python function that colors a whole
-row, a list comprehension over the larger endpoints, generated from the
-tree's literals, variables and operators only: the coloring's one row
-function.  A row costs one call and one loop in compiled code.
+row, a list comprehension over the larger endpoints or one int for a row of
+one color, generated from the tree's literals, variables and operators
+only: the coloring's one row function.  A row costs one call and at most
+one loop in compiled code.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Union
 
-from .colorings import Coloring, ColoringError
+from .colorings import Coloring, ColoringError, Row
 from .words import Record
 
 
@@ -369,18 +372,36 @@ def _source(expr: Expr) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _row(expr: Expr, k: int) -> str:
+    """The colors of the row of ``x`` over ``ys``: one int where ``expr``
+    has no ``y``, an ``if`` whose condition has no ``y`` tested once and its
+    branches rowed in turn, and otherwise a comprehension over ``ys``."""
+    source = _source(expr)
+    if "y" not in source:  # of all the nodes only Var("y") writes a y
+        return f"{source} % ({int(k)!r})"
+    if isinstance(expr, If) and "y" not in (cond := _source(expr.cond)):
+        return f"({_row(expr.then, k)} if {cond} else {_row(expr.orelse, k)})"
+    return f"[{source} % ({int(k)!r}) for y in ys]"
+
+
 def row_source(expr: Expr, k: int) -> str:
     """The source :func:`compile_row` compiles: a lambda of ``x`` and the
-    larger endpoints ``ys`` listing the same reduction for each ``y``."""
-    return f"lambda x, ys: [{_source(expr)} % ({int(k)!r}) for y in ys]"
+    larger endpoints ``ys`` giving the row's colors, a list with the same
+    reduction for each ``y``, or one int where the branch taken has no
+    ``y``.  An empty row is ``[]`` and evaluates nothing, and each hoisted
+    condition is one that every pair of the row evaluates first, so a
+    strict error is raised at the row's first pair, as a loop over the
+    pairs raises it."""
+    body = _row(expr, k)
+    return f"lambda x, ys: {body} if ys else []"
 
 
-def compile_row(
-    expr: Expr, strict: bool, k: int
-) -> Callable[[int, Sequence[int]], list[int]]:
+def compile_row(expr: Expr, strict: bool, k: int) -> Row:
     """One Python function ``(lo, his) -> [oracles.evaluate(expr, lo, hi,
-    strict) % k for hi in his]``; in strict mode it raises
-    :class:`DivisionByZero` at the first pair whose evaluation does.
+    strict) % k for hi in his]``, or that list's one color as an int where
+    the compiled branch has no ``y`` and ``his`` is not empty; in strict
+    mode it raises :class:`DivisionByZero` at the first pair whose
+    evaluation does, with that pair's message.
 
     Comparisons give bools, which take part in the arithmetic as 0 and 1;
     the final reduction modulo ``k`` makes each color a plain int.  The
@@ -425,15 +446,12 @@ def fold_rows(expr: Expr) -> Expr:
 def dsl_coloring(source: str | Expr, k: int, strict: bool = False) -> Coloring:
     """Wrap an expression as a total symmetric coloring with ``k`` colors.
 
-    Its row is compiled from :func:`fold_rows` of the expression.  When
-    that has no ``y``, every pair of a row has the color of the first, and
-    the row evaluates only that one."""
+    Its row is compiled from :func:`fold_rows` of the expression.  Where
+    the folded expression, or the branch that a condition without ``y``
+    picks, has no ``y``, every pair of a row has one color: the row
+    evaluates it once and returns it as an int."""
     if k < 1:
         raise ColoringError(f"color count k={k} must be at least 1")
     expr = parse(source) if isinstance(source, str) else source
     name = f"dsl({to_text(expr)})"
-    folded = fold_rows(expr)
-    row = compile_row(folded, strict, k)
-    if "y" in _source(folded):  # of all the nodes only Var("y") writes a y
-        return Coloring(k, row, name)
-    return Coloring(k, lambda lo, his: row(lo, his[:1]) * len(his), name)
+    return Coloring(k, compile_row(fold_rows(expr), strict, k), name)

@@ -74,10 +74,14 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     on the color of every edge to x's ancestors.  One :meth:`Coloring.split`
     groups them by color: the smallest member of each group is x's child of
     that color and the rest stay below it, and a child with nothing below it
-    gets no row.  This evaluates the same pairs as insertion, one per node
-    and ancestor, in another order: rows are taken depth first, the row of
-    the largest child first.  A coloring error propagates from the row that
-    meets it, so it may name another pair than insertion would meet first.
+    gets no row.  A row of one color passes its numbers down whole, and
+    costs O(1) when its row function returns it as one int and its numbers
+    are a ``range``: the work list starts as ``range(1, size)``, and the
+    ``group[1:]`` of a range is a range.  This evaluates the same pairs as
+    insertion, one per node and ancestor, in another order: rows are taken
+    depth first, the row of the largest child first.  A coloring error
+    propagates from the row that meets it, so it may name another pair than
+    insertion would meet first.
     """
     if size < 1:
         raise ErdosError(f"size {size} must be at least 1")
@@ -85,7 +89,7 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
     edge_color: list[Optional[int]] = [None] * size
     k = coloring.k
     children: list[dict[int, int]] = [{} for _ in range(k)]
-    work = [(0, list(range(1, size)))]
+    work: list[tuple[int, Sequence[int]]] = [(0, range(1, size))]
     while work:
         x, below = work.pop()
         for i, group in coloring.split(x, below).items():

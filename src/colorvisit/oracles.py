@@ -363,6 +363,13 @@ def to_word_tree(tree: ErdosTree) -> FiniteColorTree:
     return FiniteColorTree(k=tree.k, nodes=frozenset(node_word))
 
 
+def _row_list(coloring: Coloring, lo: int, his: Sequence[int]) -> list[int]:
+    """The row's colors as a list, a row of one color given as an int
+    spelled out pair by pair."""
+    colors = coloring.row(lo, his)
+    return [colors] * len(his) if type(colors) is int else colors
+
+
 def check_erdos_property(tree: ErdosTree, coloring: Coloring) -> bool:
     """Direct check of the defining property: for every node ``y`` and every
     proper ancestor ``x``, the edge ``{x, y}`` has the color of the tree
@@ -377,7 +384,8 @@ def check_erdos_property(tree: ErdosTree, coloring: Coloring) -> bool:
             toward[x][y] = tree.edge_color[z]
             z = x
     return all(
-        coloring.row(x, list(t)) == list(t.values()) for x, t in enumerate(toward)
+        _row_list(coloring, x, list(t)) == list(t.values())
+        for x, t in enumerate(toward)
     )
 
 
@@ -392,7 +400,8 @@ def ancestor_formula_relation(coloring: Coloring, size: int) -> set[tuple[int, i
     # color_of[z][y] is the color of {z, y} for z < y, read a row at a time
     # and never grouped, so that the reference shares no split with the build
     color_of = [
-        [None] * (z + 1) + coloring.row(z, range(z + 1, size)) for z in range(size)
+        [None] * (z + 1) + _row_list(coloring, z, range(z + 1, size))
+        for z in range(size)
     ]
     rel: set[tuple[int, int]] = set()
     for x in range(size):

@@ -170,6 +170,13 @@ def pair_evaluations(monkeypatch) -> list[int]:
     return count
 
 
+def row_colors(row, lo, his) -> list:
+    """The colors ``row(lo, his)`` gives, pair by pair: a row function may
+    return one int for a row whose pairs all have that color."""
+    colors = row(lo, his)
+    return [colors] * len(his) if type(colors) is int else colors
+
+
 def first_appearance_groups(his, colors) -> dict:
     """``{color: [hi, ...]}`` pairing ``his`` with ``colors``, the colors
     in order of first appearance: what ``Coloring.split`` returns."""

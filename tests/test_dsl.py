@@ -36,7 +36,13 @@ from colorvisit.dsl import (
     to_text,
 )
 from colorvisit.oracles import evaluate
-from conftest import ARITHMETIC, COMPARISONS, first_appearance_groups, st_expr
+from conftest import (
+    ARITHMETIC,
+    COMPARISONS,
+    first_appearance_groups,
+    row_colors,
+    st_expr,
+)
 
 
 def test_parse_shapes():
@@ -263,11 +269,13 @@ def test_builtins_equal_their_closed_forms(name, k):
     for lo in range(25):
         his = list(range(lo + 1, 40))
         expected = [closed(lo, hi) for hi in his]
-        assert coloring.row(lo, his) == expected
+        assert row_colors(coloring.row, lo, his) == expected
         assert [coloring(lo, hi) for hi in his] == expected
         assert [coloring(hi, lo) for hi in his] == expected
         assert coloring.row(lo, []) == []
-    assert coloring.row(10**30, [10**30 + 7]) == [closed(10**30, 10**30 + 7)]
+    assert row_colors(coloring.row, 10**30, [10**30 + 7]) == [
+        closed(10**30, 10**30 + 7)
+    ]
 
 
 def test_table_coloring(tmp_path, capsys):
@@ -343,7 +351,7 @@ def reference_or_error(expr, x, y, strict, k):
 
 def compiled_or_error(expr, x, y, strict, k):
     try:
-        [color] = compile_row(expr, strict, k)(x, [y])
+        [color] = row_colors(compile_row(expr, strict, k), x, [y])
     except DivisionByZero:
         return DivisionByZero
     assert type(color) is int
@@ -361,7 +369,7 @@ def row_or_error(expr, lo, his, strict, k):
     """The row and the split of a compiled coloring, or its error."""
     coloring = dsl_coloring(expr, k, strict)
     try:
-        colors = coloring.row(lo, his)
+        colors = row_colors(coloring.row, lo, his)
         groups = coloring.split(lo, his)
     except DivisionByZero:
         return DivisionByZero
@@ -394,10 +402,14 @@ def test_depth_limit_counts_nesting_and_chains():
             parse(shape(MAX_DEPTH + 1))
 
 
-# every token row_source may emit around its one expression; user text
+# every token row_source may emit around its expressions: ints and
+# comprehensions, under hoisted conditions, guarded by ``if ys``; user text
 # never reaches the compiler
-EXPR_TOKENS = r"(?:\d+|_div|_mod|min|max|if|else|x|y|<=|==|!=|//|[-+*%<(), ])+"
-ROW_SOURCE_TOKENS = re.compile(rf"lambda x, ys: \[{EXPR_TOKENS} for y in ys\]")
+EXPR_TOKEN = r"(?:\d+|_div|_mod|min|max|if|else|x|y|<=|==|!=|//|[-+*%<(), ])"
+COMPREHENSION = rf"\[{EXPR_TOKEN}+ for y in ys\]"
+ROW_SOURCE_TOKENS = re.compile(
+    rf"lambda x, ys: (?:{EXPR_TOKEN}|{COMPREHENSION})+ if ys else \[\]"
+)
 
 st_point = st.one_of(st.just(0), st.integers(0, 10**9))
 
@@ -434,21 +446,35 @@ def test_row_kernel_agrees_with_reference(expr, strict, k, lo, gaps):
 
 
 # expressions rich in what a row's x < y decides: comparisons, min and max
-# of x and y, and ifs on them
+# of x and y, and ifs on them; and ifs on x alone, which a row tests once
 st_var = st.sampled_from(["x", "y"]).map(Var)
 st_decided = st.one_of(
     st.builds(BinOp, st.sampled_from(COMPARISONS), st_var, st_var),
     st.builds(BinOp, st.sampled_from(["min", "max"]), st_var, st_var),
 )
-st_row_expr = st.recursive(
+st_of_x = st.recursive(
+    st.one_of(st.integers(0, 3).map(Lit), st.just(Var("x"))),
+    lambda inner: st.one_of(
+        st.builds(BinOp, st.sampled_from(["/", "%"]), inner, inner),
+        st.builds(BinOp, st.sampled_from(ARITHMETIC + COMPARISONS), inner, inner),
+    ),
+    max_leaves=4,
+)
+st_row_body = st.recursive(
     st.one_of(st.integers(0, 9).map(Lit), st_var, st_decided),
     lambda inner: st.one_of(
         inner.map(Neg),
         st.builds(BinOp, st.sampled_from(ARITHMETIC), inner, inner),
         st.builds(BinOp, st.sampled_from(COMPARISONS), inner, inner),
-        st.builds(If, st.one_of(st_decided, inner), inner, inner),
+        st.builds(If, st.one_of(st_decided, st_of_x, inner), inner, inner),
     ),
     max_leaves=12,
+)
+# and often ifs on x alone at the top, nested in their branches
+st_row_expr = st.recursive(
+    st_row_body,
+    lambda inner: st.builds(If, st_of_x, inner, inner),
+    max_leaves=4,
 )
 
 
@@ -462,6 +488,7 @@ st_row_expr = st.recursive(
 def test_folded_rows_agree_with_reference(expr, strict, k, lo, gaps):
     his = list(itertools.accumulate(gaps, initial=lo))[1:]
     row = dsl_coloring(expr, k, strict).row
+    assert ROW_SOURCE_TOKENS.fullmatch(row_source(fold_rows(expr), k))
     assert row(lo, []) == []
     expected = []
     for hi in his:
@@ -469,13 +496,13 @@ def test_folded_rows_agree_with_reference(expr, strict, k, lo, gaps):
             expected.append(evaluate(expr, lo, hi, strict) % k)
         except DivisionByZero as error:
             # the same error, at the same pair: the pairs before it color
-            assert row(lo, his[: len(expected)]) == expected
+            assert row_colors(row, lo, his[: len(expected)]) == expected
             for failing in (his[: len(expected) + 1], his):
                 with pytest.raises(DivisionByZero) as info:
                     row(lo, failing)
                 assert str(info.value) == str(error)
             return
-    assert row(lo, his) == expected
+    assert row_colors(row, lo, his) == expected
 
 
 class PairByPairForbidden(list):
@@ -497,16 +524,37 @@ def test_rows_without_y_are_one_evaluation():
         (builtin_coloring("block:4", 3), 9 // 4 % 3),
         (builtin_coloring("constant:2", 3), 2),
     ):
-        assert coloring.row(9, his) == [color] * len(his)
+        # one int for the whole row
+        row = coloring.row(9, his)
+        assert row == color and type(row) is int
         assert coloring.row(9, PairByPairForbidden()) == []
+        assert coloring.split(9, his) == {color: his}
     with pytest.raises(AssertionError, match="pair by pair"):
         dsl_coloring("if y <= x then y else x + y", 3).row(9, his)
+    # an if on x alone is tested once per row: from x = 5 on, every row is 0
+    known = dsl_coloring("if x < 5 then x + y else 0", 3)
+    for lo in range(5, 60):
+        row = known.row(lo, PairByPairForbidden(range(lo + 1, 70)))
+        assert row == 0 and type(row) is int
+        assert known.row(lo, PairByPairForbidden()) == []
+    with pytest.raises(AssertionError, match="pair by pair"):
+        known.row(4, his)
     # the name keeps the expression as written
     assert dsl_coloring("min(y, x)", 3).name == "dsl(min(y, x))"
     strict = dsl_coloring("if x < y then x / 0 else y", 3, strict=True)
     assert strict.row(4, []) == []
     with pytest.raises(DivisionByZero, match="division"):
         strict.row(4, his)
+    # a hoisted condition that raises does so at the first pair, with the
+    # message the reference gives, and an empty row evaluates nothing
+    hoisted = parse("if x / 0 < 1 then y else 0")
+    with pytest.raises(DivisionByZero) as reference:
+        evaluate(hoisted, 4, 5, strict=True)
+    strict = dsl_coloring(hoisted, 3, strict=True)
+    assert strict.row(4, []) == []
+    with pytest.raises(DivisionByZero) as info:
+        strict.row(4, [5])
+    assert str(info.value) == str(reference.value) == "division by zero in strict mode"
 
 
 def test_compiled_evaluator_has_no_builtins():
@@ -515,11 +563,16 @@ def test_compiled_evaluator_has_no_builtins():
     assert set(fn.__globals__) == {"__builtins__", "min", "max", "_div", "_mod"}
     assert row_source(parse("x / 2 + y % 0 - 3 / (y - x)"), 4) == (
         "lambda x, ys: [(((x // (2)) + _mod(y, (0))) - _div((3), (y - x))) % (4)"
-        " for y in ys]"
+        " for y in ys] if ys else []"
     )
-    kernel = dsl_coloring("min(x, y) / (y - x)", 3).row
-    assert kernel.__globals__["__builtins__"] == {}
-    assert set(kernel.__globals__) == set(fn.__globals__)
+    assert row_source(parse("if x < 5 then x + y else x / 0"), 3) == (
+        "lambda x, ys: ([(x + y) % (3) for y in ys] if (x < (5)) else"
+        " _div(x, (0)) % (3)) if ys else []"
+    )
+    for source in ("min(x, y) / (y - x)", "if x < 5 then x + y else x / 0"):
+        kernel = dsl_coloring(source, 3).row
+        assert kernel.__globals__["__builtins__"] == {}
+        assert set(kernel.__globals__) == set(fn.__globals__)
 
 
 ROW_COLORINGS = [
@@ -539,7 +592,7 @@ def test_row_equals_pairwise_calls(coloring):
         for start in range(lo + 1, 12):
             his = list(range(start, 12))
             colors = [coloring(lo, hi) for hi in his]
-            assert coloring.row(lo, his) == colors
+            assert row_colors(coloring.row, lo, his) == colors
             # constant:1 and block:4 rows are one color: one group of all his
             assert coloring.split(lo, his) == first_appearance_groups(his, colors)
             assert coloring.split(lo, his[::3]) == (

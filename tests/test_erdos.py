@@ -223,6 +223,65 @@ def test_pair_evaluation_counts(pair_evaluations, tmp_path):
     assert pair_evaluations[0] == 561
 
 
+class Unlooped:
+    """The numbers of a row, which ``len`` may read but no loop."""
+
+    def __init__(self, his) -> None:
+        self.his = his
+
+    def __len__(self) -> int:
+        return len(self.his)
+
+    def __iter__(self):
+        raise AssertionError("row evaluated pair by pair")
+
+
+def test_min_chain_rows_are_one_int_each():
+    # the min-chain's rows have one color each: the build hands each row a
+    # range, and neither it nor the verification loops over a row's pairs
+    chain = dsl_coloring("if x < y then x else y", 3)
+    rows = []
+
+    def row(lo, his):
+        rows.append(type(his))
+        color = chain.row(lo, Unlooped(his))
+        assert type(color) is int
+        return color
+
+    coloring = Coloring(3, row, chain.name)
+    report, _ = homog_pipeline(coloring, 5000, 10000)
+    assert report.branch_nodes == tuple(range(5000))
+    assert [len(c) for c in report.classes] == [1667, 1666, 1666]
+    assert report.verified is True
+    # one row per node with something below it, then one per class member
+    # below the largest of its class
+    assert rows[:4999] == [range] * 4999
+    assert len(rows) == 4999 + 4996 and range not in rows[4999:]
+
+
+# if x < 5 then x + y else 0: from 5 on every row is 0, so class 0 grows
+# with the horizon; the class sizes at each horizon under the priorities
+# <0,1,2> and <1,2,0>, then under <2,1,0>
+KNOWN_ANSWER = {
+    50: ([14, 1, 1], [14, 1, 2]),
+    100: ([31, 1, 1], [30, 1, 2]),
+    200: ([64, 1, 1], [64, 1, 2]),
+    400: ([131, 1, 1], [130, 1, 2]),
+    4000: ([1331, 1, 1], [1330, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("size", sorted(KNOWN_ANSWER))
+def test_known_answer_family_class_sizes(size):
+    coloring = dsl_coloring("if x < 5 then x + y else 0", 3)
+    forward, backward = KNOWN_ANSWER[size]
+    for priority, sizes in (((0, 1, 2), forward), ((1, 2, 0), forward),
+                            ((2, 1, 0), backward)):
+        report, _ = homog_pipeline(coloring, size, 2 * size, priority)
+        assert [len(c) for c in report.classes] == sizes
+        assert report.verified is True
+
+
 def test_build_colors_no_empty_rows(monkeypatch):
     rows = []
     split = Coloring.split

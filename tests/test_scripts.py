@@ -27,5 +27,8 @@ def test_scripts_run_and_every_survey_row_is_verified(monkeypatch, capsys):
     survey = run_script("homog_survey", ["--horizon", "20", "--random-cases", "1"],
                         monkeypatch, capsys)
     rows = survey.splitlines()[1:]
-    assert len(rows) == 8
+    assert len(rows) == 9
     assert all(row.split()[-1] == "True" for row in rows)
+    # the known-answer family: class 0 holds all but two branch edges
+    assert "dsl(if x < 5 then x + y else 0)" in survey
+    assert "H0=4 H1=1 H2=1" in survey
