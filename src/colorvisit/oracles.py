@@ -131,12 +131,23 @@ def check_visit(
 
 
 class _Checker:
-    """Decomposition search over contiguous sublists, memoized by content."""
+    """Decomposition search over contiguous sublists, memoized by content.
 
-    def __init__(self, tree: ColorTree, entries: tuple[Word, ...]) -> None:
+    ``memo[hi]`` maps ``(lo, prio, root)`` to the decision on
+    ``entries[lo:hi]``, which depends on ``entries[:hi]`` alone, so a
+    checker for an extension of ``entries`` can take the memo over.
+    """
+
+    def __init__(
+        self, tree: ColorTree, entries: tuple[Word, ...], memo: Sequence[dict] = ()
+    ) -> None:
         self.tree = tree
         self.entries = entries
-        self.memo: dict[tuple[int, int, Word, Word], bool] = {}
+        self.memo = [*memo] + [{} for _ in range(len(memo), len(entries) + 1)]
+
+    def extend(self, node: Word) -> _Checker:
+        """The checker of ``entries + (node,)``, sharing this one's memo."""
+        return _Checker(self.tree, self.entries + (node,), self.memo)
 
     def accepts(self, lo: int, hi: int, prio: Word, root: Word) -> bool:
         if hi <= lo:
@@ -144,13 +155,12 @@ class _Checker:
         if self.entries[lo] != root:
             # every visit starts with its root
             return False
-        key = (lo, hi, prio, root)
-        cached = self.memo.get(key)
+        memo, key = self.memo[hi], (lo, prio, root)
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        self.memo[key] = False  # cycle guard; recomputed below
-        result = self._compute(lo, hi, prio, root)
-        self.memo[key] = result
+        memo[key] = False  # cycle guard; recomputed below
+        result = memo[key] = self._compute(lo, hi, prio, root)
         return result
 
     def _compute(self, lo: int, hi: int, prio: Word, root: Word) -> bool:
@@ -222,26 +232,29 @@ def all_visits(
     every accepted list because a nonempty prefix of an accepted list is
     itself accepted (dropping the last element weakens every clause of the
     recursive definition), which the test suite re-checks against a full
-    permutation search on very small trees.
+    permutation search on very small trees.  Once ``check_visit`` has
+    accepted ``[root]``, so the priority and the root are valid, each
+    extension by a node not yet listed is decided by the checker of the
+    list it extends, whose memo already holds every shorter sublist.
     """
     if len(tree.nodes) > ALL_VISITS_NODE_CAP:
         raise TreeTooLarge(len(tree.nodes))
+    root = tuple(int(c) for c in root)
+    if not check_visit(tree, (root,), priority, root):
+        return []
+    prio = validate_priority(priority, tree.k)
     candidates = sorted(tree.nodes)
     found: list[tuple[Word, ...]] = []
-    frontier: list[tuple[Word, ...]] = []
-    seed = (root,)
-    if check_visit(tree, seed, priority, root):
-        frontier.append(seed)
+    frontier = [_Checker(tree, (root,))]
     while frontier:
         current = frontier.pop(0)
-        found.append(current)
-        in_current = set(current)
+        found.append(current.entries)
+        in_current = set(current.entries)
         for node in candidates:
-            if node in in_current:
-                continue
-            extended = current + (node,)
-            if check_visit(tree, extended, priority, root):
-                frontier.append(extended)
+            if node not in in_current:
+                extended = current.extend(node)
+                if extended.accepts(0, len(extended.entries), prio, root):
+                    frontier.append(extended)
     found.sort(key=len)
     return found
 
@@ -404,11 +417,17 @@ def ancestor_formula_relation(coloring: Coloring, size: int) -> set[tuple[int, i
         for z in range(size)
     ]
     rel: set[tuple[int, int]] = set()
+    ancestors: list[list[int]] = [[] for _ in range(size)]
     for x in range(size):
-        ancestors_of_x = [z for z in range(x) if (z, x) in rel]
-        for y in range(x + 1, size):
-            if all(color_of[z][x] == color_of[z][y] for z in ancestors_of_x):
-                rel.add((x, y))
+        # the y > x that agree with x on each ancestor's row, one row at a time
+        below = range(x + 1, size)
+        for z in ancestors[x]:
+            row = color_of[z]
+            below = list(itertools.compress(
+                below, map(row[x].__eq__, map(row.__getitem__, below))))
+        for y in below:
+            ancestors[y].append(x)
+        rel.update(zip(itertools.repeat(x), below))
     return rel
 
 
@@ -538,15 +557,16 @@ def random_coloring(seed: int, k: int, size: int) -> Coloring:
     failing suite case prints rebuilds the same table, so counterexamples
     stay reproducible.  ``randrange(k)`` draws ``getrandbits(k.bit_length())``
     until the value is below k; the table keeps the accepted draws of that
-    same stream, drawn in C, in one flat list with pair ``(lo, hi)`` at
+    same stream, drawn in C, in one flat sequence with pair ``(lo, hi)`` at
     ``offset[lo] + hi``.  Pairs outside the table raise
     :class:`TableIncomplete`.
 
     Each draw is the top ``bits`` bits of one 32-bit generator word, and
     ``getrandbits(32 * m)`` lays m such words out little-endian.  So for
     ``bits <= 8`` the draws are the top bytes of those words, shifted by
-    ``bytes.translate``, which also deletes the rejected ones; wider
-    draws go through ``map`` and ``filter``.
+    ``bytes.translate``, which also deletes the rejected ones, and the
+    table is the ``bytes`` it returns; wider draws go through ``map`` and
+    ``filter`` into a list.
     """
     if k < 2 or size < 2:
         raise ValueError("random colorings need k >= 2 and size >= 2")
@@ -557,17 +577,17 @@ def random_coloring(seed: int, k: int, size: int) -> Coloring:
         shift = 8 - bits
         table, reject = _SHIFTED[shift], bytes(range(k << shift, 256))
 
-        def draw(m: int) -> Iterable[int]:
+        def draw(m: int) -> Sequence[int]:
             words = getrandbits(32 * m).to_bytes(4 * m, "little")
             return words[3::4].translate(table, reject)
     else:
-        def draw(m: int) -> Iterable[int]:
-            return filter(k.__gt__, map(getrandbits, itertools.repeat(bits, m)))
-    colors: list[int] = []
+        def draw(m: int) -> Sequence[int]:
+            return list(filter(k.__gt__, map(getrandbits, itertools.repeat(bits, m))))
+    colors = draw(total)
     while len(colors) < total:
-        colors.extend(draw(total - len(colors)))
+        colors += draw(total - len(colors))
     # row lo starts after the size-1-x pairs of every x < lo, at hi = lo + 1
-    offset = [x * (2 * size - x - 1) // 2 - x - 1 for x in range(size)]
+    offset = list(itertools.accumulate(range(size - 2, -1, -1), initial=-1))
 
     def row(lo: int, his: Sequence[int]) -> list[int]:
         if not his:

@@ -125,6 +125,27 @@ def _tree_failure(
     )
 
 
+def _visit_broken(
+    tree: FiniteColorTree, priority: Word
+) -> tuple[bool, Optional[tuple[Word, ...]]]:
+    """Whether the visit of ``tree`` with a budget one past its size breaks
+    an enumeration invariant, and its words; a visit that raises breaks
+    none and has no words."""
+    try:
+        v = enumerate_visit(tree, priority, ROOT, budget=len(tree.nodes) + 1)
+    except Exception:
+        return False, None
+    order = visit_words(v)
+    entries = set(order)
+    return (
+        len(entries) != len(order)
+        or any(w != ROOT and w[:-1] not in entries for w in order)
+        or not v.terminated
+        or not is_complete_for(tree, order, priority)
+        or entries != restricted_nodes(tree, priority, ROOT)
+    ), order
+
+
 def suite_visits(seed: int, cases: int) -> SuiteResult:
     """Enumeration invariants plus checker agreement on small instances."""
     ran = 0
@@ -132,33 +153,21 @@ def suite_visits(seed: int, cases: int) -> SuiteResult:
         ran += 1
 
         def bad(t: FiniteColorTree, _p: Word = priority) -> bool:
-            try:
-                v = enumerate_visit(t, _p, ROOT, budget=len(t.nodes) + 1)
-            except Exception:
-                return False
-            order = visit_words(v)
-            entries = set(order)
-            return (
-                len(entries) != len(order)
-                or any(w != ROOT and w[:-1] not in entries for w in order)
-                or not v.terminated
-                or not is_complete_for(t, order, _p)
-                or entries != restricted_nodes(t, _p, ROOT)
-            )
+            return _visit_broken(t, _p)[0]
 
-        if bad(tree):
+        broken, order = _visit_broken(tree, priority)
+        if broken:
             return SuiteResult(
                 "visits", False, ran,
                 _tree_failure(tree, priority, "enumeration invariant failed", bad),
             )
         if len(tree.nodes) <= min(ALL_VISITS_NODE_CAP, 12):
             accepted = all_visits(tree, priority, ROOT)
-            run = enumerate_visit(tree, priority, ROOT, budget=len(tree.nodes) + 1)
             chain_ok = all(
                 b[: len(a)] == a
                 for a, b in itertools.combinations(sorted(accepted, key=len), 2)
             )
-            if not chain_ok or max(accepted, key=len) != visit_words(run):
+            if order is None or not chain_ok or max(accepted, key=len) != order:
                 return SuiteResult(
                     "visits", False, ran,
                     f"checker/generator disagreement\npriority={list(priority)}\n"

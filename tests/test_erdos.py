@@ -355,6 +355,22 @@ def test_ancestor_formula_agrees_with_descent(monkeypatch):
         assert descent == ancestor_formula_relation(coloring, 20)
 
 
+def test_ancestor_formula_on_a_worked_table():
+    # insertion: 1 and 2 become the 0- and 1-child of 0; 3 goes down
+    # color 0 to 1 and becomes its 1-child; 4 goes down color 0 to 1 and
+    # color 1 to 3 and becomes the 1-child of 3
+    colors = {
+        (0, 1): 0, (0, 2): 1, (0, 3): 0, (0, 4): 0,
+        (1, 2): 0, (1, 3): 1, (1, 4): 1,
+        (2, 3): 1, (2, 4): 0,
+        (3, 4): 1,
+    }
+    table = table_coloring(colors, 2)
+    assert ancestor_formula_relation(table, 5) == {
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (3, 4)}
+    assert build_by_insertion(table, 5).parent == [None, 0, 0, 1, 3]
+
+
 def test_word_tree_examples():
     chain = build_erdos(builtin_coloring("constant:0", 2), 3)
     words = to_word_tree(chain)

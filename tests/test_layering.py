@@ -167,18 +167,23 @@ def top_level_names(tree: ast.Module) -> list[str]:
 
 
 def name_counts(paths) -> Counter:
-    """How often each identifier occurs in the files as a name, or as a
-    string literal that spells it (as ``_EXPORTS`` and ``setattr`` do)."""
+    """How often each identifier occurs in the files as a name, an
+    attribute, a function or class definition, or a string constant that
+    spells it (as ``_EXPORTS`` and ``setattr`` do).
+
+    Read from the syntax tree, so a name used only inside an f-string's
+    braces counts; a tokenizer reads a whole f-string as one string."""
     counts: Counter = Counter()
     for path in paths:
-        with open(path, encoding="utf-8") as f:
-            for t in tokenize.generate_tokens(f.readline):
-                text = t.string
-                if t.type == tokenize.STRING:
-                    text = text.strip("'\"")
-                elif t.type != tokenize.NAME:
-                    continue
-                counts[text] += 1
+        for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                counts[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                counts[node.name] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                counts[node.value] += 1
     return counts
 
 

@@ -20,6 +20,7 @@ from colorvisit.oracles import (
     random_tree,
     star_tree,
 )
+from colorvisit.suites import tree_corpus
 from colorvisit.trees import validate_tree
 from conftest import first_appearance_groups
 
@@ -75,6 +76,42 @@ def test_all_visits_equals_permutation_filter_on_tiny_trees():
             if check_visit(tree, perm, priority, ())
         }
         assert brute == set(all_visits(tree, priority, ()))
+
+
+def grown_by_check_visit(tree, priority, root):
+    """The accepted lists grown one node at a time, each candidate decided
+    by its own ``check_visit`` call."""
+    frontier = [(root,)] if check_visit(tree, (root,), priority, root) else []
+    found = []
+    while frontier:
+        current = frontier.pop(0)
+        found.append(current)
+        frontier.extend(
+            current + (node,)
+            for node in sorted(tree.nodes)
+            if node not in current
+            and check_visit(tree, current + (node,), priority, root)
+        )
+    return found
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_all_visits_equals_growth_by_check_visit(seed):
+    grown = 0
+    for tree, priority in tree_corpus(seed, 120):
+        if len(tree.nodes) <= 12:
+            assert all_visits(tree, priority, ()) == grown_by_check_visit(
+                tree, priority, ()), (priority, sorted(tree.nodes))
+            grown += 1
+    assert grown > 50
+
+
+def test_all_visits_rejects_a_bad_priority_or_root(binary_depth1):
+    for priority, root in (((0, 0), ()), ((2,), ()), ((0, 1), (0, 0)), ((1,), (5,))):
+        assert grown_by_check_visit(binary_depth1, priority, root) == []
+        assert all_visits(binary_depth1, priority, root) == []
+    # a root inside the tree starts its own search
+    assert all_visits(binary_depth1, (0, 1), (1,)) == [((1,),)]
 
 
 def test_naive_expansion_examples():
