@@ -8,9 +8,9 @@ import argparse
 import random
 
 from colorvisit.colorings import builtin_coloring
+from colorvisit.corpus import random_coloring
 from colorvisit.dsl import dsl_coloring
 from colorvisit.erdos import homog_pipeline
-from colorvisit.oracles import random_coloring
 
 
 def main() -> None:

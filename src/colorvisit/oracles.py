@@ -1,5 +1,6 @@
-"""Brute-force reference implementations, the insertion build of the
-comparison tree, and seeded generators.
+"""Brute-force reference implementations and the insertion build of the
+comparison tree.  The seeded generators they are run on live in
+:mod:`colorvisit.corpus`.
 
 Everything here, from the declarative visit checker :func:`check_visit` on,
 exists to cross-check the efficient code paths, and only the ``check``
@@ -13,15 +14,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from typing import Iterable, Optional, Sequence
 
-from .colorings import Coloring, TableIncomplete
+from .colorings import Coloring
 from .dsl import BinOp, DivisionByZero, Expr, If, Lit, Neg, Var
 from .erdos import ErdosTree
 from .trees import ColorTree, FiniteColorTree, RootNotInTree
 from .visit import Visit
-from .words import ROOT, Record, Word, validate_priority
+from .words import ROOT, Word, validate_priority
 
 
 # --- words ----------------------------------------------------------------------
@@ -349,18 +349,28 @@ def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:
     """Reference build: node ``n`` = 1..size-1 in order descends from the
     root along the colors of its edges to the nodes it passes, and attaches
     at the first node that has no child of that color."""
+    # each pair (x, n) is one call of the row function, as ``coloring(x, n)``
+    # would make it, and its checks are spelled out here
+    row, k = coloring.row, coloring.k
     parent: list[Optional[int]] = [None]
     edge_color: list[Optional[int]] = [None]
-    children: list[dict[int, int]] = [{} for _ in range(coloring.k)]
+    children: list[dict[int, int]] = [{} for _ in range(k)]
     for n in range(1, size):
-        x, i = 0, coloring(0, n)
-        while x in children[i]:
-            x = children[i][x]
-            i = coloring(x, n)
+        his, x = (n,), 0
+        while True:
+            i = row(x, his)
+            if type(i) is not int:
+                [i] = i
+            if not 0 <= i < k:
+                coloring(x, n)  # raises the error of a color out of range
+            child = children[i].get(x)
+            if child is None:
+                break
+            x = child
         children[i][x] = n
         parent.append(x)
         edge_color.append(i)
-    return ErdosTree(coloring.k, parent, edge_color, children)
+    return ErdosTree(k, parent, edge_color, children)
 
 
 def to_word_tree(tree: ErdosTree) -> FiniteColorTree:
@@ -390,15 +400,18 @@ def check_erdos_property(tree: ErdosTree, coloring: Coloring) -> bool:
     descendants, so quadratically many pairs; rows are compared color by
     color and never grouped.
     """
-    toward: list[dict[int, int]] = [{} for _ in range(tree.size)]
-    for y in range(tree.size):
+    parent, edge_color = tree.parent, tree.edge_color
+    toward: list[dict[int, int]] = [{} for _ in parent]
+    for y in range(len(parent)):
         z = y
-        while (x := tree.parent[z]) is not None:
-            toward[x][y] = tree.edge_color[z]
+        while (x := parent[z]) is not None:
+            toward[x][y] = edge_color[z]
             z = x
+    # a node with no descendants has an empty row, which holds vacuously
     return all(
         _row_list(coloring, x, list(t)) == list(t.values())
         for x, t in enumerate(toward)
+        if t
     )
 
 
@@ -423,8 +436,8 @@ def ancestor_formula_relation(coloring: Coloring, size: int) -> set[tuple[int, i
         below = range(x + 1, size)
         for z in ancestors[x]:
             row = color_of[z]
-            below = list(itertools.compress(
-                below, map(row[x].__eq__, map(row.__getitem__, below))))
+            color = row[x]
+            below = [y for y in below if row[y] == color]
         for y in below:
             ancestors[y].append(x)
         rel.update(zip(itertools.repeat(x), below))
@@ -477,125 +490,3 @@ def evaluate(expr: Expr, x: int, y: int, strict: bool = False) -> int:
             return left
         return left % right
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-# --- seeded generators ----------------------------------------------------------
-
-
-class TreeGenParams(Record):
-    """Knobs for the random tree generator; output is deterministic in seed."""
-
-    __slots__ = ("k", "max_depth", "max_nodes", "branching", "seed")
-
-    def __init__(
-        self,
-        k: int,
-        max_depth: int,
-        max_nodes: int,
-        branching: float = 0.5,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(k, max_depth, max_nodes, branching, seed)
-
-
-def random_tree(params: TreeGenParams) -> FiniteColorTree:
-    """Grow a prefix-closed tree breadth-first under the given bounds.
-
-    Chains, stars and complete trees all occur with positive probability
-    for interior branching values, and probability 1.0 forces the complete
-    tree up to the depth bound.
-    """
-    rng = random.Random(params.seed)
-    nodes: set[Word] = {ROOT}
-    queue: list[Word] = [ROOT]
-    while queue and len(nodes) < params.max_nodes:
-        node = queue.pop(0)
-        if len(node) >= params.max_depth:
-            continue
-        for c in range(params.k):
-            if len(nodes) >= params.max_nodes:
-                break
-            if rng.random() < params.branching:
-                child = node + (c,)
-                nodes.add(child)
-                queue.append(child)
-    return FiniteColorTree(k=params.k, nodes=frozenset(nodes))
-
-
-def chain_tree(k: int, color: int, depth: int) -> FiniteColorTree:
-    """A single branch repeating one color (degenerate shape for corpora)."""
-    nodes = frozenset((color,) * i for i in range(depth + 1))
-    return FiniteColorTree(k=k, nodes=nodes)
-
-
-def complete_tree(k: int, depth: int) -> FiniteColorTree:
-    """The full k-ary tree truncated at the given depth."""
-    levels: list[list[Word]] = [[ROOT]]
-    for _ in range(depth):
-        levels.append([w + (c,) for w in levels[-1] for c in range(k)])
-    return FiniteColorTree(k=k, nodes=frozenset(w for lv in levels for w in lv))
-
-
-def star_tree(k: int) -> FiniteColorTree:
-    """Root plus one child per color."""
-    return FiniteColorTree(
-        k=k, nodes=frozenset([ROOT] + [(c,) for c in range(k)])
-    )
-
-
-# the bytes.translate tables that shift a byte right by 0..7 bits
-_SHIFTED = tuple(bytes(b >> shift for b in range(256)) for shift in range(8))
-
-
-def random_coloring(seed: int, k: int, size: int) -> Coloring:
-    """Uniform independent colors for every unordered pair below ``size``,
-    deterministic in the seed.
-
-    The colors are the values ``random.Random(seed).randrange(k)`` gives
-    when called once per pair in x-major order, ``(0, 1), (0, 2), ...,
-    (1, 2), ...``.  That stream is pinned: the ``random(seed=...)`` name a
-    failing suite case prints rebuilds the same table, so counterexamples
-    stay reproducible.  ``randrange(k)`` draws ``getrandbits(k.bit_length())``
-    until the value is below k; the table keeps the accepted draws of that
-    same stream, drawn in C, in one flat sequence with pair ``(lo, hi)`` at
-    ``offset[lo] + hi``.  Pairs outside the table raise
-    :class:`TableIncomplete`.
-
-    Each draw is the top ``bits`` bits of one 32-bit generator word, and
-    ``getrandbits(32 * m)`` lays m such words out little-endian.  So for
-    ``bits <= 8`` the draws are the top bytes of those words, shifted by
-    ``bytes.translate``, which also deletes the rejected ones, and the
-    table is the ``bytes`` it returns; wider draws go through ``map`` and
-    ``filter`` into a list.
-    """
-    if k < 2 or size < 2:
-        raise ValueError("random colorings need k >= 2 and size >= 2")
-    getrandbits = random.Random(seed).getrandbits
-    bits = k.bit_length()
-    total = size * (size - 1) // 2
-    if bits <= 8:
-        shift = 8 - bits
-        table, reject = _SHIFTED[shift], bytes(range(k << shift, 256))
-
-        def draw(m: int) -> Sequence[int]:
-            words = getrandbits(32 * m).to_bytes(4 * m, "little")
-            return words[3::4].translate(table, reject)
-    else:
-        def draw(m: int) -> Sequence[int]:
-            return list(filter(k.__gt__, map(getrandbits, itertools.repeat(bits, m))))
-    colors = draw(total)
-    while len(colors) < total:
-        colors += draw(total - len(colors))
-    # row lo starts after the size-1-x pairs of every x < lo, at hi = lo + 1
-    offset = list(itertools.accumulate(range(size - 2, -1, -1), initial=-1))
-
-    def row(lo: int, his: Sequence[int]) -> list[int]:
-        if not his:
-            return []
-        if lo < 0 or his[-1] >= size:
-            raise TableIncomplete((lo, next(h for h in his if lo < 0 or h >= size)))
-        start = offset[lo]
-        return [colors[start + hi] for hi in his]
-
-    name = f"random(seed={seed},k={k},size={size})"
-    return Coloring(k, row, name)

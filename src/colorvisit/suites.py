@@ -13,24 +13,26 @@ import random
 from typing import Callable, Iterator, Optional
 
 from .colorings import Coloring, builtin_coloring
+from .corpus import (
+    TreeGenParams,
+    chain_tree,
+    complete_tree,
+    random_coloring,
+    random_tree,
+    star_tree,
+)
 from .dsl import dsl_coloring
 from .erdos import build_erdos, homog_pipeline
 from .oracles import (
     ALL_VISITS_NODE_CAP,
-    TreeGenParams,
     all_visits,
     ancestor_formula_relation,
     build_by_insertion,
-    chain_tree,
     check_erdos_property,
-    complete_tree,
     is_complete_for,
     naive_nth_expansion,
     nth_expansion,
-    random_coloring,
-    random_tree,
     restricted_nodes,
-    star_tree,
     to_word_tree,
     visit_words,
 )

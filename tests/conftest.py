@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import colorvisit
 from colorvisit.cli import MAX_MESSAGE
 from colorvisit.colorings import Coloring
+from colorvisit.corpus import TreeGenParams, complete_tree, random_tree
 from colorvisit.dsl import BinOp, If, Lit, Neg, Var
-from colorvisit.oracles import TreeGenParams, complete_tree, random_tree
 from colorvisit.trees import FiniteColorTree, tree_to_dict, validate_tree
 from colorvisit.visit import Visit, enumerate_visit
 

@@ -17,24 +17,26 @@ import time
 import pytest
 
 from colorvisit.colorings import builtin_coloring
+from colorvisit.corpus import (
+    TreeGenParams,
+    chain_tree,
+    complete_tree,
+    random_coloring,
+    random_tree,
+    star_tree,
+)
 from colorvisit.dsl import dsl_coloring
 from colorvisit.erdos import build_erdos, homog_pipeline
 from colorvisit.oracles import (
-    TreeGenParams,
     all_visits,
     ancestor_formula_relation,
     branch_census,
-    chain_tree,
     check_erdos_property,
     check_visit,
-    complete_tree,
     is_complete_for,
     naive_nth_expansion,
     nth_expansion,
-    random_coloring,
-    random_tree,
     restricted_nodes,
-    star_tree,
     visit_words,
 )
 from colorvisit.trees import full_tree

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from colorvisit.cli import MAX_BUDGET, MAX_COLORS, MAX_HORIZON, main
 from colorvisit.colorings import builtin_coloring
+from colorvisit.corpus import complete_tree
 from colorvisit.dsl import UnknownIdentifier, dsl_coloring, parse
 from colorvisit.erdos import HomogeneousReport, homog_pipeline
 from colorvisit.export import (
@@ -22,12 +23,7 @@ from colorvisit.export import (
     visit_text,
     visit_trace_pieces,
 )
-from colorvisit.oracles import (
-    brute_stable_indices,
-    complete_tree,
-    visit_trace,
-    visit_words,
-)
+from colorvisit.oracles import brute_stable_indices, visit_trace, visit_words
 from colorvisit.trees import full_tree
 from conftest import MAX_ERROR_LINE, dumps_canonical, save_tree, st_visits
 from colorvisit.visit import enumerate_visit

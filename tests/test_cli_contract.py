@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from colorvisit.cli import SUITE_NAMES, main
+from colorvisit.corpus import TreeGenParams, random_tree
 from colorvisit.dsl import to_text
-from colorvisit.oracles import TreeGenParams, random_tree
 from conftest import MAX_ERROR_LINE, st_expr
 
 # capsys is drained after every run, so one capture serves all examples

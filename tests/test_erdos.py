@@ -7,10 +7,12 @@ import pytest
 from colorvisit.cli import main
 from colorvisit.colorings import (
     Coloring,
+    ColoringError,
     TableIncomplete,
     builtin_coloring,
     table_coloring,
 )
+from colorvisit.corpus import random_coloring
 from colorvisit.dsl import DivisionByZero, dsl_coloring
 from colorvisit.erdos import (
     ErdosError,
@@ -24,7 +26,6 @@ from colorvisit.oracles import (
     branch_census,
     build_by_insertion,
     check_erdos_property,
-    random_coloring,
     to_word_tree,
     visit_words,
 )
@@ -171,6 +172,77 @@ def test_build_equals_insertion_with_one_color_rows(name, k):
             assert tree.parent == [None] + list(range(size - 1))
         elif size == 60:
             assert tree.parent != [None] + list(range(size - 1))
+
+
+def insertion_by_pairs(coloring, size):
+    """The insertion build with one ``coloring(x, n)`` call per pair."""
+    parent, edge_color = [None], [None]
+    children = [{} for _ in range(coloring.k)]
+    for n in range(1, size):
+        x, i = 0, coloring(0, n)
+        while x in children[i]:
+            x = children[i][x]
+            i = coloring(x, n)
+        children[i][x] = n
+        parent.append(x)
+        edge_color.append(i)
+    return ErdosTree(coloring.k, parent, edge_color, children)
+
+
+def erdos_suite_colorings(seed, cases):
+    """The colorings and sizes the ``erdos`` suite draws from its seed."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        k = rng.choice([2, 3, 4])
+        size = rng.randint(2, 64)
+        yield random_coloring(rng.randrange(2**32), k, size), size
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11, 1234])
+def test_insertion_equals_the_loop_of_pair_calls(seed):
+    # random tables answer a one-pair row with an int, tables with a list
+    # of one, and the expressions with either
+    cases = list(erdos_suite_colorings(seed, 50))
+    table, size = cases[0]
+    pairs = {(x, y): table(x, y) for x in range(size) for y in range(x + 1, size)}
+    cases.append((table_coloring(pairs, table.k), size))
+    cases += [(named_coloring(name, k), 40) for name, k in ONE_COLOR_ROWS + MIXED_ROWS]
+    for coloring, size in cases:
+        assert_same_tree(
+            build_by_insertion(coloring, size), insertion_by_pairs(coloring, size)
+        )
+
+
+@pytest.mark.parametrize("as_int", [True, False])
+def test_insertion_names_a_color_out_of_range_as_a_pair_call_does(as_int):
+    # every pair is color 0 but (2, 4), which is k; insertion meets it
+    # after walking the chain 0, 1, 2
+    def row(lo, his):
+        colors = [2 if (lo, hi) == (2, 4) else 0 for hi in his]
+        return colors[0] if as_int and len(his) == 1 else colors
+
+    coloring = Coloring(2, row, "bad")
+    with pytest.raises(ColoringError) as pair_call:
+        coloring(2, 4)
+    for build in (insertion_by_pairs, build_by_insertion):
+        with pytest.raises(ColoringError) as info:
+            build(coloring, 6)
+        assert str(info.value) == str(pair_call.value) == (
+            "bad produced color 2 outside 0..1")
+
+
+def test_insertion_names_the_missing_pair_of_a_table():
+    # (1, 3) is missing: 3 walks 0 -> 1 and meets it there; a random table
+    # of size 30 ends before node 30's first pair
+    table = table_coloring({(0, 1): 0, (0, 2): 1, (0, 3): 0, (1, 2): 0}, 2)
+    cut = random_coloring(3, 3, 30)
+    for coloring, size, pair in ((table, 4, (1, 3)), (cut, 31, (0, 30))):
+        with pytest.raises(TableIncomplete) as expected:
+            insertion_by_pairs(coloring, size)
+        with pytest.raises(TableIncomplete) as info:
+            build_by_insertion(coloring, size)
+        assert info.value.pair == expected.value.pair == pair
+        assert str(info.value) == str(expected.value)
 
 
 def test_build_raises_the_error_of_the_row_that_meets_it():
@@ -332,6 +404,22 @@ def test_erdos_property_detects_violation():
     )
     bad = {(0, 1): 0, (1, 2): 0, (0, 2): 1}
     assert check_erdos_property(tree, table_coloring(bad, 2)) is False
+
+
+def test_erdos_property_fails_on_one_wrong_deep_edge():
+    # every pair of a random table's tree, with exactly one pair recolored:
+    # the check fails iff that pair joins a node to one of its ancestors,
+    # leaves and edges far below the root included
+    coloring, size = random_coloring(21, 3, 24), 24
+    tree = build_erdos(coloring, size)
+    colors = {(x, y): coloring(x, y) for x in range(size) for y in range(x + 1, size)}
+    deep = [(x, y) for y in range(size) for x in ancestors(tree, y)
+            if len(ancestors(tree, x)) >= 2]
+    assert len(deep) >= 10
+    for pair, color in colors.items():
+        wrong = table_coloring({**colors, pair: (color + 1) % 3}, 3)
+        in_relation = pair[0] in ancestors(tree, pair[1])
+        assert check_erdos_property(tree, wrong) is not in_relation, pair
 
 
 def test_erdos_property_vacuous_on_root():

@@ -1,9 +1,10 @@
 """The run path holds no reference code, and a run loads only what it runs.
 
-Every module but ``oracles`` and ``suites`` is on the path of a ``visit``
-or ``homog`` run.  Those modules import neither reference module, so the
-brute-force checkers stay out of the code they check, and the word-level
-references are defined in ``oracles`` alone.
+Every module but ``oracles``, ``suites`` and ``corpus`` is on the path of
+a ``visit`` or ``homog`` run.  Those modules import none of the three, so
+the brute-force checkers and the seeded test data stay out of the code
+they check, and the word-level references are defined in ``oracles``
+alone.
 
 The front end imports each command's modules inside the command, and the
 package resolves its exports on first use, so a fresh interpreter running
@@ -31,7 +32,7 @@ import pytest
 import colorvisit
 
 PACKAGE = Path(colorvisit.__file__).parent
-REFERENCE = {"oracles", "suites"}
+REFERENCE = {"oracles", "suites", "corpus"}
 RUN_PATH = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in REFERENCE)
 
 # the front end dispatches the ``check`` command to the suites
@@ -150,6 +151,16 @@ def test_oracles_stays_below_the_parser_step():
     ``check --suite all --seed 3 --cases 200`` from 15.711 to 15.855 MB
     (medians of 5 cold runs on one CPU)."""
     assert parser_tokens("oracles") < 4096
+
+
+def test_corpus_stays_below_the_parser_step():
+    """The parser's token array starts at 1024 tokens, and every ``check``
+    run compiles ``corpus`` on a cold tree.  ``visit.py`` crossing 1024
+    (995 -> 1161 tokens) raised the peak memory of compiling it from 369 to
+    474 KiB, and check-suites' ``peak_rss_mb`` by 0.12 MB (15.729 -> 15.852
+    over 10 perfbench pairs), as recorded in CHANGES.md's FOUND line on
+    ``visit.py``."""
+    assert parser_tokens("corpus") < 1024
 
 
 def top_level_names(tree: ast.Module) -> list[str]:

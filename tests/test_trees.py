@@ -6,7 +6,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from colorvisit.oracles import TreeGenParams, in_restricted, random_tree
+from colorvisit.corpus import TreeGenParams, random_tree
+from colorvisit.oracles import in_restricted
 from colorvisit.trees import (
     ColorOutOfRange,
     FiniteColorTree,

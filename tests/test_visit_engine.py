@@ -7,18 +7,20 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
+from colorvisit.corpus import (
+    TreeGenParams,
+    chain_tree,
+    complete_tree,
+    random_coloring,
+    random_tree,
+)
 from colorvisit.dsl import dsl_coloring
 from colorvisit.erdos import build_erdos
 from colorvisit.export import visit_trace_pieces
 from colorvisit.oracles import (
-    TreeGenParams,
     all_visits,
-    chain_tree,
     check_visit,
-    complete_tree,
     is_complete_for,
-    random_coloring,
-    random_tree,
     restricted_nodes,
     to_word_tree,
     visit_trace,
