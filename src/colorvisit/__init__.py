@@ -3,43 +3,21 @@ pipeline that extracts candidate monochromatic sets from the enumerated
 branch.  Brute-force oracles for everything live in
 :mod:`colorvisit.oracles`.
 
-The exports below are resolved on first use (PEP 562), so importing the
-package, or one of its modules, loads no module that the caller does not
-use.
+The package exports three names: :class:`~colorvisit.visit.Visit`, the
+visit of a color tree, and :func:`~colorvisit.dsl.dsl_coloring` and
+:func:`~colorvisit.erdos.homog_pipeline`, the coloring pipeline.  Every
+other name is imported from its own module.  The exports are resolved on
+first use (PEP 562), so importing the package, or one of its modules,
+loads no module that the caller does not use.
 """
 
 __version__ = "0.1.0"
 
 # each exported name and the module that defines it
 _EXPORTS = {
-    "Coloring": "colorings",
-    "TableIncomplete": "colorings",
-    "UnknownBuiltin": "colorings",
-    "builtin_coloring": "colorings",
-    "load_table": "colorings",
-    "table_coloring": "colorings",
-    "DslSyntaxError": "dsl",
-    "UnknownIdentifier": "dsl",
-    "dsl_coloring": "dsl",
-    "parse": "dsl",
-    "to_text": "dsl",
-    "ErdosTree": "erdos",
-    "HomogeneousReport": "erdos",
-    "build_erdos": "erdos",
-    "extract_homogeneous": "erdos",
-    "homog_pipeline": "erdos",
-    "ColorTree": "trees",
-    "FiniteColorTree": "trees",
-    "FullColorTree": "trees",
-    "full_tree": "trees",
-    "load_tree": "trees",
-    "validate_tree": "trees",
     "Visit": "visit",
-    "enumerate_visit": "visit",
-    "ROOT": "words",
-    "Word": "words",
-    "full_priority": "words",
-    "validate_priority": "words",
+    "dsl_coloring": "dsl",
+    "homog_pipeline": "erdos",
 }
 
 __all__ = list(_EXPORTS)

@@ -42,19 +42,19 @@ def random_tree(params: TreeGenParams) -> FiniteColorTree:
     tree up to the depth bound.
     """
     rng = random.Random(params.seed)
-    nodes: set[Word] = {ROOT}
-    queue: list[Word] = [ROOT]
-    while queue and len(nodes) < params.max_nodes:
-        node = queue.pop(0)
+    # the nodes in breadth-first order: the loop reads the list by index,
+    # so it reaches the children appended behind it
+    nodes: list[Word] = [ROOT]
+    for node in nodes:
+        if len(nodes) >= params.max_nodes:
+            break
         if len(node) >= params.max_depth:
             continue
         for c in range(params.k):
             if len(nodes) >= params.max_nodes:
                 break
             if rng.random() < params.branching:
-                child = node + (c,)
-                nodes.add(child)
-                queue.append(child)
+                nodes.append(node + (c,))
     return FiniteColorTree(k=params.k, nodes=frozenset(nodes))
 
 

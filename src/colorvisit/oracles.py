@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .colorings import Coloring
 from .dsl import BinOp, DivisionByZero, Expr, If, Lit, Neg, Var
@@ -52,6 +52,44 @@ def visit_words(visit: Visit) -> tuple[Word, ...]:
     for i in range(1, len(visit.parent)):
         order.append(order[visit.parent[i]] + (visit.letter[i],))
     return tuple(order)
+
+
+def visit_by_definition(
+    tree: ColorTree,
+    priority: Sequence[int],
+    root: Word = ROOT,
+    budget: Optional[int] = None,
+) -> tuple[Word, ...]:
+    """The first ``budget`` words (all if None) of the visit, written as its
+    definition reads.
+
+    V(P) from w is V(P[1:]) from w; then, for each base of that segment in
+    ``sorted`` word order that has a P[0]-child, V(rotate(P)) from that
+    child.  V(()) from w is w alone.  The tree is reached only through
+    ``tree.contains``, and the priority and the root are taken as valid.
+    It shares no code with ``visit.visit_nodes``: no frames, no
+    ``lex_order``, no index arrays.
+
+    Every entry passes up through the whole chain of nested generators, so
+    an entry at depth d costs O(d), and a chain a few hundred deep raises
+    ``RecursionError``: a reference for bushy trees and shallow chains.
+    """
+    visit = _defined_visit(tree, tuple(priority), tuple(root))
+    return tuple(itertools.islice(visit, budget))
+
+
+def _defined_visit(tree: ColorTree, prio: Word, w: Word) -> Iterator[Word]:
+    if not prio:
+        yield w
+        return
+    segment = []
+    for v in _defined_visit(tree, prio[1:], w):
+        segment.append(v)
+        yield v
+    for base in sorted(segment):
+        child = base + (prio[0],)
+        if tree.contains(child):
+            yield from _defined_visit(tree, prio[1:] + prio[:1], child)
 
 
 # --- the declarative checker and its helpers ------------------------------------

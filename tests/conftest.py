@@ -115,10 +115,11 @@ st_expr = st.recursive(
 
 
 @st.composite
-def st_visits(draw) -> Visit:
-    """Visits of random finite trees: k from 1 to 3, a root drawn from the
-    tree, a priority that may be empty or list only some colors, and a
-    budget that may cut the visit short or leave room to finish it."""
+def st_visit_cases(draw) -> tuple[FiniteColorTree, tuple, tuple, int]:
+    """The tree, priority, root and budget of a visit of a random finite
+    tree: k from 1 to 3, a root drawn from the tree, a priority that may be
+    empty or list only some colors, and a budget that may cut the visit
+    short or leave room to finish it."""
     tree = random_tree(draw(st.builds(
         TreeGenParams,
         k=st.integers(1, 3),
@@ -131,7 +132,12 @@ def st_visits(draw) -> Visit:
     colors = draw(st.permutations(range(tree.k)))
     priority = tuple(colors[: draw(st.integers(0, tree.k))])
     budget = draw(st.integers(1, len(tree.nodes) + 1))
-    return enumerate_visit(tree, priority, root, budget)
+    return tree, priority, root, budget
+
+
+def st_visits() -> st.SearchStrategy[Visit]:
+    """The visits of ``st_visit_cases``."""
+    return st_visit_cases().map(lambda case: enumerate_visit(*case))
 
 
 @pytest.fixture

@@ -5,7 +5,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
 
+from colorvisit import suites
 from colorvisit.colorings import TableIncomplete
 from colorvisit.corpus import (
     TreeGenParams,
@@ -21,10 +23,13 @@ from colorvisit.oracles import (
     all_visits,
     check_visit,
     naive_nth_expansion,
+    visit_by_definition,
+    visit_words,
 )
 from colorvisit.suites import tree_corpus
-from colorvisit.trees import validate_tree
-from conftest import first_appearance_groups
+from colorvisit.trees import FiniteColorTree, validate_tree
+from colorvisit.visit import enumerate_visit
+from conftest import first_appearance_groups, st_visit_cases
 
 
 def test_all_visits_root_only():
@@ -108,6 +113,27 @@ def test_all_visits_equals_growth_by_check_visit(seed):
     assert grown > 50
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_visit_by_definition_is_the_longest_accepted_list(seed):
+    compared = 0
+    for tree, priority in tree_corpus(seed, 120):
+        if len(tree.nodes) <= 12:
+            assert visit_by_definition(tree, priority) == all_visits(
+                tree, priority)[-1], (priority, sorted(tree.nodes))
+            compared += 1
+    assert compared > 50
+
+
+@given(case=st_visit_cases())
+def test_visit_by_definition_equals_the_generator(case):
+    tree, priority, root, budget = case
+    visit = enumerate_visit(tree, priority, root, budget)
+    reference = visit_by_definition(tree, priority, root, budget)
+    assert visit_words(visit) == reference
+    # the generator sees completion only with fewer than budget entries
+    assert visit.terminated == (len(reference) < budget)
+
+
 def test_all_visits_rejects_a_bad_priority_or_root(binary_depth1):
     for priority, root in (((0, 0), ()), ((2,), ()), ((0, 1), (0, 0)), ((1,), (5,))):
         assert grown_by_check_visit(binary_depth1, priority, root) == []
@@ -133,6 +159,43 @@ def test_random_tree_examples():
     a = random_tree(TreeGenParams(k=3, max_depth=4, max_nodes=20, seed=11))
     b = random_tree(TreeGenParams(k=3, max_depth=4, max_nodes=20, seed=11))
     assert a == b
+
+
+def random_tree_by_queue(params):
+    """``corpus.random_tree`` as it was written with a node set beside a
+    queue popped from the front, copied unchanged."""
+    rng = random.Random(params.seed)
+    nodes = {()}
+    queue = [()]
+    while queue and len(nodes) < params.max_nodes:
+        node = queue.pop(0)
+        if len(node) >= params.max_depth:
+            continue
+        for c in range(params.k):
+            if len(nodes) >= params.max_nodes:
+                break
+            if rng.random() < params.branching:
+                child = node + (c,)
+                nodes.add(child)
+                queue.append(child)
+    return FiniteColorTree(k=params.k, nodes=frozenset(nodes))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 9])
+def test_random_tree_grows_as_the_queue_did(seed, monkeypatch):
+    # every random tree the corpus draws, from the parameters it draws
+    drawn = []
+
+    def recorded(params):
+        drawn.append(params)
+        return random_tree(params)
+
+    monkeypatch.setattr(suites, "random_tree", recorded)
+    for _ in tree_corpus(seed, 200):
+        pass
+    assert len(drawn) > 100
+    for params in drawn:
+        assert random_tree(params) == random_tree_by_queue(params), params
 
 
 def test_degenerate_shapes():
