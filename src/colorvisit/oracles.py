@@ -12,7 +12,6 @@ and meant for desk-scale inputs only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -28,20 +27,6 @@ from .words import ROOT, Word, validate_priority
 
 def is_proper_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
     return len(a) < len(b) and tuple(b[: len(a)]) == tuple(a)
-
-
-def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
-    """Three-way lexicographic comparison: -1, 0 or +1.
-
-    A proper prefix compares less than any of its extensions; otherwise the
-    first differing letter decides.
-    """
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    if len(a) == len(b):
-        return 0
-    return -1 if len(a) < len(b) else 1
 
 
 def visit_words(visit: Visit) -> tuple[Word, ...]:
@@ -295,19 +280,6 @@ def all_visits(
                     frontier.append(extended)
     found.sort(key=len)
     return found
-
-
-def naive_nth_expansion(
-    tree: ColorTree, bases: Sequence[Word], n: int, color: int
-) -> Optional[Word]:
-    """Direct transcription of the expansion definition: sort the bases
-    lexicographically, keep those whose ``color``-child is in the tree,
-    index into the result."""
-    if n < 0:
-        return None
-    ordered = sorted(bases, key=functools.cmp_to_key(lex_compare))
-    hits = [b + (color,) for b in ordered if tree.contains(b + (color,))]
-    return hits[n] if n < len(hits) else None
 
 
 def in_restricted(

@@ -30,14 +30,12 @@ from .oracles import (
     build_by_insertion,
     check_erdos_property,
     is_complete_for,
-    naive_nth_expansion,
-    nth_expansion,
     restricted_nodes,
     to_word_tree,
     visit_words,
 )
 from .trees import FiniteColorTree, tree_to_dict
-from .visit import enumerate_visit
+from .visit import Visit, enumerate_visit, lex_order
 from .words import ROOT, Record, Word
 
 
@@ -179,24 +177,33 @@ def suite_visits(seed: int, cases: int) -> SuiteResult:
 
 
 def suite_expansions(seed: int, cases: int) -> SuiteResult:
-    """Agreement of the scanning and the sort-filter-index expansion routes."""
+    """The run path's base order, ``lex_order``, against the sort of the
+    words, from horizon-stable heads of budget-cut visits.
+
+    A visit at budget b is a prefix of the complete visit, and the
+    generator calls ``lex_order`` only from a head whose later entries all
+    descend from it, so these heads cover every call it makes, heads of
+    unfinished frames included.
+    """
     rng = random.Random(seed)
     ran = 0
-    for tree, _priority in tree_corpus(seed + 1, cases):
-        nodes = sorted(tree.nodes)
+    for tree, priority in tree_corpus(seed + 1, cases):
+        visit = enumerate_visit(tree, priority, ROOT, budget=len(tree.nodes) + 1)
+        words = visit_words(visit)
         for _ in range(10):
             ran += 1
-            size = rng.randint(1, min(len(nodes), 12))
-            bases = tuple(rng.sample(nodes, size))
-            n = rng.randint(0, size + 1)
-            c = rng.randrange(tree.k)
-            fast = nth_expansion(tree, bases, n, c)
-            slow = naive_nth_expansion(tree, bases, n, c)
-            if fast != slow:
+            b = rng.randint(1, len(words))
+            parent, letter = visit.parent[:b], visit.letter[:b]
+            cut = Visit(tree.k, ROOT, priority, False, parent, letter)
+            m = rng.choice(cut.stable())
+            got = lex_order(parent, letter, m)
+            expected = sorted(range(m, b), key=words.__getitem__)
+            if got != expected:
                 return SuiteResult(
                     "expansions", False, ran,
-                    f"expansion routes disagree: bases={bases} n={n} c={c} "
-                    f"fast={fast} slow={slow}\ntree={tree_to_dict(tree)}",
+                    f"lex_order disagrees with the word order: budget={b} "
+                    f"head={m} got={got} expected={expected}\n"
+                    f"priority={list(priority)}\ntree={tree_to_dict(tree)}",
                 )
     return SuiteResult("expansions", True, ran)
 

@@ -34,13 +34,12 @@ from colorvisit.oracles import (
     check_erdos_property,
     check_visit,
     is_complete_for,
-    naive_nth_expansion,
     nth_expansion,
     restricted_nodes,
     visit_words,
 )
 from colorvisit.trees import full_tree
-from colorvisit.visit import enumerate_visit
+from colorvisit.visit import Visit, enumerate_visit, lex_order
 from conftest import save_tree
 
 
@@ -179,6 +178,9 @@ def test_criterion_3_oracle_equivalence():
 
 @criterion("4 (expansion routes agree on 10^4 queries)")
 def test_criterion_4_expansion_agreement():
+    """The run path expands a frame by the c-children of its entries in
+    ``lex_order`` from the frame's head, a horizon-stable index; the
+    reference is ``nth_expansion`` over the same entries' words."""
     rng = random.Random(4004)
     queries = 0
     for _ in range(500):
@@ -192,15 +194,20 @@ def test_criterion_4_expansion_agreement():
                 seed=rng.randrange(2**32),
             )
         )
-        nodes = sorted(tree.nodes)
+        priority = tuple(rng.sample(range(k), rng.randint(1, k)))
+        visit = enumerate_visit(tree, priority, (), budget=len(tree.nodes) + 1)
+        words = visit_words(visit)
         for _ in range(20):
-            size = rng.randint(1, min(len(nodes), 15))
-            bases = tuple(rng.sample(nodes, size))
-            n = rng.randint(0, size + 1)
+            b = rng.randint(1, len(words))
+            parent, letter = visit.parent[:b], visit.letter[:b]
+            m = rng.choice(Visit(k, (), priority, False, parent, letter).stable())
+            n = rng.randint(0, b - m + 1)
             c = rng.randrange(k)
-            assert nth_expansion(tree, bases, n, c) == naive_nth_expansion(
-                tree, bases, n, c
-            )
+            child = tree.step(c)
+            hits = [kid for i in lex_order(parent, letter, m)
+                    if (kid := child(words[i])) is not None]
+            run_path = hits[n] if n < len(hits) else None
+            assert run_path == nth_expansion(tree, words[m:b], n, c)
             queries += 1
     assert queries >= 10_000
 

@@ -573,6 +573,22 @@ def test_deeply_nested_input_file_is_config_error(command, option, text,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("data", [b"", b"[1,2", b"\xff\xfe"],
+                         ids=["empty", "truncated", "not-utf-8"])
+@pytest.mark.parametrize("command, option", [("homog", "--table"),
+                                             ("visit", "--tree")])
+def test_malformed_input_file_is_config_error(command, option, data,
+                                              tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    out = tmp_path / "out"
+    assert main([command, option, str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option[2:]} file is not UTF-8 JSON: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_exports_render_reports():
     coloring = builtin_coloring("sum-mod", 2)
     report, visit = homog_pipeline(coloring, 20, 200)

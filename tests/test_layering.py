@@ -40,7 +40,7 @@ ALLOWED = {"cli": {"suites"}}
 
 MOVED = {
     "check_visit", "_Checker", "is_complete_for", "nth_expansion",
-    "evaluate", "in_restricted", "lex_compare", "is_proper_prefix",
+    "evaluate", "in_restricted", "is_proper_prefix",
     "branch_census", "check_erdos_property", "build_by_insertion",
     "visit_by_definition",
 }

@@ -22,7 +22,6 @@ from colorvisit.oracles import (
     TreeTooLarge,
     all_visits,
     check_visit,
-    naive_nth_expansion,
     visit_by_definition,
     visit_words,
 )
@@ -140,13 +139,6 @@ def test_all_visits_rejects_a_bad_priority_or_root(binary_depth1):
         assert all_visits(binary_depth1, priority, root) == []
     # a root inside the tree starts its own search
     assert all_visits(binary_depth1, (0, 1), (1,)) == [((1,),)]
-
-
-def test_naive_expansion_examples():
-    t2 = validate_tree([(), (0,), (1,), (1, 0)], 2)
-    assert naive_nth_expansion(t2, [(), (1,)], 1, 0) == (1, 0)
-    assert naive_nth_expansion(t2, [(1,), ()], 1, 0) == (1, 0)
-    assert naive_nth_expansion(t2, [()], 3, 0) is None
 
 
 def test_random_tree_examples():

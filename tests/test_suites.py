@@ -41,6 +41,54 @@ def test_a_visit_word_outside_the_tree_fails_the_visits_suite(monkeypatch, capsy
     assert captured.err.startswith("counterexample for suite visits:\n")
 
 
+def children_in_reversed_color_order(parent, letter, head):
+    kids = {}
+    for i in sorted(range(head + 1, len(parent)), key=letter.__getitem__):
+        kids.setdefault(parent[i], []).append(i)
+    out, todo = [], [head]
+    while todo:
+        i = todo.pop()
+        out.append(i)
+        todo.extend(kids.get(i, ()))
+    return out
+
+
+def index_order(parent, letter, head):
+    return list(range(head, len(parent)))
+
+
+@pytest.mark.parametrize("broken", [children_in_reversed_color_order,
+                                    index_order])
+def test_a_broken_lex_order_fails_the_expansions_suite(broken, monkeypatch,
+                                                        capsys):
+    monkeypatch.setattr(suites, "lex_order", broken)
+    result = SUITES["expansions"](0, 5)
+    assert not result.passed
+    assert "lex_order disagrees with the word order" in result.failure
+    assert main(["check", "--suite", "expansions", "--cases", "5"]) == 1
+    assert capsys.readouterr().out.startswith("suite expansions: FAIL")
+
+
+# the benchmark's recorded check-suites digests cover these lines, case
+# counts included
+@pytest.mark.parametrize("seed, cases, out", [
+    (3, 3, "suite erdos: pass (3 cases)\n"
+           "suite expansions: pass (30 cases)\n"
+           "suite homog: pass (3 cases)\n"
+           "suite restricted: pass (3 cases)\n"
+           "suite visits: pass (3 cases)\n"),
+    (11, 2, "suite erdos: pass (2 cases)\n"
+            "suite expansions: pass (20 cases)\n"
+            "suite homog: pass (2 cases)\n"
+            "suite restricted: pass (2 cases)\n"
+            "suite visits: pass (2 cases)\n"),
+])
+def test_check_all_prints_one_pass_line_per_suite(seed, cases, out, capsys):
+    assert main(["check", "--suite", "all", "--seed", str(seed),
+                 "--cases", str(cases)]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_corpus_is_deterministic_and_mixed():
     a = list(tree_corpus(3, 40))
     b = list(tree_corpus(3, 40))

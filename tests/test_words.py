@@ -3,7 +3,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from colorvisit.oracles import is_proper_prefix, lex_compare
+from colorvisit.oracles import is_proper_prefix
 from colorvisit.words import (
     InvalidPriority,
     full_priority,
@@ -27,34 +27,15 @@ st_word = st.lists(st.integers(0, 3), max_size=8).map(tuple)
     ],
 )
 def test_lex_compare_examples(a, b, expected):
-    assert lex_compare(a, b) == expected
-
-
-@given(a=st_word, b=st_word)
-def test_lex_compare_matches_native_tuple_order(a, b):
-    native = -1 if a < b else (0 if a == b else 1)
-    assert lex_compare(a, b) == native
-
-
-@given(a=st_word, b=st_word)
-def test_lex_compare_antisymmetric(a, b):
-    assert lex_compare(a, b) == -lex_compare(b, a)
-
-
-@given(a=st_word, b=st_word, c=st_word)
-def test_lex_compare_transitive(a, b, c):
-    x, y, z = sorted([a, b, c])
-    assert lex_compare(x, y) <= 0
-    assert lex_compare(y, z) <= 0
-    assert lex_compare(x, z) <= 0
+    # native tuple order is the paper's: a proper prefix sorts first, then
+    # the first differing letter decides
+    assert (a > b) - (a < b) == expected
 
 
 @given(a=st_word, b=st_word)
 def test_prefix_implies_lex_leq(a, b):
-    if tuple(b[: len(a)]) == tuple(a):
-        assert lex_compare(a, b) <= 0
     if is_proper_prefix(a, b):
-        assert lex_compare(a, b) == -1
+        assert a < b
 
 
 def test_priority_accepts_reordered_subsets():

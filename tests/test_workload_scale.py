@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from colorvisit.dsl import dsl_coloring
-from colorvisit.erdos import build_erdos
+from colorvisit.erdos import build_erdos, homog_pipeline
 from colorvisit.oracles import (
     build_by_insertion,
     check_erdos_property,
@@ -58,9 +58,20 @@ def homog_visit_words(tree, priority):
 
 @pytest.mark.parametrize("priority", [(0, 1, 2), (2, 0, 1)])
 def test_hash_visit_equals_its_definition(hash_tree, priority):
-    words = to_word_tree(hash_tree)
-    assert homog_visit_words(hash_tree, priority) == visit_by_definition(
-        words, priority)
+    reference = visit_by_definition(to_word_tree(hash_tree), priority)
+    assert homog_visit_words(hash_tree, priority) == reference
+    # the report's branch is the root path of the reference visit's last
+    # word, and each branch edge puts its upper node into its color's class
+    node, classes = 0, [set() for _ in range(3)]
+    for c in reference[-1]:
+        classes[c].add(node)
+        node = hash_tree.children[c][node]
+    coloring = dsl_coloring(HASH, 3)
+    report, _ = homog_pipeline(coloring, HASH_HORIZON, 2 * HASH_HORIZON, priority)
+    assert report.classes == tuple(frozenset(c) for c in classes)
+    for i, cls in enumerate(classes):
+        for x, y in itertools.combinations(sorted(cls), 2):
+            assert coloring(x, y) == i
 
 
 def test_small_hash_visits_equal_their_definition():
