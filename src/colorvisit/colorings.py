@@ -16,25 +16,13 @@ threads is safe.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .words import Record, parse_int, read_json
 
 
 class ColoringError(ValueError):
-    """Base class for coloring definition and evaluation errors."""
-
-
-class UnknownBuiltin(ColoringError):
-    def __init__(self, name: str) -> None:
-        self.name = name
-        super().__init__(f"unknown builtin coloring {name!r}")
-
-
-class TableIncomplete(ColoringError):
-    def __init__(self, pair: tuple[int, int]) -> None:
-        self.pair = pair
-        super().__init__(f"table coloring has no entry for pair {pair}")
+    """A bad coloring definition or evaluation: the module's one error."""
 
 
 # lo, the ascending his above it -> the color of each pair (lo, hi), or
@@ -101,18 +89,25 @@ class Coloring(Record):
         )
 
 
-def table_coloring(pairs: Mapping[tuple[int, int], int], k: int) -> Coloring:
-    """Explicit finite coloring; queries beyond the table raise
-    :class:`TableIncomplete`.  Endpoints and colors must be ``int``s: a
+def table_coloring(entries: Iterable[object], k: int) -> Coloring:
+    """Explicit finite coloring from ``[x, y, color]`` lists, the entries of
+    a table file, each checked once; queries beyond the table raise
+    :class:`ColoringError`.  Endpoints and colors must be ``int``s: a
     float, bool or string is rejected, not rounded or read as a number."""
     if k < 1:
         raise ColoringError(f"color count k={k} must be at least 1")
     canon: dict[tuple[int, int], int] = {}
-    for (x, y), color in pairs.items():
-        if any(type(v) is not int for v in (x, y, color)):
+    for entry in entries:
+        # bool is an int subclass; JSON true/false are not colors
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 3
+            or any(type(v) is not int for v in entry)
+        ):
             raise ColoringError(
-                f"table pair ({x!r},{y!r}) and color {color!r} must be integers"
+                f"table entry {entry!r} must be [x, y, color] of JSON integers"
             )
+        x, y, color = entry
         if x == y:
             raise ColoringError(f"table contains the degenerate pair ({x},{y})")
         lo, hi = (x, y) if x < y else (y, x)
@@ -125,7 +120,9 @@ def table_coloring(pairs: Mapping[tuple[int, int], int], k: int) -> Coloring:
         try:
             return [canon[lo, hi] for hi in his]
         except KeyError as missing:
-            raise TableIncomplete(missing.args[0]) from None
+            raise ColoringError(
+                f"table coloring has no entry for pair {missing.args[0]}"
+            ) from None
 
     return Coloring(k, row, "table")
 
@@ -139,20 +136,7 @@ def table_from_dict(data: dict) -> Coloring:
         raise ColoringError(f"table k must be a JSON integer, got {k!r}")
     if not isinstance(data["pairs"], list):
         raise ColoringError("table 'pairs' must be an array")
-    pairs: dict[tuple[int, int], int] = {}
-    for entry in data["pairs"]:
-        # bool is an int subclass; JSON true/false are not colors
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or any(type(v) is not int for v in entry)
-        ):
-            raise ColoringError(
-                f"table entry {entry!r} must be [x, y, color] of JSON integers"
-            )
-        x, y, color = entry
-        pairs[(x, y)] = color
-    return table_coloring(pairs, k)
+    return table_coloring(data["pairs"], k)
 
 
 def load_table(path: str) -> Coloring:
@@ -164,7 +148,7 @@ def _int_suffix(name: str) -> int:
     try:
         return parse_int(suffix)
     except ValueError:
-        raise UnknownBuiltin(name) from None
+        raise ColoringError(f"unknown builtin coloring {name!r}") from None
 
 
 def builtin_coloring(name: str, k: int) -> Coloring:
@@ -189,7 +173,7 @@ def builtin_coloring(name: str, k: int) -> Coloring:
             raise ColoringError(f"block size {block} must be at least 1")
         name, expr = f"block:{block}", f"x / {block}"
     else:
-        raise UnknownBuiltin(name)
+        raise ColoringError(f"unknown builtin coloring {name!r}")
     from .dsl import dsl_coloring  # dsl imports this module
 
     return Coloring(k, dsl_coloring(expr, k).row, name)

@@ -13,7 +13,7 @@ import itertools
 import random
 from typing import Sequence
 
-from .colorings import Coloring, TableIncomplete
+from .colorings import Coloring, ColoringError
 from .trees import FiniteColorTree
 from .words import ROOT, Record, Word
 
@@ -95,7 +95,7 @@ def random_coloring(seed: int, k: int, size: int) -> Coloring:
     until the value is below k; the table keeps the accepted draws of that
     same stream, drawn in C, in one flat sequence with pair ``(lo, hi)`` at
     ``offset[lo] + hi``.  Pairs outside the table raise
-    :class:`TableIncomplete`.
+    :class:`ColoringError`, as a table coloring's do.
 
     Each draw is the top ``bits`` bits of one 32-bit generator word, and
     ``getrandbits(32 * m)`` lays m such words out little-endian.  So for
@@ -129,7 +129,8 @@ def random_coloring(seed: int, k: int, size: int) -> Coloring:
         if not his:
             return []
         if lo < 0 or his[-1] >= size:
-            raise TableIncomplete((lo, next(h for h in his if lo < 0 or h >= size)))
+            hi = next(h for h in his if lo < 0 or h >= size)
+            raise ColoringError(f"table coloring has no entry for pair {(lo, hi)}")
         start = offset[lo]
         if len(his) == 1:
             # a row of one pair has one color, given as the int itself

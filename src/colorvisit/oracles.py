@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .colorings import Coloring
 from .dsl import BinOp, DivisionByZero, Expr, If, Lit, Neg, Var
 from .erdos import ErdosTree
-from .trees import ColorTree, FiniteColorTree, RootNotInTree
+from .trees import ColorTree, FiniteColorTree, TreeError
 from .visit import Visit
 from .words import ROOT, Word, validate_priority
 
@@ -239,13 +239,6 @@ class _Checker:
 ALL_VISITS_NODE_CAP = 25
 
 
-class TreeTooLarge(ValueError):
-    def __init__(self, size: int) -> None:
-        super().__init__(
-            f"exhaustive visit search capped at {ALL_VISITS_NODE_CAP} nodes, got {size}"
-        )
-
-
 def all_visits(
     tree: FiniteColorTree, priority: Sequence[int], root: Word = ROOT
 ) -> list[tuple[Word, ...]]:
@@ -261,7 +254,10 @@ def all_visits(
     list it extends, whose memo already holds every shorter sublist.
     """
     if len(tree.nodes) > ALL_VISITS_NODE_CAP:
-        raise TreeTooLarge(len(tree.nodes))
+        raise TreeError(
+            f"exhaustive visit search capped at {ALL_VISITS_NODE_CAP} nodes, "
+            f"got {len(tree.nodes)}"
+        )
     root = tuple(int(c) for c in root)
     if not check_visit(tree, (root,), priority, root):
         return []
@@ -288,7 +284,7 @@ def in_restricted(
     """Membership in the subtree above ``root`` whose extra letters all come
     from the priority list's color set."""
     if not tree.contains(root):
-        raise RootNotInTree(root)
+        raise TreeError(f"root {root} is not in the tree")
     if len(node) < len(root) or node[: len(root)] != root:
         return False
     allowed = set(priority)

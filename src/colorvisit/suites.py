@@ -126,23 +126,23 @@ def _tree_failure(
 
 
 def _visit_broken(
-    tree: FiniteColorTree, priority: Word
+    tree: FiniteColorTree, priority: Word, root: Word
 ) -> tuple[bool, Optional[tuple[Word, ...]]]:
-    """Whether the visit of ``tree`` with a budget one past its size breaks
-    an enumeration invariant, and its words; a visit that raises breaks
-    none and has no words."""
+    """Whether the visit of ``tree`` from ``root`` with a budget one past
+    the tree's size raises or breaks an enumeration invariant, and its
+    words, None when it raises."""
     try:
-        v = enumerate_visit(tree, priority, ROOT, budget=len(tree.nodes) + 1)
+        v = enumerate_visit(tree, priority, root, budget=len(tree.nodes) + 1)
     except Exception:
-        return False, None
+        return True, None
     order = visit_words(v)
     entries = set(order)
     return (
         len(entries) != len(order)
-        or any(w != ROOT and w[:-1] not in entries for w in order)
+        or any(w != root and w[:-1] not in entries for w in order)
         or not v.terminated
         or not is_complete_for(tree, order, priority)
-        or entries != restricted_nodes(tree, priority, ROOT)
+        or entries != restricted_nodes(tree, priority, root)
     ), order
 
 
@@ -153,9 +153,9 @@ def suite_visits(seed: int, cases: int) -> SuiteResult:
         ran += 1
 
         def bad(t: FiniteColorTree, _p: Word = priority) -> bool:
-            return _visit_broken(t, _p)[0]
+            return _visit_broken(t, _p, ROOT)[0]
 
-        broken, order = _visit_broken(tree, priority)
+        broken, order = _visit_broken(tree, priority, ROOT)
         if broken:
             return SuiteResult(
                 "visits", False, ran,
@@ -167,7 +167,7 @@ def suite_visits(seed: int, cases: int) -> SuiteResult:
                 b[: len(a)] == a
                 for a, b in itertools.combinations(sorted(accepted, key=len), 2)
             )
-            if order is None or not chain_ok or max(accepted, key=len) != order:
+            if not chain_ok or max(accepted, key=len) != order:
                 return SuiteResult(
                     "visits", False, ran,
                     f"checker/generator disagreement\npriority={list(priority)}\n"
@@ -293,31 +293,20 @@ def suite_homog(seed: int, cases: int) -> SuiteResult:
 
 
 def suite_restricted(seed: int, cases: int) -> SuiteResult:
-    """Restricted-membership coherence on random trees."""
+    """The enumeration invariants of visits from a drawn root: prefix
+    closure above it, completeness and the restricted subtree above it."""
     rng = random.Random(seed)
     ran = 0
     for tree, priority in tree_corpus(seed + 2, cases):
         ran += 1
         nodes = sorted(tree.nodes)
         root = nodes[rng.randrange(len(nodes))]
-        inside = restricted_nodes(tree, priority, root)
-        for w in inside:
-            # prefix-closed above the root
-            for i in range(len(root), len(w)):
-                if w[:i] not in inside:
-                    return SuiteResult(
-                        "restricted", False, ran,
-                        f"restricted set not prefix-closed above {root}: "
-                        f"{w} in, {w[:i]} out\ntree={tree_to_dict(tree)}",
-                    )
-        full = tuple(range(tree.k))
-        if root == ROOT and set(priority) == set(full):
-            if inside != tree.nodes:
-                return SuiteResult(
-                    "restricted", False, ran,
-                    f"full-priority restriction differs from membership\n"
-                    f"tree={tree_to_dict(tree)}",
-                )
+        if _visit_broken(tree, priority, root)[0]:
+            return SuiteResult(
+                "restricted", False, ran,
+                f"enumeration invariant failed from root {root}\n"
+                f"priority={list(priority)}\ntree={tree_to_dict(tree)}",
+            )
     return SuiteResult("restricted", True, ran)
 
 

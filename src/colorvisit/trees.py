@@ -28,36 +28,7 @@ from .words import ROOT, Record, Word, parse_int, read_json
 
 
 class TreeError(ValueError):
-    """Base class for malformed trees and bad tree queries."""
-
-
-class MissingRoot(TreeError):
-    def __init__(self) -> None:
-        super().__init__("tree does not contain the empty word")
-
-
-class NotPrefixClosed(TreeError):
-    """A node's immediate prefix is absent; ``witness`` is the missing prefix."""
-
-    def __init__(self, witness: Word, extension: Word) -> None:
-        self.witness = witness
-        self.extension = extension
-        super().__init__(
-            f"node {extension} present but its prefix {witness} is missing"
-        )
-
-
-class ColorOutOfRange(TreeError):
-    def __init__(self, letter: int, offending: Word, k: int) -> None:
-        self.letter = letter
-        self.offending = offending
-        super().__init__(f"letter {letter} in node {offending} not below k={k}")
-
-
-class RootNotInTree(TreeError):
-    def __init__(self, root: Word) -> None:
-        self.root = root
-        super().__init__(f"root {root} is not in the tree")
+    """A malformed tree or a bad tree query: the module's one error."""
 
 
 class FiniteColorTree(Record):
@@ -118,10 +89,9 @@ def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
     """Build a finite tree from an explicit node set.
 
     Letters must be ints (not bools).  Raises :class:`TreeError` for a
-    letter that is not, then :class:`MissingRoot`, :class:`ColorOutOfRange`
-    or :class:`NotPrefixClosed` (reporting the missing prefix as witness);
-    the last two run in a deterministic order over the lexicographically
-    sorted node set.
+    letter that is not, then for a missing root, a letter not below ``k``
+    or a node whose immediate prefix is missing; the last two run in a
+    deterministic order over the lexicographically sorted node set.
     """
     if k < 1:
         raise TreeError(f"color count k={k} must be at least 1")
@@ -133,14 +103,16 @@ def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
                 raise TreeError(f"letter {letter!r} in node {w} is not an integer")
     node_set = frozenset(node_words)
     if ROOT not in node_set:
-        raise MissingRoot()
+        raise TreeError("tree does not contain the empty word")
     for w in sorted(node_set):
         for letter in w:
             if not 0 <= letter < k:
-                raise ColorOutOfRange(letter, w, k)
+                raise TreeError(f"letter {letter} in node {w} not below k={k}")
     for w in sorted(node_set):
         if w and w[:-1] not in node_set:
-            raise NotPrefixClosed(w[:-1], w)
+            raise TreeError(
+                f"node {w} present but its prefix {w[:-1]} is missing"
+            )
     return FiniteColorTree(k=k, nodes=node_set)
 
 

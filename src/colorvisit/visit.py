@@ -53,7 +53,8 @@ if TYPE_CHECKING:
 
 
 class VisitError(ValueError):
-    """Base class for visit-level errors."""
+    """A bad visit request, such as a budget below 1 or a root outside the
+    tree: the module's one error."""
 
 
 class Visit(Record):
@@ -249,9 +250,7 @@ def enumerate_visit(
     prio = validate_priority(priority, tree.k)
     root = tuple(root)
     if not tree.contains(root):
-        from .trees import RootNotInTree  # a homog run loads no trees
-
-        raise RootNotInTree(root)
+        raise VisitError(f"root {root} is not in the tree")
     _, parent, letter, terminated = visit_nodes(
         tree, prio, tree.node(root), budget
     )

@@ -81,13 +81,16 @@ def parse_int(text: str) -> int:
 
 def read_json(path: str, kind: str, error: type[Exception]) -> object:
     """The JSON value in the UTF-8 ``kind`` file at ``path``; ``error`` if
-    it is not UTF-8 JSON or is nested too deeply for the parser."""
+    it is not UTF-8 JSON, holds an integer too long to convert or is nested
+    too deeply for the parser."""
     import json  # only tree and table files need it
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors, and so is
+        # an integer past the interpreter's digit limit
+        except ValueError as exc:
             raise error(f"{kind} file is not UTF-8 JSON: {exc}") from None
         except RecursionError:
             raise error(f"{kind} file is nested too deeply") from None

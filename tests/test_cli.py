@@ -573,8 +573,10 @@ def test_deeply_nested_input_file_is_config_error(command, option, text,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("data", [b"", b"[1,2", b"\xff\xfe"],
-                         ids=["empty", "truncated", "not-utf-8"])
+# past the interpreter's 4300-digit limit, json raises a plain ValueError
+@pytest.mark.parametrize(
+    "data", [b"", b"[1,2", b"\xff\xfe", b"[" + b"7" * 5000 + b"]"],
+    ids=["empty", "truncated", "not-utf-8", "5000-digits"])
 @pytest.mark.parametrize("command, option", [("homog", "--table"),
                                              ("visit", "--tree")])
 def test_malformed_input_file_is_config_error(command, option, data,

@@ -129,12 +129,37 @@ def test_references_are_defined_only_in_oracles():
         "extract_homogeneous", "homog_pipeline"}
     # the two trees a run builds, and no predicate tree or word-tree base
     assert defined["trees"] == {
-        "TreeError", "MissingRoot", "NotPrefixClosed", "ColorOutOfRange",
-        "RootNotInTree", "FiniteColorTree", "FullColorTree", "validate_tree",
+        "TreeError", "FiniteColorTree", "FullColorTree", "validate_tree",
         "full_tree", "builtin_tree", "tree_to_dict", "tree_from_dict",
         "load_tree"}
     assert not hasattr(colorvisit.Visit, "order")
     assert not MOVED & set(vars(colorvisit))
+
+
+# the package's errors: one a module, and the coloring language's three,
+# whose fields build their messages
+ERRORS = {
+    "trees.TreeError", "colorings.ColoringError", "visit.VisitError",
+    "erdos.ErdosError", "words.InvalidPriority", "dsl.DslSyntaxError",
+    "dsl.UnknownIdentifier", "dsl.DivisionByZero"}
+
+
+def test_each_error_class_is_a_config_error():
+    """The package defines only the errors in ``ERRORS``, and the front end
+    turns each into one ``error:`` line and exit 2."""
+    from colorvisit.cli import _CONFIG_ERRORS
+
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        module = importlib.import_module(
+            "colorvisit" if path.stem == "__init__" else f"colorvisit.{path.stem}")
+        for value in vars(module).values():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__):
+                found[f"{path.stem}.{value.__name__}"] = value
+    assert set(found) == ERRORS
+    for name, error in found.items():
+        assert issubclass(error, _CONFIG_ERRORS), name
 
 
 def parser_tokens(module: str) -> int:

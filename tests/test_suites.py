@@ -41,6 +41,41 @@ def test_a_visit_word_outside_the_tree_fails_the_visits_suite(monkeypatch, capsy
     assert captured.err.startswith("counterexample for suite visits:\n")
 
 
+def test_a_visit_that_raises_fails_the_visits_suite(monkeypatch, capsys):
+    """A generator that raises on every tree of more than 12 nodes, the
+    trees too large for the exhaustive checker, is a failed property."""
+    visit = suites.enumerate_visit
+
+    def raising(tree, priority, root, budget):
+        if len(tree.nodes) > 12:
+            raise RuntimeError("generator bug")
+        return visit(tree, priority, root, budget)
+
+    monkeypatch.setattr(suites, "enumerate_visit", raising)
+    result = suites.suite_visits(3, 200)
+    assert not result.passed
+    assert "enumeration invariant failed" in result.failure
+    assert main(["check", "--suite", "visits", "--seed", "3",
+                 "--cases", "200"]) == 1
+    assert capsys.readouterr().out.startswith("suite visits: FAIL")
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_a_visit_that_ignores_its_root_fails_the_restricted_suite(
+        seed, monkeypatch, capsys):
+    visit = suites.enumerate_visit
+    monkeypatch.setattr(suites, "enumerate_visit",
+                        lambda tree, priority, root, budget:
+                        visit(tree, priority, (), budget))
+    result = suites.suite_restricted(seed, 50)
+    assert not result.passed
+    assert result.failure.startswith("enumeration invariant failed from root (")
+    assert "\npriority=[" in result.failure and "\ntree={" in result.failure
+    assert main(["check", "--suite", "restricted", "--seed", str(seed),
+                 "--cases", "50"]) == 1
+    assert capsys.readouterr().out.startswith("suite restricted: FAIL")
+
+
 def children_in_reversed_color_order(parent, letter, head):
     kids = {}
     for i in sorted(range(head + 1, len(parent)), key=letter.__getitem__):

@@ -9,12 +9,8 @@ from hypothesis import given, strategies as st
 from colorvisit.corpus import TreeGenParams, random_tree
 from colorvisit.oracles import in_restricted
 from colorvisit.trees import (
-    ColorOutOfRange,
     FiniteColorTree,
     FullColorTree,
-    MissingRoot,
-    NotPrefixClosed,
-    RootNotInTree,
     TreeError,
     builtin_tree,
     full_tree,
@@ -33,21 +29,21 @@ def test_validate_accepts_root_only():
 
 
 def test_validate_missing_root():
-    with pytest.raises(MissingRoot):
+    with pytest.raises(TreeError) as info:
         validate_tree([(0,)], 2)
+    assert str(info.value) == "tree does not contain the empty word"
 
 
 def test_validate_reports_missing_prefix_witness():
-    with pytest.raises(NotPrefixClosed) as info:
+    with pytest.raises(TreeError) as info:
         validate_tree([(), (1, 0)], 2)
-    assert info.value.witness == (1,)
-    assert info.value.extension == (1, 0)
+    assert str(info.value) == "node (1, 0) present but its prefix (1,) is missing"
 
 
 def test_validate_reports_offending_letter():
-    with pytest.raises(ColorOutOfRange) as info:
+    with pytest.raises(TreeError) as info:
         validate_tree([(), (2,)], 2)
-    assert info.value.letter == 2
+    assert str(info.value) == "letter 2 in node (2,) not below k=2"
 
 
 def test_validate_rejects_zero_colors():
@@ -69,7 +65,7 @@ def test_in_restricted_examples(binary_depth2, priority, root, node, expected):
 
 
 def test_in_restricted_rejects_missing_root(binary_depth2):
-    with pytest.raises(RootNotInTree):
+    with pytest.raises(TreeError, match=r"^root \(0, 0, 0\) is not in the tree$"):
         in_restricted(binary_depth2, (0,), (0, 0, 0), ())
 
 
@@ -236,7 +232,7 @@ def test_validate_tree_rejects_non_integer_letters():
 def test_tree_json_validates_on_load(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"k": 2, "nodes": [[0]]}))
-    with pytest.raises(MissingRoot):
+    with pytest.raises(TreeError, match="^tree does not contain the empty word$"):
         load_tree(str(path))
     with pytest.raises(TreeError):
         tree_from_dict({"nodes": [[]]})

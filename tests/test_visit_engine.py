@@ -27,7 +27,7 @@ from colorvisit.oracles import (
     visit_words,
 )
 from colorvisit.suites import tree_corpus
-from colorvisit.trees import RootNotInTree, full_tree, validate_tree
+from colorvisit.trees import full_tree, validate_tree
 from colorvisit.visit import VisitError, enumerate_visit, lex_order, visit_nodes
 from colorvisit.words import InvalidPriority
 
@@ -110,7 +110,7 @@ def test_infinite_binary_style_prefers_high_color():
 def test_enumerate_argument_validation(binary_depth2):
     with pytest.raises(VisitError):
         enumerate_visit(binary_depth2, (0, 1), (), budget=0)
-    with pytest.raises(RootNotInTree):
+    with pytest.raises(VisitError, match="is not in the tree"):
         enumerate_visit(binary_depth2, (0, 1), (0, 0, 0), budget=5)
     with pytest.raises(InvalidPriority):
         enumerate_visit(binary_depth2, (0, 0), (), budget=5)
