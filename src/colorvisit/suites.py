@@ -112,38 +112,30 @@ def _shrink_tree(
     return FiniteColorTree(tree.k, frozenset(nodes))
 
 
-def _tree_failure(
-    tree: FiniteColorTree,
-    priority: Word,
-    reason: str,
-    failing: Callable[[FiniteColorTree], bool],
-) -> str:
-    small = _shrink_tree(tree, failing)
-    return (
-        f"{reason}\npriority={list(priority)}\n"
-        f"tree={tree_to_dict(small)}"
-    )
-
-
 def _visit_broken(
     tree: FiniteColorTree, priority: Word, root: Word
-) -> tuple[bool, Optional[tuple[Word, ...]]]:
+) -> tuple[Optional[str], Optional[tuple[Word, ...]]]:
     """Whether the visit of ``tree`` from ``root`` with a budget one past
     the tree's size raises or breaks an enumeration invariant, and its
-    words, None when it raises."""
+    words, None when it raises.
+
+    The first is None for a sound visit and else what follows the failure's
+    headline: ``": visit raised T: message"`` for a visit that raises, and
+    nothing for a broken invariant."""
     try:
         v = enumerate_visit(tree, priority, root, budget=len(tree.nodes) + 1)
-    except Exception:
-        return True, None
+    except Exception as exc:
+        return f": visit raised {type(exc).__name__}: {exc}", None
     order = visit_words(v)
     entries = set(order)
-    return (
+    broken = (
         len(entries) != len(order)
         or any(w != root and w[:-1] not in entries for w in order)
         or not v.terminated
         or not is_complete_for(tree, order, priority)
         or entries != restricted_nodes(tree, priority, root)
-    ), order
+    )
+    return ("" if broken else None), order
 
 
 def suite_visits(seed: int, cases: int) -> SuiteResult:
@@ -153,13 +145,15 @@ def suite_visits(seed: int, cases: int) -> SuiteResult:
         ran += 1
 
         def bad(t: FiniteColorTree, _p: Word = priority) -> bool:
-            return _visit_broken(t, _p, ROOT)[0]
+            return _visit_broken(t, _p, ROOT)[0] is not None
 
-        broken, order = _visit_broken(tree, priority, ROOT)
-        if broken:
+        why, order = _visit_broken(tree, priority, ROOT)
+        if why is not None:
+            small = _shrink_tree(tree, bad)
             return SuiteResult(
                 "visits", False, ran,
-                _tree_failure(tree, priority, "enumeration invariant failed", bad),
+                f"enumeration invariant failed{_visit_broken(small, priority, ROOT)[0]}\n"
+                f"priority={list(priority)}\ntree={tree_to_dict(small)}",
             )
         if len(tree.nodes) <= min(ALL_VISITS_NODE_CAP, 12):
             accepted = all_visits(tree, priority, ROOT)
@@ -301,10 +295,11 @@ def suite_restricted(seed: int, cases: int) -> SuiteResult:
         ran += 1
         nodes = sorted(tree.nodes)
         root = nodes[rng.randrange(len(nodes))]
-        if _visit_broken(tree, priority, root)[0]:
+        why = _visit_broken(tree, priority, root)[0]
+        if why is not None:
             return SuiteResult(
                 "restricted", False, ran,
-                f"enumeration invariant failed from root {root}\n"
+                f"enumeration invariant failed from root {root}{why}\n"
                 f"priority={list(priority)}\ntree={tree_to_dict(tree)}",
             )
     return SuiteResult("restricted", True, ran)

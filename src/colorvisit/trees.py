@@ -8,13 +8,14 @@ A run builds one of two trees, which share one interface (``k``,
 * :class:`FullColorTree` -- every word over ``0..k-1``, the builtins
   ``full:k`` and ``unary`` (k = 1).
 
-``contains`` takes a word.  The run path calls it to check a visit's root
-and, in a finite tree, inside a step; the references in ``oracles`` probe
-words with it directly.  A visit starts from ``node(root)``, the node the
-root word names, and fetches ``step(c)`` once per color: a function of one
-node that returns its ``c``-child or None.  The nodes of a finite tree are
-its words: a step maps ``w`` to ``w + (c,)`` when the tree contains it, at
-one ``contains`` probe, so it costs O(depth) to copy and test the word.
+``contains`` takes a word.  The run path calls it to check a visit's
+root; the references in ``oracles`` probe words with it directly.  A visit
+starts from ``node(root)``, the node the root word names, and fetches
+``step(c)`` once per color: a function of one node that returns its
+``c``-child or None.  The nodes of a finite tree are its words: a step maps
+``w`` to ``w + (c,)`` when the tree contains it, at one probe of the node
+set (the lookup ``contains`` makes, without its call), so it costs
+O(depth) to copy and test the word.
 All the nodes of one depth of a full tree have the same children, so its
 nodes are depths and a step is ``d + 1`` in C, building no word.  Both
 trees are immutable after construction and safe to share.
@@ -48,11 +49,12 @@ class FiniteColorTree(Record):
     def step(self, c: int) -> Callable[[Word], Optional[Word]]:
         """Maps ``w`` to ``w + (c,)`` if the tree contains it: one probe,
         O(depth)."""
-        contains = self.contains
+        # the set lookup ``contains`` makes, without its call
+        nodes = self.nodes
 
         def step(w: Word) -> Optional[Word]:
             v = w + (c,)
-            return v if contains(v) else None
+            return v if v in nodes else None
 
         return step
 

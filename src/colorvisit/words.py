@@ -88,10 +88,12 @@ def read_json(path: str, kind: str, error: type[Exception]) -> object:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        # UnicodeDecodeError and JSONDecodeError are ValueErrors, and so is
-        # an integer past the interpreter's digit limit
-        except ValueError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise error(f"{kind} file is not UTF-8 JSON: {exc}") from None
+        # the parser's one other ValueError: an integer past the
+        # interpreter's digit limit, in well-formed JSON
+        except ValueError:
+            raise error(f"{kind} file holds an integer too long to read") from None
         except RecursionError:
             raise error(f"{kind} file is nested too deeply") from None
 

@@ -1,14 +1,18 @@
 """Command-line contract: flags, exit codes, file outputs, determinism."""
 
+import ast
+import gc
 import hashlib
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from colorvisit import cli
 from colorvisit.cli import MAX_BUDGET, MAX_COLORS, MAX_HORIZON, main
 from colorvisit.colorings import builtin_coloring
 from colorvisit.corpus import complete_tree
@@ -574,6 +578,7 @@ def test_deeply_nested_input_file_is_config_error(command, option, text,
 
 
 # past the interpreter's 4300-digit limit, json raises a plain ValueError
+# on well-formed JSON
 @pytest.mark.parametrize(
     "data", [b"", b"[1,2", b"\xff\xfe", b"[" + b"7" * 5000 + b"]"],
     ids=["empty", "truncated", "not-utf-8", "5000-digits"])
@@ -586,8 +591,11 @@ def test_malformed_input_file_is_config_error(command, option, data,
     out = tmp_path / "out"
     assert main([command, option, str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {option[2:]} file is not UTF-8 JSON: ")
-    assert err.count("\n") == 1
+    if len(data) > 4300:
+        assert err == f"error: {option[2:]} file holds an integer too long to read\n"
+    else:
+        assert err.startswith(f"error: {option[2:]} file is not UTF-8 JSON: ")
+        assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -665,6 +673,70 @@ def test_cli_outputs_are_byte_identical_across_runs(tmp_path, tree_file,
         assert result.returncode == 0, result.stderr
         blobs.append((tmp_path / "trace.json").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+# an exit handler registered before the command runs reports whether the
+# collector was frozen by the time the process exits
+ENTRY = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+from colorvisit import cli
+{call}
+"""
+
+
+@pytest.mark.parametrize("call, frozen", [("cli.run()", True),
+                                          ("sys.exit(cli.main())", False)])
+def test_process_entry_freezes_the_collector_before_exit(call, frozen,
+                                                         tmp_path, cli_env):
+    result = subprocess.run(
+        [sys.executable, "-c", ENTRY.format(call=call),
+         "visit", "--tree", "full:2", "--budget", "3", "--out", "v.json"],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"visit: 3 entries, terminated=False, wrote v.json\n{frozen}\n"
+
+
+def test_main_leaves_the_collector_as_it_is(tmp_path, capsys):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    assert main(["visit", "--tree", "full:2", "--budget", "3",
+                 "--out", str(tmp_path / "v.json")]) == 0
+    assert main(["visit", "--tree", "full:2", "--budget", "x"]) == 2
+    assert main(["--help"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["visit", "--tree", "full:2", "--budget", "3", "--out", "v.json"], 0),
+    (["visit", "--tree", "full:2", "--budget", "x", "--out", "v.json"], 2),
+    (["--help"], 0),
+], ids=["exit-0", "exit-2", "help"])
+def test_module_entry_matches_in_process_main(args, code, tmp_path, cli_env,
+                                              monkeypatch, capsys):
+    result = run_cli(args, cwd=tmp_path, env=cli_env)
+    written = sorted((f.name, f.read_bytes()) for f in tmp_path.iterdir())
+    assert result.returncode == code
+    for f in tmp_path.iterdir():
+        f.unlink()
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == code
+    assert capsys.readouterr() == (result.stdout, result.stderr)
+    assert sorted((f.name, f.read_bytes()) for f in tmp_path.iterdir()) == written
+
+
+def test_console_script_is_the_module_entry():
+    """``[project.scripts]`` starts the function that ``python -m
+    colorvisit.cli`` calls."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    [block] = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+               if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [call] = block.body
+    assert ast.unparse(call) == "run()"
+    assert scripts == {"colorvisit": "colorvisit.cli:run"}
 
 
 def test_trace_json_matches_library_rendering(tree_file, tmp_path):

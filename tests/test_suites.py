@@ -43,7 +43,8 @@ def test_a_visit_word_outside_the_tree_fails_the_visits_suite(monkeypatch, capsy
 
 def test_a_visit_that_raises_fails_the_visits_suite(monkeypatch, capsys):
     """A generator that raises on every tree of more than 12 nodes, the
-    trees too large for the exhaustive checker, is a failed property."""
+    trees too large for the exhaustive checker, is a failed property, and
+    the counterexample says what it raised."""
     visit = suites.enumerate_visit
 
     def raising(tree, priority, root, budget):
@@ -52,12 +53,20 @@ def test_a_visit_that_raises_fails_the_visits_suite(monkeypatch, capsys):
         return visit(tree, priority, root, budget)
 
     monkeypatch.setattr(suites, "enumerate_visit", raising)
+    raised = "visit raised RuntimeError: generator bug\n"
     result = suites.suite_visits(3, 200)
     assert not result.passed
-    assert "enumeration invariant failed" in result.failure
+    assert result.failure.startswith(f"enumeration invariant failed: {raised}")
+    restricted = suites.suite_restricted(3, 200)
+    assert not restricted.passed
+    assert restricted.failure.startswith("enumeration invariant failed from root (")
+    assert f"): {raised}priority=[" in restricted.failure
     assert main(["check", "--suite", "visits", "--seed", "3",
                  "--cases", "200"]) == 1
-    assert capsys.readouterr().out.startswith("suite visits: FAIL")
+    out, err = capsys.readouterr()
+    assert out.startswith("suite visits: FAIL")
+    assert err.startswith(f"counterexample for suite visits:\n"
+                          f"enumeration invariant failed: {raised}")
 
 
 @pytest.mark.parametrize("seed", range(16))

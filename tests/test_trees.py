@@ -140,16 +140,20 @@ def test_builtin_tree_count_takes_ascii_digits_only(name):
         builtin_tree(name)
 
 
-def test_step_is_one_probe(binary_depth2, monkeypatch):
+def test_step_is_one_probe(binary_depth2):
+    # every membership test of the node set is logged, through ``contains``
+    # or not
     probed = []
-    contains = FiniteColorTree.contains
-    monkeypatch.setattr(
-        FiniteColorTree, "contains",
-        lambda self, w: probed.append(w) or contains(self, w),
-    )
-    step = binary_depth2.step(0)
+
+    class LoggedNodes(frozenset):
+        def __contains__(self, w):
+            probed.append(w)
+            return super().__contains__(w)
+
+    tree = FiniteColorTree(2, LoggedNodes(binary_depth2.nodes))
+    step = tree.step(0)
     assert probed == []
-    assert binary_depth2.node((0,)) == (0,)
+    assert tree.node((0,)) == (0,)
     assert step((0,)) == (0, 0)
     assert probed == [(0, 0)]
     probed.clear()
