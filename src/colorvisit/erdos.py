@@ -16,12 +16,15 @@ per child.  The reference construction, one pair at a time, is
 splits a row per class member.
 
 Children are color-unique, so the tree keeps one map per color from a
-node to its child of that color, and is a finite color tree with node ids
-in place of words: the priority visit steps through it with those maps'
-``get``, one C call per probe, and the root path of the node it visits
-last, :meth:`Visit.branch` read as tree nodes, is the branch whose edges
-yield the extracted sets.  A visited node's word is the edge colors on its
-root path; the visit keeps only each node's last one.
+node to its child of that color.  It is a finite color tree with the
+interface of those in :mod:`colorvisit.trees` (``k``, ``contains``,
+``node``, ``step``) and node ids in place of words.  A node's word is the
+edge colors on its root path, and nothing spells it: ``node`` walks a word
+down from node 0, one child-map lookup per letter, and the priority visit
+steps through the tree with those maps' ``get``, one C call per probe,
+keeping each visited node's last letter.  The root path of the node it
+visits last, :meth:`Visit.branch` read as tree nodes, is the branch whose
+edges yield the extracted sets.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 from .colorings import Coloring
 from .visit import Visit, VisitError, visit_nodes
-from .words import ROOT, Record, full_priority, validate_priority
+from .words import ROOT, Record, Word, full_priority, validate_priority
 
 
 class ErdosError(ValueError):
@@ -60,6 +63,18 @@ class ErdosTree(Record):
     @property
     def size(self) -> int:
         return len(self.parent)
+
+    def contains(self, w: Word) -> bool:
+        return self.node(w) is not None
+
+    def node(self, w: Word) -> Optional[int]:
+        """The node ``w`` leads to from node 0, one step per letter, or None
+        once a letter leaves the tree."""
+        n: Optional[int] = 0
+        for c in w:
+            if (n := self.step(c)(n)) is None:
+                break
+        return n
 
     def step(self, c: int) -> Callable[[int], Optional[int]]:
         """The ``c``-child of a node or None: a C-level ``dict.get``, of an

@@ -6,7 +6,9 @@ Everything here, from the declarative visit checker :func:`check_visit` on,
 exists to cross-check the efficient code paths, and only the ``check``
 suites and the tests import it.  These functions share nothing with the
 generator beyond the core word and tree types: agreement between the two
-routes is evidence, not a tautology.  All of it is exponential or quadratic
+routes is evidence, not a tautology.  The visit references reach a tree
+only through ``k`` and ``contains``, so they take a comparison tree's ids
+as they take a tree file's words.  All of it is exponential or quadratic
 and meant for desk-scale inputs only.
 """
 
@@ -377,19 +379,6 @@ def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:
         parent.append(x)
         edge_color.append(i)
     return ErdosTree(k, parent, edge_color, children)
-
-
-def to_word_tree(tree: ErdosTree) -> FiniteColorTree:
-    """The finite color tree of a comparison tree's root-path color words.
-
-    Children are color-unique, so distinct nodes get distinct words; the
-    visit of this tree is the reference for the visit that runs on the
-    comparison tree's ids.
-    """
-    node_word: list[Word] = [ROOT] * tree.size
-    for n in range(1, tree.size):
-        node_word[n] = node_word[tree.parent[n]] + (tree.edge_color[n],)
-    return FiniteColorTree(k=tree.k, nodes=frozenset(node_word))
 
 
 def _row_list(coloring: Coloring, lo: int, his: Sequence[int]) -> list[int]:

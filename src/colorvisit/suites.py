@@ -31,7 +31,6 @@ from .oracles import (
     check_erdos_property,
     is_complete_for,
     restricted_nodes,
-    to_word_tree,
     visit_words,
 )
 from .trees import FiniteColorTree, tree_to_dict
@@ -125,7 +124,7 @@ def _visit_broken(
     try:
         v = enumerate_visit(tree, priority, root, budget=len(tree.nodes) + 1)
     except Exception as exc:
-        return f": visit raised {type(exc).__name__}: {exc}", None
+        return f": {_raised('visit', exc)}", None
     order = visit_words(v)
     entries = set(order)
     broken = (
@@ -136,6 +135,10 @@ def _visit_broken(
         or entries != restricted_nodes(tree, priority, root)
     )
     return ("" if broken else None), order
+
+
+def _raised(what: str, exc: Exception) -> str:
+    return f"{what} raised {type(exc).__name__}: {exc}"
 
 
 def suite_visits(seed: int, cases: int) -> SuiteResult:
@@ -204,46 +207,37 @@ def suite_expansions(seed: int, cases: int) -> SuiteResult:
 
 def suite_erdos(seed: int, cases: int) -> SuiteResult:
     """Construction property, agreement of the row-wise build with
-    insertion, formula agreement, and distinct node words."""
+    insertion, formula agreement, and distinct node words, on random
+    tables; a build that raises fails its case."""
     rng = random.Random(seed)
-    ran = 0
-    for _ in range(cases):
-        ran += 1
+    for ran in range(1, cases + 1):
         k = rng.choice([2, 3, 4])
         size = rng.randint(2, 64)
         coloring = random_coloring(rng.randrange(2**32), k, size)
+        why = _erdos_broken(coloring, size)
+        if why is not None:
+            return SuiteResult("erdos", False, ran, f"{why}: {coloring.name}")
+    return SuiteResult("erdos", True, cases)
+
+
+def _erdos_broken(coloring: Coloring, size: int) -> Optional[str]:
+    """The first of the erdos suite's properties that fails, or None."""
+    try:
         tree = build_erdos(coloring, size)
-        reference = build_by_insertion(coloring, size)
-        if tree != reference:
-            return SuiteResult(
-                "erdos", False, ran,
-                f"row-wise build differs from insertion: k={k} size={size} "
-                f"coloring={coloring.name}",
-            )
-        if not check_erdos_property(tree, coloring):
-            return SuiteResult(
-                "erdos", False, ran,
-                f"construction violates the edge-color property: "
-                f"k={k} size={size} coloring={coloring.name}",
-            )
-        if len(to_word_tree(tree).nodes) != tree.size:
-            return SuiteResult(
-                "erdos", False, ran, f"node words not distinct: {coloring.name}"
-            )
-        small = min(size, 20)
-        descent = {
-            (x, y)
-            for y in range(small)
-            for x in _ancestors(tree, y)
-        }
-        formula = ancestor_formula_relation(coloring, small)
-        if descent != formula:
-            return SuiteResult(
-                "erdos", False, ran,
-                f"ancestor formula disagrees with descent: {coloring.name} "
-                f"size={small}",
-            )
-    return SuiteResult("erdos", True, ran)
+    except Exception as exc:
+        return _raised("build", exc)
+    if tree != build_by_insertion(coloring, size):
+        return "row-wise build differs from insertion"
+    if not check_erdos_property(tree, coloring):
+        return "construction violates the edge-color property"
+    # a node's word is its parent's plus its edge color
+    if len(set(zip(tree.parent, tree.edge_color))) != tree.size:
+        return "node words not distinct"
+    small = min(size, 20)
+    descent = {(x, y) for y in range(small) for x in _ancestors(tree, y)}
+    if descent != ancestor_formula_relation(coloring, small):
+        return f"ancestor formula disagrees with descent at size {small}"
+    return None
 
 
 def _ancestors(tree, y: int) -> Iterator[int]:
@@ -266,24 +260,24 @@ def suite_homog(seed: int, cases: int) -> SuiteResult:
         dsl_coloring("if x < y then x else y", 3),
         dsl_coloring("(x * y + x) % 4", 4),
     ]
-    ran = 0
-    for i in range(cases):
-        ran += 1
-        if i < len(sources):
-            coloring = sources[i]
+    for ran in range(1, cases + 1):
+        if ran <= len(sources):
+            coloring = sources[ran - 1]
             size = rng.randint(10, 120)
         else:
             k = rng.choice([2, 3, 4])
             size = rng.randint(2, 120)
             coloring = random_coloring(rng.randrange(2**32), k, size)
-        report, _visit = homog_pipeline(coloring, size, budget=4 * size + 4)
-        if not report.verified:
-            return SuiteResult(
-                "homog", False, ran,
-                f"unverified report: {coloring.name} size={size} "
-                f"classes={[sorted(c) for c in report.classes]}",
-            )
-    return SuiteResult("homog", True, ran)
+        try:
+            report, _visit = homog_pipeline(coloring, size, budget=4 * size + 4)
+        except Exception as exc:
+            why = _raised("pipeline", exc)
+        else:
+            if report.verified:
+                continue
+            why = f"unverified report, classes={[sorted(c) for c in report.classes]}"
+        return SuiteResult("homog", False, ran, f"{why}: {coloring.name} size={size}")
+    return SuiteResult("homog", True, cases)
 
 
 def suite_restricted(seed: int, cases: int) -> SuiteResult:

@@ -1,7 +1,7 @@
 """Prefix-closed color trees.
 
 A run builds one of two trees, which share one interface (``k``,
-``contains``, ``node``, ``step``):
+``contains``, ``node``, ``step``) with the comparison tree of ``erdos``:
 
 * :class:`FiniteColorTree` -- a tree file: an explicit, validated node set
   ``nodes``, and ``contains`` is a set lookup.

@@ -626,3 +626,19 @@ def test_row_errors_match_pairwise_calls():
     assert str(row.value) == str(single.value) == (
         "coloring produced color 7 outside 0..1"
     )
+
+
+# rows whose pairs with 2 have color k = 2: one color as an int, one color
+# as a list, and a list of several colors
+@pytest.mark.parametrize("row", [
+    lambda lo, his: 2,
+    lambda lo, his: [2] * len(his),
+    lambda lo, his: [hi % 3 for hi in his],
+])
+def test_a_color_equal_to_k_is_out_of_range(row):
+    coloring = Coloring(2, row, "edge")
+    message = "edge produced color 2 outside 0..1"
+    with pytest.raises(ColoringError, match=message):
+        coloring(0, 2)
+    with pytest.raises(ColoringError, match=message):
+        coloring.split(0, [1, 2, 3])

@@ -25,10 +25,11 @@ from colorvisit.oracles import (
     branch_census,
     build_by_insertion,
     check_erdos_property,
-    to_word_tree,
+    check_visit,
+    visit_by_definition,
     visit_words,
 )
-from colorvisit.visit import VisitError, enumerate_visit
+from colorvisit.visit import VisitError
 
 
 def root_path(tree, n):
@@ -334,6 +335,7 @@ def test_min_chain_rows_are_one_int_each():
 # with the horizon; the class sizes at each horizon under the priorities
 # <0,1,2> and <1,2,0>, then under <2,1,0>
 KNOWN_ANSWER = {
+    20: ([4, 1, 1], [4, 1, 2]),
     50: ([14, 1, 1], [14, 1, 2]),
     100: ([31, 1, 1], [30, 1, 2]),
     200: ([64, 1, 1], [64, 1, 2]),
@@ -351,6 +353,23 @@ def test_known_answer_family_class_sizes(size):
         report, _ = homog_pipeline(coloring, size, 2 * size, priority)
         assert [len(c) for c in report.classes] == sizes
         assert report.verified is True
+
+
+# a spread of coloring sources, with colors, blocks and chains of every k
+SURVEY = [("constant:0", 2), ("sum-mod", 2), ("sum-mod", 3), ("diff-mod", 4),
+          ("block:7", 3), ("(x * y + x) % 3", 3), ("if x < y then x else y", 4),
+          ("if x < 5 then x + y else 0", 3)]
+
+
+def test_survey_colorings_are_verified_at_horizon_20():
+    rng = random.Random(0)
+    colorings = [named_coloring(name, k) for name, k in SURVEY]
+    for _ in range(5):
+        k = rng.choice([2, 3, 4])
+        colorings.append(random_coloring(rng.randrange(2**32), k, 20))
+    for coloring in colorings:
+        report, _ = homog_pipeline(coloring, 20, budget=80)
+        assert report.verified is True, coloring.name
 
 
 def test_build_colors_no_empty_rows(monkeypatch):
@@ -461,24 +480,31 @@ def test_ancestor_formula_on_a_worked_table():
 
 
 def test_word_tree_examples():
+    # a node's word is the edge colors on its root path
     chain = build_erdos(builtin_coloring("constant:0", 2), 3)
-    words = to_word_tree(chain)
-    assert words.nodes == frozenset({(), (0,), (0, 0)})
-    assert [chain.edge_color[n] for n in root_path(chain, 2)[1:]] == [0, 0]
+    assert [chain.node(w) for w in [(), (0,), (0, 0)]] == [0, 1, 2]
+    assert not any(map(chain.contains, [(1,), (0, 1), (0, 0, 0), (-1,), (2,)]))
 
-    parity = to_word_tree(build_erdos(builtin_coloring("sum-mod", 2), 5))
-    assert parity.nodes == frozenset({(), (1,), (0,), (1, 0), (0, 0)})
+    parity = build_erdos(builtin_coloring("sum-mod", 2), 5)
+    words = [(), (1,), (0,), (1, 0), (0, 0)]
+    assert [parity.node(w) for w in words] == [0, 1, 2, 3, 4]
+    assert not any(map(parity.contains, [(1, 1), (0, 1), (0, 0, 0), (0, -1)]))
 
-    single = to_word_tree(build_erdos(builtin_coloring("sum-mod", 2), 1))
-    assert single.nodes == frozenset({()})
+    single = build_erdos(builtin_coloring("sum-mod", 2), 1)
+    assert single.node(()) == 0
+    assert [single.node((c,)) for c in (-1, 0, 1, 2)] == [None] * 4
 
 
 def test_word_index_is_a_bijection():
+    # every node's word leads back to it, so ``node`` maps the words one to
+    # one onto the ids
     rng = random.Random(9)
     for _ in range(10):
         coloring = random_coloring(rng.randrange(2**32), 3, 30)
         tree = build_erdos(coloring, 30)
-        assert len(to_word_tree(tree).nodes) == tree.size
+        for n in range(tree.size):
+            word = tuple(tree.edge_color[x] for x in root_path(tree, n)[1:])
+            assert tree.node(word) == n
 
 
 def test_step_walks_the_children():
@@ -494,8 +520,9 @@ def test_step_walks_the_children():
     assert [tree.step(c)(x) for c in (-1, 2) for x in range(5)] == [None] * 10
 
 
-def test_id_visit_equals_the_word_visit():
+def test_id_visit_equals_its_definition():
     rng = random.Random(31)
+    checked = 0
     for _ in range(60):
         k = rng.choice([2, 3, 4])
         size = rng.randint(2, 120)
@@ -505,16 +532,17 @@ def test_id_visit_equals_the_word_visit():
         budget = rng.choice([1, 2, rng.randint(1, size), size, size + 1, 2 * size])
         report, visit = homog_pipeline(coloring, size, budget, prio)
         tree = build_erdos(coloring, size)
-        words = enumerate_visit(to_word_tree(tree), prio, (), budget)
-        order = visit_words(words)
-        assert visit_words(visit) == order
-        assert visit.parent == words.parent
-        assert visit.terminated is words.terminated
+        complete = visit_by_definition(tree, prio)
+        # the words are distinct, so they fix the parent indices too
+        order = visit_words(visit)
+        assert order == complete[:budget]
+        assert visit.terminated is (len(complete) < budget)
         assert visit.priority == prio and visit.root == ()
-        leaf = 0
-        for c in order[-1]:
-            leaf = tree.step(c)(leaf)
-        assert report.branch_nodes == tuple(root_path(tree, leaf))
+        assert report.branch_nodes == tuple(root_path(tree, tree.node(order[-1])))
+        if len(order) <= 12:
+            assert check_visit(tree, order, prio, ())
+            checked += 1
+    assert checked >= 10
 
 
 def test_extract_constant_full_branch():

@@ -1,8 +1,10 @@
 """The seeded suites themselves: they pass, and their shrinker works."""
 
+import inspect
+
 import pytest
 
-from colorvisit import suites
+from colorvisit import erdos, suites
 from colorvisit.cli import main
 from colorvisit.suites import SUITES, _shrink_tree, tree_corpus
 from colorvisit.trees import FiniteColorTree, validate_tree
@@ -67,6 +69,29 @@ def test_a_visit_that_raises_fails_the_visits_suite(monkeypatch, capsys):
     assert out.startswith("suite visits: FAIL")
     assert err.startswith(f"counterexample for suite visits:\n"
                           f"enumeration invariant failed: {raised}")
+
+
+def test_a_build_that_raises_fails_the_erdos_and_homog_suites(monkeypatch, capsys):
+    """A build that takes each color group's last number as the child, not
+    its first, hands a row numbers below its node and raises.  In both
+    suites that is a failed case, exit 1, whose counterexample names the
+    exception and the coloring; it is not a configuration error."""
+    source = inspect.getsource(erdos.build_erdos)
+    assert source.count("child = group[0]") == 1
+    namespace = dict(vars(erdos))
+    exec(source.replace("child = group[0]", "child = group[-1]"), namespace)
+    monkeypatch.setattr(erdos, "build_erdos", namespace["build_erdos"])
+    monkeypatch.setattr(suites, "build_erdos", namespace["build_erdos"])
+    for name, raised in (
+        ("erdos", "build raised ColoringError: row of 45 must lie above it, "
+                  "got 10: random(seed=3823568514,k=3,size=50)"),
+        ("homog", "pipeline raised ColoringError: row of 117 must lie above "
+                  "it, got 2: constant:0 size=118"),
+    ):
+        assert main(["check", "--suite", name, "--cases", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert out == f"suite {name}: FAIL (1 cases)\n"
+        assert err == f"counterexample for suite {name}:\n{raised}\n"
 
 
 @pytest.mark.parametrize("seed", range(16))

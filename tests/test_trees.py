@@ -6,7 +6,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from colorvisit.corpus import TreeGenParams, random_tree
+from colorvisit.corpus import TreeGenParams, random_coloring, random_tree
+from colorvisit.erdos import build_erdos
 from colorvisit.oracles import in_restricted
 from colorvisit.trees import (
     FiniteColorTree,
@@ -179,6 +180,33 @@ def test_builtin_step_agrees_with_contains(monkeypatch):
             assert (node is not None) == contains(tree, w + (c,))
             if node is not None:
                 assert node == tree.node(w + (c,))
+
+
+def test_every_kind_of_node_answers_contains_and_node_by_its_steps():
+    # words for a tree file, depths for a full tree, ids for a comparison
+    # tree: a word is in the tree exactly when the steps along it from the
+    # root's node never leave the tree, and then it names the node they
+    # reach; each tree with its count of words up to depth 4
+    trees = [
+        random_tree(TreeGenParams(k=3, max_depth=4, max_nodes=30, branching=0.8,
+                                  seed=5)),
+        builtin_tree("full:2"),
+        builtin_tree("unary"),
+        build_erdos(random_coloring(7, 3, 30), 30),
+    ]
+    for tree, count in zip(trees, [30, 31, 5, 29]):
+        inside = 0
+        for n in range(5):
+            for w in itertools.product(range(-1, tree.k + 1), repeat=n):
+                node = tree.node(())
+                for c in w:
+                    if node is not None:
+                        node = tree.step(c)(node)
+                assert tree.contains(w) is (node is not None), (tree, w)
+                if node is not None:
+                    assert tree.node(w) == node
+                    inside += 1
+        assert inside == count
 
 
 @given(

@@ -22,13 +22,19 @@ from colorvisit.oracles import (
     check_visit,
     is_complete_for,
     restricted_nodes,
-    to_word_tree,
+    visit_by_definition,
     visit_trace,
     visit_words,
 )
 from colorvisit.suites import tree_corpus
 from colorvisit.trees import full_tree, validate_tree
-from colorvisit.visit import VisitError, enumerate_visit, lex_order, visit_nodes
+from colorvisit.visit import (
+    Visit,
+    VisitError,
+    enumerate_visit,
+    lex_order,
+    visit_nodes,
+)
 from colorvisit.words import InvalidPriority
 
 from conftest import PredicateTree, ProbeLog, dumps_canonical, st_visits
@@ -334,13 +340,12 @@ def test_budget_cut_visits_are_prefixes_of_the_full_run():
 
 
 def test_id_steps_visit_the_hash_tree_like_its_words():
-    # the homog-hash benchmark's shape: a shallow bushy comparison tree
+    # the homog-hash benchmark's shape: a shallow bushy comparison tree, its
+    # words spelled by the definition of the visit
     coloring = dsl_coloring("((x * 56340 + y) * (y * 26247 + x) + 49673) % 65521", 3)
     tree = build_erdos(coloring, 2000)
-    words = to_word_tree(tree)
     for priority in itertools.permutations(range(3)):
         (_, parent, letter, done), probes = probed_visit(tree, priority, 0, 2001)
-        reference = enumerate_visit(words, priority, (), 2001)
-        assert (tuple(parent), tuple(letter), done) == (
-            reference.parent, reference.letter, reference.terminated)
+        visit = Visit(3, (), priority, done, tuple(parent), tuple(letter))
+        assert visit_words(visit) == visit_by_definition(tree, priority)
         assert done and len(probes) == len(parent) * 3

@@ -16,7 +16,6 @@ from colorvisit.erdos import build_erdos, homog_pipeline
 from colorvisit.oracles import (
     build_by_insertion,
     check_erdos_property,
-    to_word_tree,
     visit_by_definition,
     visit_words,
 )
@@ -58,7 +57,7 @@ def homog_visit_words(tree, priority):
 
 @pytest.mark.parametrize("priority", [(0, 1, 2), (2, 0, 1)])
 def test_hash_visit_equals_its_definition(hash_tree, priority):
-    reference = visit_by_definition(to_word_tree(hash_tree), priority)
+    reference = visit_by_definition(hash_tree, priority)
     assert homog_visit_words(hash_tree, priority) == reference
     # the report's branch is the root path of the reference visit's last
     # word, and each branch edge puts its upper node into its color's class
@@ -76,7 +75,6 @@ def test_hash_visit_equals_its_definition(hash_tree, priority):
 
 def test_small_hash_visits_equal_their_definition():
     tree = build_erdos(dsl_coloring(HASH, 3), 2000)
-    words = to_word_tree(tree)
     for priority in itertools.permutations(range(3)):
         assert homog_visit_words(tree, priority) == visit_by_definition(
-            words, priority), priority
+            tree, priority), priority
