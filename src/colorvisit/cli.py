@@ -33,17 +33,13 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, NoReturn, Optional, Sequence
 
-from .words import full_priority, parse_int, parse_word, validate_priority
+from .words import MAX_COLORS, full_priority, parse_int, parse_word, validate_priority
 
 OUTDIR_ENV = "COLORVISIT_OUTDIR"
 
 # the names of ``suites.SUITES``, sorted, for the unknown-suite message
 # without importing the suites
 SUITE_NAMES = ("erdos", "expansions", "homog", "restricted", "visits")
-
-# the largest color count the command line takes; the default priority, the
-# priority check and the per-color classes all cost O(k) before any work
-MAX_COLORS = 4096
 
 # the largest horizon the command line takes; the comparison tree allocates
 # O(H) lists before its first coloring, and the build colors up to H²/2 pairs
@@ -104,9 +100,14 @@ def _parse_priority(text: Optional[str], k: int) -> tuple[int, ...]:
 
 def _write(path: Path, pieces: Iterable[str]) -> None:
     """Write pieces of text in order, each as it is made, without joining
-    them: a renderer's output is never held whole.  A failed write or
-    close names the file; a failed open names it already."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    them: a renderer's output is never held whole.  A failed directory,
+    write or close names the file; a failed open names it already."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # with exist_ok, "File exists" means a file where a directory must be
+        why = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror
+        raise OSError(f"cannot write {path}: {why}") from None
     fh = path.open("w", encoding="utf-8")
     try:
         with fh:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .colorings import Coloring, ColoringError
 from .trees import FiniteColorTree
-from .words import ROOT, Record, Word
+from .words import Record
 
 
 class TreeGenParams(Record):
@@ -39,44 +39,45 @@ def random_tree(params: TreeGenParams) -> FiniteColorTree:
 
     Chains, stars and complete trees all occur with positive probability
     for interior branching values, and probability 1.0 forces the complete
-    tree up to the depth bound.
+    tree up to the depth bound.  Nodes get their ids as they are grown,
+    which is breadth-first with children in color order, as a tree file's.
     """
-    rng = random.Random(params.seed)
-    # the nodes in breadth-first order: the loop reads the list by index,
-    # so it reaches the children appended behind it
-    nodes: list[Word] = [ROOT]
-    for node in nodes:
-        if len(nodes) >= params.max_nodes:
+    rng, k = random.Random(params.seed), params.k
+    children: list[dict[int, int]] = [{} for _ in range(k)]
+    # the loop reads the depths by index, so it reaches the children
+    # appended behind it
+    parent, edge_color, depth = [None], [None], [0]
+    for x, d in enumerate(depth):
+        if len(depth) >= params.max_nodes:
             break
-        if len(node) >= params.max_depth:
+        if d >= params.max_depth:
             continue
-        for c in range(params.k):
-            if len(nodes) >= params.max_nodes:
+        for c in range(k):
+            if len(depth) >= params.max_nodes:
                 break
             if rng.random() < params.branching:
-                nodes.append(node + (c,))
-    return FiniteColorTree(k=params.k, nodes=frozenset(nodes))
+                children[c][x] = len(depth)
+                parent.append(x)
+                edge_color.append(c)
+                depth.append(d + 1)
+    return FiniteColorTree(k, parent, edge_color, children)
 
 
 def chain_tree(k: int, color: int, depth: int) -> FiniteColorTree:
     """A single branch repeating one color (degenerate shape for corpora)."""
-    nodes = frozenset((color,) * i for i in range(depth + 1))
-    return FiniteColorTree(k=k, nodes=nodes)
+    return FiniteColorTree(
+        k, [None, *range(depth)], [None] + [color] * depth,
+        [{x: x + 1 for x in range(depth)} if c == color else {} for c in range(k)])
 
 
 def complete_tree(k: int, depth: int) -> FiniteColorTree:
-    """The full k-ary tree truncated at the given depth."""
-    levels: list[list[Word]] = [[ROOT]]
-    for _ in range(depth):
-        levels.append([w + (c,) for w in levels[-1] for c in range(k)])
-    return FiniteColorTree(k=k, nodes=frozenset(w for lv in levels for w in lv))
-
-
-def star_tree(k: int) -> FiniteColorTree:
-    """Root plus one child per color."""
+    """The full k-ary tree truncated at the given depth, a star at depth
+    1, in breadth-first ids: node n + 1 is the ``n % k``-child of n // k."""
+    size = sum(k**d for d in range(depth + 1))
+    ns = range(size - 1)
     return FiniteColorTree(
-        k=k, nodes=frozenset([ROOT] + [(c,) for c in range(k)])
-    )
+        k, [None, *(n // k for n in ns)], [None, *(n % k for n in ns)],
+        [{x: x * k + 1 + c for x in range(size - k**depth)} for c in range(k)])
 
 
 # the bytes.translate tables that shift a byte right by 0..7 bits

@@ -15,74 +15,26 @@ per child.  The reference construction, one pair at a time, is
 ``oracles.build_by_insertion``.  Verification of the extracted sets also
 splits a row per class member.
 
-Children are color-unique, so the tree keeps one map per color from a
-node to its child of that color.  It is a finite color tree with the
-interface of those in :mod:`colorvisit.trees` (``k``, ``contains``,
-``node``, ``step``) and node ids in place of words.  A node's word is the
-edge colors on its root path, and nothing spells it: ``node`` walks a word
-down from node 0, one child-map lookup per letter, and the priority visit
-of ``visit.enumerate_visit`` steps through the tree with those maps'
-``get``, one C call per probe, keeping each visited node's last letter.
-The word of the node it visits last, the letters of :meth:`Visit.branch`,
-spells the branch whose edges yield the extracted sets.
+The tree is a :class:`~colorvisit.trees.FiniteColorTree`, visited by
+``visit.enumerate_visit``; the letters of :meth:`Visit.branch` spell the
+branch whose edges yield the extracted sets.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .colorings import Coloring
+from .trees import FiniteColorTree
 from .visit import Visit, VisitError, enumerate_visit
-from .words import ROOT, Record, Word, full_priority, validate_priority
+from .words import ROOT, Record, full_priority, validate_priority
 
 
 class ErdosError(ValueError):
     """Base class for comparison-tree errors."""
 
 
-class ErdosTree(Record):
-    """Rooted tree on 0..size-1 with at most one child per color per node.
-
-    Built by :func:`build_erdos`, or by the reference
-    ``oracles.build_by_insertion``; parents always precede children
-    numerically.  ``children[c]`` maps each node that has a ``c``-child to
-    that child.  Nothing changes an instance once it is built.
-    """
-
-    __slots__ = ("k", "parent", "edge_color", "children")
-
-    def __init__(
-        self,
-        k: int,
-        parent: list[Optional[int]],
-        edge_color: list[Optional[int]],
-        children: list[dict[int, int]],
-    ) -> None:
-        super().__init__(k, parent, edge_color, children)
-
-    @property
-    def size(self) -> int:
-        return len(self.parent)
-
-    def contains(self, w: Word) -> bool:
-        return self.node(w) is not None
-
-    def node(self, w: Word) -> Optional[int]:
-        """The node ``w`` leads to from node 0, one step per letter, or None
-        once a letter leaves the tree."""
-        n: Optional[int] = 0
-        for c in w:
-            if (n := self.step(c)(n)) is None:
-                break
-        return n
-
-    def step(self, c: int) -> Callable[[int], Optional[int]]:
-        """The ``c``-child of a node or None: a C-level ``dict.get``, of an
-        empty dict for a color outside ``0..k-1``."""
-        return self.children[c].get if 0 <= c < self.k else {}.get
-
-
-def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
+def build_erdos(coloring: Coloring, size: int) -> FiniteColorTree:
     """The tree that inserting 1..size-1 in order builds, grown top-down.
 
     The numbers below node ``x`` are the larger ones that agree with ``x``
@@ -113,7 +65,7 @@ def build_erdos(coloring: Coloring, size: int) -> ErdosTree:
             children[i][x] = child
             if len(group) > 1:
                 work.append((child, group[1:]))
-    return ErdosTree(k, parent, edge_color, children)
+    return FiniteColorTree(k, parent, edge_color, children)
 
 
 class HomogeneousReport(Record):
@@ -131,7 +83,7 @@ class HomogeneousReport(Record):
 
     def __init__(
         self,
-        tree: ErdosTree,
+        tree: FiniteColorTree,
         branch_nodes: tuple[int, ...],
         classes: tuple[frozenset[int], ...],
         verified: bool,
@@ -153,7 +105,7 @@ class HomogeneousReport(Record):
 
 
 def extract_homogeneous(
-    tree: ErdosTree,
+    tree: FiniteColorTree,
     word: Sequence[int],
     coloring: Coloring,
 ) -> HomogeneousReport:

@@ -6,10 +6,10 @@ Everything here, from the declarative visit checker :func:`check_visit` on,
 exists to cross-check the efficient code paths, and only the ``check``
 suites and the tests import it.  These functions share nothing with the
 generator beyond the core word and tree types: agreement between the two
-routes is evidence, not a tautology.  The visit references reach a tree
-only through ``k`` and ``contains``, so they take a comparison tree's ids
-as they take a tree file's words.  All of it is exponential or quadratic
-and meant for desk-scale inputs only.
+routes is evidence, not a tautology.  The references reach a tree through
+``k`` and ``contains``, which takes a word, or spell a finite tree's words
+with :func:`tree_words`.  All of it is exponential or quadratic and meant
+for desk-scale inputs only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .colorings import Coloring
 from .dsl import BinOp, DivisionByZero, Expr, If, Lit, Neg, Var
-from .erdos import ErdosTree
 from .trees import ColorTree, FiniteColorTree, TreeError
 from .visit import Visit
 from .words import ROOT, Word, validate_priority
@@ -31,14 +30,28 @@ def is_proper_prefix(a: Sequence[int], b: Sequence[int]) -> bool:
     return len(a) < len(b) and tuple(b[: len(a)]) == tuple(a)
 
 
+def spell(root: Word, parent: Sequence, letter: Sequence) -> tuple[Word, ...]:
+    """Entry 0's word is ``root``, entry i's its parent's word plus its
+    letter.  A chain of depth n holds n²/2 letters."""
+    words = [root]
+    for i in range(1, len(parent)):
+        words.append(words[parent[i]] + (letter[i],))
+    return tuple(words)
+
+
 def visit_words(visit: Visit) -> tuple[Word, ...]:
-    """Every entry's word in visit order, spelled from ``root``, ``parent``
-    and ``letter``: entry i is its parent's word plus its letter.  A chain
-    of depth n holds n²/2 letters."""
-    order = [visit.root]
-    for i in range(1, len(visit.parent)):
-        order.append(order[visit.parent[i]] + (visit.letter[i],))
-    return tuple(order)
+    """Every entry's word in visit order."""
+    return spell(visit.root, visit.parent, visit.letter)
+
+
+def tree_words(tree: FiniteColorTree) -> tuple[Word, ...]:
+    """Every node's word in id order."""
+    return spell(ROOT, tree.parent, tree.edge_color)
+
+
+def tree_to_dict(tree: FiniteColorTree) -> dict:
+    """Tree file form: ``{"k": int, "nodes": [[int...], ...]}``, sorted."""
+    return {"k": tree.k, "nodes": [list(w) for w in sorted(tree_words(tree))]}
 
 
 def visit_by_definition(
@@ -255,16 +268,16 @@ def all_visits(
     extension by a node not yet listed is decided by the checker of the
     list it extends, whose memo already holds every shorter sublist.
     """
-    if len(tree.nodes) > ALL_VISITS_NODE_CAP:
+    if tree.size > ALL_VISITS_NODE_CAP:
         raise TreeError(
             f"exhaustive visit search capped at {ALL_VISITS_NODE_CAP} nodes, "
-            f"got {len(tree.nodes)}"
+            f"got {tree.size}"
         )
     root = tuple(int(c) for c in root)
     if not check_visit(tree, (root,), priority, root):
         return []
     prio = validate_priority(priority, tree.k)
-    candidates = sorted(tree.nodes)
+    candidates = sorted(tree_words(tree))
     found: list[tuple[Word, ...]] = []
     frontier = [_Checker(tree, (root,))]
     while frontier:
@@ -298,10 +311,13 @@ def in_restricted(
 def restricted_nodes(
     tree: FiniteColorTree, priority: Sequence[int], root: Word
 ) -> frozenset[Word]:
-    """Exhaustively computed node set of the restricted subtree above the
-    root, by direct scan of the explicit node set."""
+    """The words of the restricted subtree above the root: a scan of the
+    tree's words for those that extend the root by priority colors."""
+    if not tree.contains(root):
+        raise TreeError(f"root {root} is not in the tree")
+    n, allowed = len(root), set(priority)
     return frozenset(
-        w for w in tree.nodes if in_restricted(tree, priority, root, w)
+        w for w in tree_words(tree) if w[:n] == root and allowed.issuperset(w[n:])
     )
 
 
@@ -353,7 +369,7 @@ def visit_trace(visit: Visit) -> dict:
     }
 
 
-def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:
+def build_by_insertion(coloring: Coloring, size: int) -> FiniteColorTree:
     """Reference build: node ``n`` = 1..size-1 in order descends from the
     root along the colors of its edges to the nodes it passes, and attaches
     at the first node that has no child of that color."""
@@ -378,7 +394,7 @@ def build_by_insertion(coloring: Coloring, size: int) -> ErdosTree:
         children[i][x] = n
         parent.append(x)
         edge_color.append(i)
-    return ErdosTree(k, parent, edge_color, children)
+    return FiniteColorTree(k, parent, edge_color, children)
 
 
 def _row_list(coloring: Coloring, lo: int, his: Sequence[int]) -> list[int]:
@@ -388,7 +404,7 @@ def _row_list(coloring: Coloring, lo: int, his: Sequence[int]) -> list[int]:
     return [colors] * len(his) if type(colors) is int else colors
 
 
-def check_erdos_property(tree: ErdosTree, coloring: Coloring) -> bool:
+def check_erdos_property(tree: FiniteColorTree, coloring: Coloring) -> bool:
     """Direct check of the defining property: for every node ``y`` and every
     proper ancestor ``x``, the edge ``{x, y}`` has the color of the tree
     edge leaving ``x`` toward ``y``.  One coloring row per node, over its

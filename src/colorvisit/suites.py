@@ -19,7 +19,6 @@ from .corpus import (
     complete_tree,
     random_coloring,
     random_tree,
-    star_tree,
 )
 from .dsl import dsl_coloring
 from .erdos import build_erdos, homog_pipeline
@@ -31,9 +30,11 @@ from .oracles import (
     check_erdos_property,
     is_complete_for,
     restricted_nodes,
+    tree_to_dict,
+    tree_words,
     visit_words,
 )
-from .trees import FiniteColorTree, tree_to_dict
+from .trees import FiniteColorTree, validate_tree
 from .visit import Visit, enumerate_visit, lex_order
 from .words import ROOT, Record, Word
 
@@ -63,7 +64,7 @@ def tree_corpus(seed: int, count: int) -> Iterator[tuple[FiniteColorTree, Word]]
         if shape == 0:
             tree = chain_tree(k, rng.randrange(k), rng.randint(0, MAX_NODES - 1))
         elif shape == 1:
-            tree = star_tree(k)
+            tree = complete_tree(k, 1)
         elif shape == 2:
             depth = 1
             while _complete_size(k, depth + 1) <= MAX_NODES:
@@ -94,7 +95,7 @@ def _shrink_tree(
     tree: FiniteColorTree, failing: Callable[[FiniteColorTree], bool]
 ) -> FiniteColorTree:
     """Greedy leaf removal keeping the failure alive."""
-    nodes = set(tree.nodes)
+    nodes = set(tree_words(tree))
     changed = True
     while changed:
         changed = False
@@ -103,12 +104,12 @@ def _shrink_tree(
                 continue
             if any(w[: len(leaf)] == leaf for w in nodes if w != leaf):
                 continue  # not a leaf
-            candidate = FiniteColorTree(tree.k, frozenset(nodes - {leaf}))
+            candidate = validate_tree(nodes - {leaf}, tree.k)
             if failing(candidate):
                 nodes.discard(leaf)
                 changed = True
                 break
-    return FiniteColorTree(tree.k, frozenset(nodes))
+    return validate_tree(nodes, tree.k)
 
 
 def _visit_broken(
@@ -122,7 +123,7 @@ def _visit_broken(
     headline: ``": visit raised T: message"`` for a visit that raises, and
     nothing for a broken invariant."""
     try:
-        v = enumerate_visit(tree, priority, root, budget=len(tree.nodes) + 1)
+        v = enumerate_visit(tree, priority, root, budget=tree.size + 1)
     except Exception as exc:
         return f": {_raised('visit', exc)}", None
     order = visit_words(v)
@@ -158,7 +159,7 @@ def suite_visits(seed: int, cases: int) -> SuiteResult:
                 f"enumeration invariant failed{_visit_broken(small, priority, ROOT)[0]}\n"
                 f"priority={list(priority)}\ntree={tree_to_dict(small)}",
             )
-        if len(tree.nodes) <= min(ALL_VISITS_NODE_CAP, 12):
+        if tree.size <= min(ALL_VISITS_NODE_CAP, 12):
             accepted = all_visits(tree, priority, ROOT)
             chain_ok = all(
                 b[: len(a)] == a
@@ -185,7 +186,7 @@ def suite_expansions(seed: int, cases: int) -> SuiteResult:
     rng = random.Random(seed)
     ran = 0
     for tree, priority in tree_corpus(seed + 1, cases):
-        visit = enumerate_visit(tree, priority, ROOT, budget=len(tree.nodes) + 1)
+        visit = enumerate_visit(tree, priority, ROOT, budget=tree.size + 1)
         words = visit_words(visit)
         for _ in range(10):
             ran += 1
@@ -287,7 +288,7 @@ def suite_restricted(seed: int, cases: int) -> SuiteResult:
     ran = 0
     for tree, priority in tree_corpus(seed + 2, cases):
         ran += 1
-        nodes = sorted(tree.nodes)
+        nodes = sorted(tree_words(tree))
         root = nodes[rng.randrange(len(nodes))]
         why = _visit_broken(tree, priority, root)[0]
         if why is not None:

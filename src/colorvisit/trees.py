@@ -1,31 +1,27 @@
 """Prefix-closed color trees.
 
 A run builds one of two trees, which share one interface (``k``,
-``contains``, ``node``, ``step``) with the comparison tree of ``erdos``:
+``contains``, ``node``, ``step``):
 
-* :class:`FiniteColorTree` -- a tree file: an explicit, validated node set
-  ``nodes``, and ``contains`` is a set lookup.
+* :class:`FiniteColorTree` -- node ids: a tree file, the comparison tree
+  of :mod:`colorvisit.erdos` and the seeded corpus trees.
 * :class:`FullColorTree` -- every word over ``0..k-1``, the builtins
-  ``full:k`` and ``unary`` (k = 1).
+  ``full:k`` and ``unary`` (k = 1); its nodes are depths.
 
 ``contains`` takes a word.  The run path calls it to check a visit's
 root; the references in ``oracles`` probe words with it directly.  A visit
 starts from ``node(root)``, the node the root word names, and fetches
 ``step(c)`` once per color: a function of one node that returns its
-``c``-child or None.  The nodes of a finite tree are its words: a step maps
-``w`` to ``w + (c,)`` when the tree contains it, at one probe of the node
-set (the lookup ``contains`` makes, without its call), so it costs
-O(depth) to copy and test the word.
-All the nodes of one depth of a full tree have the same children, so its
-nodes are depths and a step is ``d + 1`` in C, building no word.  Both
-trees are immutable after construction and safe to share.
+``c``-child or None, one C call that builds no word.  Nothing changes a
+tree once it is built, so trees are safe to share.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, Iterable, Optional, Union
 
-from .words import ROOT, Record, Word, parse_int, read_json
+from .words import MAX_COLORS, ROOT, Record, Word, parse_int, read_json
 
 
 class TreeError(ValueError):
@@ -33,30 +29,46 @@ class TreeError(ValueError):
 
 
 class FiniteColorTree(Record):
-    """Explicit finite tree: a validated, prefix-closed set of words."""
+    """Rooted tree on ids ``0..size-1``, node 0 the root and a parent's id
+    below its children's.  ``parent[n]`` and ``edge_color[n]`` are node
+    n's parent and the color of the edge to it (None at the root), and
+    ``children[c]`` maps each node that has a ``c``-child to that child.
+    A tree file's ids are breadth-first, children in color order, so two
+    files with the same words load into equal trees.
+    """
 
-    __slots__ = ("k", "nodes")
+    __slots__ = ("k", "parent", "edge_color", "children")
 
-    def __init__(self, k: int, nodes: frozenset[Word]) -> None:
-        super().__init__(k, nodes)
+    def __init__(
+        self,
+        k: int,
+        parent: list[Optional[int]],
+        edge_color: list[Optional[int]],
+        children: list[dict[int, int]],
+    ) -> None:
+        super().__init__(k, parent, edge_color, children)
+
+    @property
+    def size(self) -> int:
+        return len(self.parent)
 
     def contains(self, w: Word) -> bool:
-        return w in self.nodes
+        return self.node(w) is not None
 
-    def node(self, w: Word) -> Word:
-        return w
+    def node(self, w: Word) -> Optional[int]:
+        """The node ``w`` leads to from node 0, one child-map lookup per
+        letter, or None once a letter leaves the tree."""
+        children, k = self.children, self.k
+        n: Optional[int] = 0
+        for c in w:
+            if not 0 <= c < k or (n := children[c].get(n)) is None:
+                return None
+        return n
 
-    def step(self, c: int) -> Callable[[Word], Optional[Word]]:
-        """Maps ``w`` to ``w + (c,)`` if the tree contains it: one probe,
-        O(depth)."""
-        # the set lookup ``contains`` makes, without its call
-        nodes = self.nodes
-
-        def step(w: Word) -> Optional[Word]:
-            v = w + (c,)
-            return v if v in nodes else None
-
-        return step
+    def step(self, c: int) -> Callable[[int], Optional[int]]:
+        """The ``c``-child of a node or None: a C-level ``dict.get``, of an
+        empty dict for a color outside ``0..k-1``."""
+        return self.children[c].get if 0 <= c < self.k else {}.get
 
 
 class FullColorTree(Record):
@@ -88,12 +100,14 @@ ColorTree = Union[FiniteColorTree, FullColorTree]
 
 
 def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
-    """Build a finite tree from an explicit node set.
+    """Build a finite tree from an explicit node set, in canonical ids.
 
     Letters must be ints (not bools).  Raises :class:`TreeError` for a
     letter that is not, then for a missing root, then for the least node
     with a letter not below ``k``, then for the least node whose immediate
-    prefix is missing; a valid tree is never sorted.
+    prefix is missing, and last for a ``k`` above ``MAX_COLORS``, before
+    any per-color map is made.  Ids go a level at a time, each level by
+    parent id and then letter: breadth-first, children in color order.
     """
     if k < 1:
         raise TreeError(f"color count k={k} must be at least 1")
@@ -103,7 +117,7 @@ def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
             # bool is an int subclass, and int() would round a float
             if type(letter) is not int:
                 raise TreeError(f"letter {letter!r} in node {w} is not an integer")
-    node_set = frozenset(node_words)
+    node_set = set(node_words)
     if ROOT not in node_set:
         raise TreeError("tree does not contain the empty word")
     # min and max run in C, a letter-by-letter test would not
@@ -112,11 +126,26 @@ def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
         w = min(bad)
         letter = next(c for c in w if not 0 <= c < k)
         raise TreeError(f"letter {letter} in node {w} not below k={k}")
-    orphans = [w for w in node_set if w and w[:-1] not in node_set]
-    if orphans:
-        w = min(orphans)
+    ids = {ROOT: 0}
+    parent, edge_color = [None], [None]
+    # a word gets an id once its prefix has one
+    for _, level in groupby(sorted(node_set, key=len)[1:], len):
+        placed = [(x, w[-1], w) for w in level if (x := ids.get(w[:-1])) is not None]
+        for x, c, w in sorted(placed):
+            ids[w] = len(parent)
+            parent.append(x)
+            edge_color.append(c)
+    if len(ids) < len(node_set):
+        # the least word with no id has a missing prefix: its descendants,
+        # which have no id either, sort after it
+        w = min(w for w in node_set if w not in ids)
         raise TreeError(f"node {w} present but its prefix {w[:-1]} is missing")
-    return FiniteColorTree(k=k, nodes=node_set)
+    if k > MAX_COLORS:
+        raise TreeError(f"color count k={k} exceeds the limit of {MAX_COLORS}")
+    children: list[dict[int, int]] = [{} for _ in range(k)]
+    for n in range(1, len(parent)):
+        children[edge_color[n]][parent[n]] = n
+    return FiniteColorTree(k, parent, edge_color, children)
 
 
 # --- built-in trees -----------------------------------------------------------
@@ -144,11 +173,6 @@ def builtin_tree(name: str) -> FullColorTree:
 
 
 # --- JSON file format ---------------------------------------------------------
-
-def tree_to_dict(tree: FiniteColorTree) -> dict:
-    """Serializable form: ``{"k": int, "nodes": [[int...], ...]}``."""
-    return {"k": tree.k, "nodes": [list(w) for w in sorted(tree.nodes)]}
-
 
 def tree_from_dict(data: dict) -> FiniteColorTree:
     if not isinstance(data, dict) or "k" not in data or "nodes" not in data:

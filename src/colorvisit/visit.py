@@ -23,13 +23,13 @@ first child, and a node with none opens no frame.
 Every step of the generator needs only finitely many child probes, so
 infinite trees can be visited under a budget.  The generator treats nodes
 as opaque and reaches them only through ``tree.step(c)``, a function per
-color from a node to its ``c``-child or None, so it runs on the words of a
-finite tree, the depths of a full tree and the ids of a comparison tree
-alike, at one call per probe.  Its frames hold order indices: it records
-each emitted entry's parent index and last letter and orders bases by a
-walk over those arrays instead of comparing words.  :class:`Visit`
-carries those two arrays and no words, and reads its horizon-stable
-indices and its branch off them.
+color from a node to its ``c``-child or None, so it runs on the ids of a
+finite tree, a tree file's or a comparison tree's, and the depths of a
+full tree alike, at one C call per probe.  Its frames hold order indices:
+it records each emitted entry's parent index and last letter and orders
+bases by a walk over those arrays instead of comparing words.
+:class:`Visit` carries those two arrays and no words, and reads its
+horizon-stable indices and its branch off them.
 
 An index m of a visit is horizon-stable when every later entry is a proper
 descendant of entry m; the last index always qualifies vacuously.  On

@@ -19,6 +19,10 @@ Word = tuple[int, ...]
 
 ROOT: Word = ()
 
+# the largest color count a run takes; a priority, a report's classes and a
+# finite tree's child maps all cost O(k) before any work
+MAX_COLORS = 4096
+
 
 class Record:
     """A value whose fields are its ``__slots__``.

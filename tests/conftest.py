@@ -13,7 +13,8 @@ from colorvisit.cli import MAX_MESSAGE
 from colorvisit.colorings import Coloring
 from colorvisit.corpus import TreeGenParams, complete_tree, random_tree
 from colorvisit.dsl import BinOp, If, Lit, Neg, Var
-from colorvisit.trees import FiniteColorTree, tree_to_dict, validate_tree
+from colorvisit.oracles import tree_to_dict, tree_words
+from colorvisit.trees import FiniteColorTree, validate_tree
 from colorvisit.visit import Visit, enumerate_visit
 
 
@@ -27,10 +28,6 @@ class CountingTree:
     @property
     def k(self) -> int:
         return self.inner.k
-
-    @property
-    def nodes(self):
-        return self.inner.nodes
 
     def contains(self, w) -> bool:
         self.probes += 1
@@ -133,10 +130,10 @@ def st_visit_cases(draw) -> tuple[FiniteColorTree, tuple, tuple, int]:
         branching=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**16),
     )))
-    root = draw(st.sampled_from(sorted(tree.nodes)))
+    root = draw(st.sampled_from(sorted(tree_words(tree))))
     colors = draw(st.permutations(range(tree.k)))
     priority = tuple(colors[: draw(st.integers(0, tree.k))])
-    budget = draw(st.integers(1, len(tree.nodes) + 1))
+    budget = draw(st.integers(1, tree.size + 1))
     return tree, priority, root, budget
 
 

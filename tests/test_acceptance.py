@@ -23,7 +23,6 @@ from colorvisit.corpus import (
     complete_tree,
     random_coloring,
     random_tree,
-    star_tree,
 )
 from colorvisit.dsl import dsl_coloring
 from colorvisit.erdos import build_erdos, homog_pipeline
@@ -36,6 +35,7 @@ from colorvisit.oracles import (
     is_complete_for,
     nth_expansion,
     restricted_nodes,
+    tree_words,
     visit_words,
 )
 from colorvisit.trees import full_tree
@@ -69,11 +69,11 @@ def _corpus(seed: int, count: int, k_max: int = 4, max_nodes: int = 40):
         if shape == 0:
             tree = chain_tree(k, rng.randrange(k), rng.randint(0, max_nodes - 1))
         elif shape == 1:
-            tree = star_tree(k)
+            tree = complete_tree(k, 1)
         elif shape == 2:
             depth = {1: max_nodes - 1, 2: 4, 3: 2, 4: 2}[k]
             tree = complete_tree(k, depth)
-            if len(tree.nodes) > max_nodes:
+            if tree.size > max_nodes:
                 tree = complete_tree(k, depth - 1)
         else:
             tree = random_tree(
@@ -88,7 +88,7 @@ def _corpus(seed: int, count: int, k_max: int = 4, max_nodes: int = 40):
         colors = list(range(k))
         rng.shuffle(colors)
         priority = tuple(colors[: rng.randint(0, k)])
-        nodes = sorted(tree.nodes)
+        nodes = sorted(tree_words(tree))
         root = () if rng.random() < 0.7 else nodes[rng.randrange(len(nodes))]
         cases.append((tree, priority, root))
     return cases
@@ -103,7 +103,7 @@ def visit_corpus():
 def corpus_visits(visit_corpus):
     out = []
     for tree, priority, root in visit_corpus:
-        visit = enumerate_visit(tree, priority, root, budget=len(tree.nodes) + 1)
+        visit = enumerate_visit(tree, priority, root, budget=tree.size + 1)
         out.append((tree, priority, root, visit))
     return out
 
@@ -153,13 +153,13 @@ def test_criterion_3_oracle_equivalence():
         priority = tuple(colors[: rng.randint(0, k)])
         t0 = time.monotonic()
         accepted = all_visits(tree, priority, ())
-        run = enumerate_visit(tree, priority, (), budget=len(tree.nodes) + 1)
+        run = enumerate_visit(tree, priority, (), budget=tree.size + 1)
         for a, b in itertools.combinations(accepted, 2):
             shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
             assert longer[: len(shorter)] == shorter, "accepted lists not a chain"
         maximal = max(accepted, key=len)
         assert maximal == visit_words(run), "maximum differs from the generator run"
-        nodes = sorted(tree.nodes)
+        nodes = sorted(tree_words(tree))
         for candidate in accepted:
             extensions = [
                 m
@@ -195,7 +195,7 @@ def test_criterion_4_expansion_agreement():
             )
         )
         priority = tuple(rng.sample(range(k), rng.randint(1, k)))
-        visit = enumerate_visit(tree, priority, (), budget=len(tree.nodes) + 1)
+        visit = enumerate_visit(tree, priority, (), budget=tree.size + 1)
         words = visit_words(visit)
         for _ in range(20):
             b = rng.randint(1, len(words))
@@ -204,8 +204,8 @@ def test_criterion_4_expansion_agreement():
             n = rng.randint(0, b - m + 1)
             c = rng.randrange(k)
             child = tree.step(c)
-            hits = [kid for i in lex_order(parent, letter, m)
-                    if (kid := child(words[i])) is not None]
+            hits = [words[i] + (c,) for i in lex_order(parent, letter, m)
+                    if child(tree.node(words[i])) is not None]
             run_path = hits[n] if n < len(hits) else None
             assert run_path == nth_expansion(tree, words[m:b], n, c)
             queries += 1

@@ -134,6 +134,25 @@ def test_a_failed_write_names_its_file(argv, tmp_path, monkeypatch, capsys):
     assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
+@pytest.mark.parametrize("out", ["table.json/x", "table.json/a/x"])
+@pytest.mark.parametrize("argv", [
+    ["visit", "--tree", "full:2", "--out"],
+    ["homog", "--coloring", "x", "--k", "2", "--out"],
+    # the report is written before the trace
+    ["homog", "--coloring", "x", "--k", "2", "--out", "h.json", "--trace-out"],
+])
+def test_an_output_under_a_regular_file_names_its_path(
+    argv, out, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.json").write_text("{}")
+    assert main([*argv, out]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out}: Not a directory\n")
+    assert (tmp_path / "table.json").read_text() == "{}"
+    assert {p.name for p in tmp_path.iterdir()} <= {"table.json", "h.json"}
+
+
 def test_visit_missing_full_tree_file_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["visit", "--tree", "full:2.json"]) == 2
@@ -388,8 +407,12 @@ def test_color_counts_above_the_cap_are_rejected_first(tmp_path, capsys):
     # a priority over every color would be built before any other check
     huge = "1000000000000"
     expected = f"error: color count k={huge} exceeds the limit of {MAX_COLORS}\n"
+    # a tree file would make a child map per color as it loads
+    tree_file = tmp_path / "huge.json"
+    tree_file.write_text(f'{{"k": {huge}, "nodes": [[]]}}')
     for argv in (
         ["visit", "--tree", f"full:{huge}"],
+        ["visit", "--tree", str(tree_file)],
         ["visit", "--tree", f"full:{huge}", "--priority", "0,1"],
         ["homog", "--coloring", "x", "--k", huge],
         ["homog", "--builtin", "sum-mod", "--k", huge, "--priority", "1,0"],

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from colorvisit.cli import SUITE_NAMES, main
 from colorvisit.corpus import TreeGenParams, random_tree
 from colorvisit.dsl import to_text
+from colorvisit.oracles import tree_to_dict
 from conftest import MAX_ERROR_LINE, st_expr
 
 # capsys is drained after every run, so one capture serves all examples
@@ -44,8 +45,7 @@ st_tree_file = st.one_of(
         max_nodes=st.integers(1, 20),
         branching=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**16),
-    ).map(lambda p: json.dumps(
-        {"k": p.k, "nodes": sorted(map(list, random_tree(p).nodes))})),
+    ).map(lambda p: json.dumps(tree_to_dict(random_tree(p)))),
     st.sampled_from(['{"k": 2, "nodes": [[], [5]]}', '{"k": 2}', "[", "{}"]),
 ).map(FileText)
 

@@ -15,7 +15,6 @@ from colorvisit.corpus import random_coloring
 from colorvisit.dsl import DivisionByZero, dsl_coloring
 from colorvisit.erdos import (
     ErdosError,
-    ErdosTree,
     build_erdos,
     extract_homogeneous,
     homog_pipeline,
@@ -29,6 +28,7 @@ from colorvisit.oracles import (
     visit_by_definition,
     visit_words,
 )
+from colorvisit.trees import FiniteColorTree
 from colorvisit.visit import VisitError
 
 
@@ -186,7 +186,7 @@ def insertion_by_pairs(coloring, size):
         children[i][x] = n
         parent.append(x)
         edge_color.append(i)
-    return ErdosTree(coloring.k, parent, edge_color, children)
+    return FiniteColorTree(coloring.k, parent, edge_color, children)
 
 
 def erdos_suite_colorings(seed, cases):
@@ -414,7 +414,7 @@ def test_erdos_property_holds_for_construction(monkeypatch):
 def test_erdos_property_detects_violation():
     # hand-built path 0 < 1 < 2 with both edges color 0, against a coloring
     # where the skipped edge {0,2} is color 1
-    tree = ErdosTree(
+    tree = FiniteColorTree(
         k=2,
         parent=[None, 0, 1],
         edge_color=[None, 0, 0],

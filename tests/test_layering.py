@@ -12,8 +12,8 @@ package resolves its exports on first use, so a fresh interpreter running
 the suites, the oracles, ``dataclasses`` or ``random``.  No package module
 imports ``dataclasses``, so ``check`` loads it neither.  Only the readers
 of table and tree files import ``json``, inside the reader, so neither a
-``homog`` run from an expression nor a ``check`` run loads it, and a
-``homog`` run loads no ``trees``.  The front end reads its options from
+``homog`` run from an expression nor a ``check`` run loads it.  Only
+``trees`` defines a class with a ``step``, so a run has one finite tree.  The front end reads its options from
 tables, so no run loads ``argparse``, or the ``gettext`` and ``locale``
 that argparse's messages load.
 """
@@ -42,7 +42,7 @@ MOVED = {
     "check_visit", "_Checker", "is_complete_for", "nth_expansion",
     "evaluate", "in_restricted", "is_proper_prefix",
     "branch_census", "check_erdos_property", "build_by_insertion",
-    "visit_by_definition",
+    "visit_by_definition", "tree_to_dict",
 }
 
 
@@ -125,15 +125,27 @@ def test_references_are_defined_only_in_oracles():
     assert defined["visit"] == {
         "VisitError", "Visit", "lex_order", "visit_nodes", "enumerate_visit"}
     assert defined["erdos"] == {
-        "ErdosError", "ErdosTree", "build_erdos", "HomogeneousReport",
+        "ErdosError", "build_erdos", "HomogeneousReport",
         "extract_homogeneous", "homog_pipeline"}
     # the two trees a run builds, and no predicate tree or word-tree base
     assert defined["trees"] == {
         "TreeError", "FiniteColorTree", "FullColorTree", "validate_tree",
-        "full_tree", "builtin_tree", "tree_to_dict", "tree_from_dict",
-        "load_tree"}
+        "full_tree", "builtin_tree", "tree_from_dict", "load_tree"}
     assert not hasattr(colorvisit.Visit, "order")
     assert not MOVED & set(vars(colorvisit))
+
+
+def test_only_trees_defines_a_tree():
+    """A class with a ``step`` method is a color tree, and every color tree
+    is defined in ``trees``: a second finite tree class does not return."""
+    with_step = {
+        (path.stem, node.name)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(parse(path.stem))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "step"
+                for f in node.body)}
+    assert with_step == {("trees", "FiniteColorTree"), ("trees", "FullColorTree")}
 
 
 def callers(module: str, names: set[str]) -> set[tuple]:
@@ -273,7 +285,7 @@ def test_every_top_level_name_is_used():
     counts = name_counts(files)
     defined = Counter(name for path in PACKAGE.glob("*.py")
                       for name in top_level_names(parse(path.stem)))
-    assert "ErdosTree" in defined
+    assert "FiniteColorTree" in defined
     unused = sorted(n for n, d in defined.items() if counts[n] <= d)
     assert unused == []
 
@@ -335,7 +347,8 @@ def test_homog_run_loads_no_reference_module(tmp_path, cli_env):
             tmp_path, cli_env)
         assert code == 0
         assert package_modules(modules) == {
-            "cli", "words", "visit", "export", "colorings", "dsl", "erdos"}
+            "cli", "words", "trees", "visit", "export", "colorings", "dsl",
+            "erdos"}
         assert not {"dataclasses", "random", "json", *PARSER_MODULES} & modules
 
 
@@ -347,7 +360,7 @@ def test_homog_table_loads_no_dsl(tmp_path, cli_env):
         tmp_path, cli_env)
     assert code == 0
     assert package_modules(modules) == {
-        "cli", "words", "visit", "export", "colorings", "erdos"}
+        "cli", "words", "trees", "visit", "export", "colorings", "erdos"}
     assert not PARSER_MODULES & modules
 
 

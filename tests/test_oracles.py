@@ -15,17 +15,17 @@ from colorvisit.corpus import (
     complete_tree,
     random_coloring,
     random_tree,
-    star_tree,
 )
 from colorvisit.oracles import (
     ALL_VISITS_NODE_CAP,
     all_visits,
     check_visit,
+    tree_words,
     visit_by_definition,
     visit_words,
 )
 from colorvisit.suites import tree_corpus
-from colorvisit.trees import FiniteColorTree, TreeError, validate_tree
+from colorvisit.trees import TreeError, validate_tree
 from colorvisit.visit import enumerate_visit
 from conftest import first_appearance_groups, st_visit_cases
 
@@ -52,7 +52,7 @@ def test_all_visits_depth1_binary_is_a_prefix_chain(binary_depth1):
 
 def test_all_visits_respects_cap():
     tree = complete_tree(2, 5)
-    assert len(tree.nodes) > ALL_VISITS_NODE_CAP
+    assert tree.size > ALL_VISITS_NODE_CAP
     with pytest.raises(TreeError, match=f"at {ALL_VISITS_NODE_CAP} nodes, got 63$"):
         all_visits(tree, (0, 1), ())
 
@@ -70,7 +70,7 @@ def test_all_visits_equals_permutation_filter_on_tiny_trees():
                 seed=rng.randrange(2**32),
             )
         )
-        nodes = sorted(tree.nodes)
+        nodes = sorted(tree_words(tree))
         colors = list(range(k))
         rng.shuffle(colors)
         priority = tuple(colors[: rng.randint(0, k)])
@@ -93,7 +93,7 @@ def grown_by_check_visit(tree, priority, root):
         found.append(current)
         frontier.extend(
             current + (node,)
-            for node in sorted(tree.nodes)
+            for node in sorted(tree_words(tree))
             if node not in current
             and check_visit(tree, current + (node,), priority, root)
         )
@@ -104,9 +104,9 @@ def grown_by_check_visit(tree, priority, root):
 def test_all_visits_equals_growth_by_check_visit(seed):
     grown = 0
     for tree, priority in tree_corpus(seed, 120):
-        if len(tree.nodes) <= 12:
+        if tree.size <= 12:
             assert all_visits(tree, priority, ()) == grown_by_check_visit(
-                tree, priority, ()), (priority, sorted(tree.nodes))
+                tree, priority, ()), (priority, sorted(tree_words(tree)))
             grown += 1
     assert grown > 50
 
@@ -115,9 +115,9 @@ def test_all_visits_equals_growth_by_check_visit(seed):
 def test_visit_by_definition_is_the_longest_accepted_list(seed):
     compared = 0
     for tree, priority in tree_corpus(seed, 120):
-        if len(tree.nodes) <= 12:
+        if tree.size <= 12:
             assert visit_by_definition(tree, priority) == all_visits(
-                tree, priority)[-1], (priority, sorted(tree.nodes))
+                tree, priority)[-1], (priority, sorted(tree_words(tree)))
             compared += 1
     assert compared > 50
 
@@ -141,8 +141,8 @@ def test_all_visits_rejects_a_bad_priority_or_root(binary_depth1):
 
 
 def test_random_tree_examples():
-    assert random_tree(TreeGenParams(k=2, max_depth=3, max_nodes=1, seed=0)).nodes \
-        == frozenset({()})
+    assert tree_words(random_tree(
+        TreeGenParams(k=2, max_depth=3, max_nodes=1, seed=0))) == ((),)
     forced = random_tree(
         TreeGenParams(k=2, max_depth=2, max_nodes=100, branching=1.0, seed=5)
     )
@@ -154,7 +154,8 @@ def test_random_tree_examples():
 
 def random_tree_by_queue(params):
     """``corpus.random_tree`` as it was written with a node set beside a
-    queue popped from the front, copied unchanged."""
+    queue popped from the front, copied unchanged but for the last line,
+    which loads the node set as a tree file is loaded."""
     rng = random.Random(params.seed)
     nodes = {()}
     queue = [()]
@@ -169,7 +170,7 @@ def random_tree_by_queue(params):
                 child = node + (c,)
                 nodes.add(child)
                 queue.append(child)
-    return FiniteColorTree(k=params.k, nodes=frozenset(nodes))
+    return validate_tree(nodes, params.k)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 5, 9])
@@ -190,9 +191,10 @@ def test_random_tree_grows_as_the_queue_did(seed, monkeypatch):
 
 
 def test_degenerate_shapes():
-    assert chain_tree(3, 2, 2).nodes == frozenset({(), (2,), (2, 2)})
-    assert star_tree(2).nodes == frozenset({(), (0,), (1,)})
-    assert len(complete_tree(2, 2).nodes) == 7
+    assert tree_words(chain_tree(3, 2, 2)) == ((), (2,), (2, 2))
+    assert tree_words(complete_tree(2, 1)) == ((), (0,), (1,))
+    assert tree_words(complete_tree(2, 2)) == (
+        (), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_random_coloring_small_and_deterministic():

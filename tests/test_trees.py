@@ -2,30 +2,36 @@ import copy
 import itertools
 import json
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from colorvisit.corpus import TreeGenParams, random_coloring, random_tree
 from colorvisit.erdos import build_erdos
-from colorvisit.oracles import in_restricted
+from colorvisit.oracles import (
+    in_restricted,
+    restricted_nodes,
+    tree_to_dict,
+    tree_words,
+)
+from colorvisit.suites import tree_corpus
 from colorvisit.trees import (
-    FiniteColorTree,
     FullColorTree,
     TreeError,
     builtin_tree,
     full_tree,
     load_tree,
     tree_from_dict,
-    tree_to_dict,
     validate_tree,
 )
+from colorvisit.visit import enumerate_visit
 from conftest import save_tree
 
 
 def test_validate_accepts_root_only():
     tree = validate_tree([()], 2)
-    assert tree.nodes == frozenset({()})
+    assert tree_words(tree) == ((),)
     assert tree.contains(())
 
 
@@ -98,11 +104,43 @@ st_params = st.builds(
 @given(params=st_params)
 def test_random_trees_are_prefix_closed_and_revalidate(params):
     tree = random_tree(params)
-    for w in tree.nodes:
+    words = tree_words(tree)
+    for w in words:
         for i in range(len(w)):
-            assert w[:i] in tree.nodes
-    revalidated = validate_tree(tree.nodes, tree.k)
-    assert revalidated.nodes == tree.nodes
+            assert w[:i] in words
+    assert validate_tree(words, tree.k) == tree
+
+
+def test_tree_file_ids_are_breadth_first_in_color_order():
+    tree = validate_tree([(1, 0), (0,), (1, 1), (), (1,), (0, 1), (1, 0)], 2)
+    assert tree_words(tree) == ((), (0,), (1,), (0, 1), (1, 0), (1, 1))
+    assert tree.parent == [None, 0, 0, 1, 2, 2]
+    assert tree.edge_color == [None, 0, 1, 1, 0, 1]
+    assert tree.children == [{0: 1, 2: 4}, {0: 2, 1: 3, 2: 5}]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_corpus_trees_equal_their_loaded_words(seed):
+    # every shape the corpus draws, its words listed in reverse id order
+    for tree, _ in tree_corpus(seed, 40):
+        assert validate_tree(tree_words(tree)[::-1], tree.k) == tree
+        assert tree_from_dict(tree_to_dict(tree)) == tree
+
+
+def test_visit_of_a_deep_chain_file_spells_no_word(tmp_path):
+    # a chain of 3000 1s: on words each probe copied and hashed its word,
+    # and the visit peaked at 35 MiB
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"k": 2, "nodes": [[1] * d for d in range(3001)]}))
+    tree = load_tree(str(path))
+    tracemalloc.start()
+    try:
+        visit = enumerate_visit(tree, (0, 1), (), 3002)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert visit.terminated and visit.letter == (-1,) + (1,) * 3000
+    assert peak < 2 * 2**20
 
 
 @given(params=st_params, extra=st.lists(st.integers(0, 3), max_size=6).map(tuple))
@@ -114,12 +152,13 @@ def test_in_restricted_full_priority_agrees_with_membership(params, extra):
 @given(params=st_params, data=st.data())
 def test_in_restricted_is_prefix_closed_above_root(params, data):
     tree = random_tree(params)
-    nodes = sorted(tree.nodes)
+    nodes = sorted(tree_words(tree))
     root = data.draw(st.sampled_from(nodes))
     priority = tuple(data.draw(st.permutations(range(tree.k))))[
         : data.draw(st.integers(0, tree.k))
     ]
     accepted = [w for w in nodes if in_restricted(tree, priority, root, w)]
+    assert restricted_nodes(tree, priority, root) == set(accepted)
     for w in accepted:
         for i in range(len(root), len(w)):
             assert in_restricted(tree, priority, root, w[:i])
@@ -142,9 +181,12 @@ def test_trees_are_immutable_values(binary_depth2):
     for tree in (binary_depth2, full_tree(3)):
         assert copy.deepcopy(tree) == tree
         assert pickle.loads(pickle.dumps(tree)) == tree
-        assert hash(copy.copy(tree)) == hash(tree)
         with pytest.raises(AttributeError):
             tree.k = 5
+    assert hash(copy.copy(full_tree(3))) == hash(full_tree(3))
+    # a finite tree holds lists and dicts
+    with pytest.raises(TypeError):
+        hash(binary_depth2)
     assert repr(full_tree(3)) == "FullColorTree(k=3)"
     assert full_tree(3) != full_tree(2) and full_tree(1) == builtin_tree("unary")
 
@@ -156,25 +198,17 @@ def test_builtin_tree_count_takes_ascii_digits_only(name):
         builtin_tree(name)
 
 
-def test_step_is_one_probe(binary_depth2):
-    # every membership test of the node set is logged, through ``contains``
-    # or not
-    probed = []
-
-    class LoggedNodes(frozenset):
-        def __contains__(self, w):
-            probed.append(w)
-            return super().__contains__(w)
-
-    tree = FiniteColorTree(2, LoggedNodes(binary_depth2.nodes))
-    step = tree.step(0)
-    assert probed == []
-    assert tree.node((0,)) == (0,)
-    assert step((0,)) == (0, 0)
-    assert probed == [(0, 0)]
-    probed.clear()
-    assert step((0, 1)) is None
-    assert probed == [(0, 1, 0)]
+def test_step_is_one_probe():
+    # a tree file's step is the bound ``get`` of one color's child map, one
+    # C call a probe, and builds no word
+    tree = validate_tree([(), (1,), (0,), (0, 1), (1, 1, 1), (1, 1)], 2)
+    for c in range(2):
+        step = tree.step(c)
+        assert step == tree.children[c].get
+        assert step.__self__ is tree.children[c]
+    assert tree.step(0)(tree.node((0,))) is None
+    assert tree.step(1)(tree.node((0,))) == tree.node((0, 1)) == 3
+    assert tree.step(2)(0) is tree.step(-1)(0) is None
 
 
 def test_builtin_step_agrees_with_contains(monkeypatch):
@@ -273,7 +307,8 @@ def test_validate_tree_rejects_non_integer_letters():
     ):
         with pytest.raises(TreeError, match="not an integer"):
             validate_tree(nodes, 2)
-    assert validate_tree([[], [1], iter([1, 0])], 2).nodes == {(), (1,), (1, 0)}
+    assert tree_words(validate_tree([[], [1], iter([1, 0])], 2)) == (
+        (), (1,), (1, 0))
 
 
 def test_tree_json_validates_on_load(tmp_path):

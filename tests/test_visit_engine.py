@@ -139,7 +139,7 @@ def test_completion_at_exactly_the_budget_is_not_terminated():
     assert enumerate_visit(root_only, (0,), (), budget=1).terminated is False
     assert enumerate_visit(root_only, (0,), (), budget=2).terminated is True
     tree = complete_tree(2, 2)
-    assert len(tree.nodes) == 7
+    assert tree.size == 7
     cut = enumerate_visit(tree, (0, 1), (), budget=7)
     assert visit_words(cut) == GOLDEN and cut.terminated is False
     done = enumerate_visit(tree, (0, 1), (), budget=8)
@@ -203,7 +203,7 @@ def test_every_enumeration_prefix_passes_the_checker():
         colors = list(range(k))
         rng.shuffle(colors)
         priority = tuple(colors[: rng.randint(0, k)])
-        visit = enumerate_visit(tree, priority, (), budget=len(tree.nodes) + 1)
+        visit = enumerate_visit(tree, priority, (), budget=tree.size + 1)
         assert visit.terminated
         order = visit_words(visit)
         for i in range(1, len(order) + 1):
@@ -226,7 +226,7 @@ def test_terminated_visit_covers_restricted_subtree():
         colors = list(range(k))
         rng.shuffle(colors)
         priority = tuple(colors[: rng.randint(0, k)])
-        visit = enumerate_visit(tree, priority, (), budget=len(tree.nodes) + 1)
+        visit = enumerate_visit(tree, priority, (), budget=tree.size + 1)
         assert visit.terminated
         order = visit_words(visit)
         assert is_complete_for(tree, order, priority)
@@ -294,7 +294,7 @@ def probe_cases():
     """(tree, priority, head, budget) of corpus trees, full trees and
     comparison trees; the budget of a finite tree lets its visit finish."""
     for tree, priority in tree_corpus(5, 120):
-        yield tree, priority, (), len(tree.nodes) + 1
+        yield tree, priority, (), tree.size + 1
     for k in (1, 2, 3):
         for priority in itertools.permutations(range(k)):
             yield full_tree(k), priority, 0, 60
