@@ -43,7 +43,6 @@ def random_tree(params: TreeGenParams) -> FiniteColorTree:
     which is breadth-first with children in color order, as a tree file's.
     """
     rng, k = random.Random(params.seed), params.k
-    children: list[dict[int, int]] = [{} for _ in range(k)]
     # the loop reads the depths by index, so it reaches the children
     # appended behind it
     parent, edge_color, depth = [None], [None], [0]
@@ -56,18 +55,15 @@ def random_tree(params: TreeGenParams) -> FiniteColorTree:
             if len(depth) >= params.max_nodes:
                 break
             if rng.random() < params.branching:
-                children[c][x] = len(depth)
                 parent.append(x)
                 edge_color.append(c)
                 depth.append(d + 1)
-    return FiniteColorTree(k, parent, edge_color, children)
+    return FiniteColorTree(k, parent, edge_color)
 
 
 def chain_tree(k: int, color: int, depth: int) -> FiniteColorTree:
     """A single branch repeating one color (degenerate shape for corpora)."""
-    return FiniteColorTree(
-        k, [None, *range(depth)], [None] + [color] * depth,
-        [{x: x + 1 for x in range(depth)} if c == color else {} for c in range(k)])
+    return FiniteColorTree(k, [None, *range(depth)], [None] + [color] * depth)
 
 
 def complete_tree(k: int, depth: int) -> FiniteColorTree:
@@ -76,8 +72,7 @@ def complete_tree(k: int, depth: int) -> FiniteColorTree:
     size = sum(k**d for d in range(depth + 1))
     ns = range(size - 1)
     return FiniteColorTree(
-        k, [None, *(n // k for n in ns)], [None, *(n % k for n in ns)],
-        [{x: x * k + 1 + c for x in range(size - k**depth)} for c in range(k)])
+        k, [None, *(n // k for n in ns)], [None, *(n % k for n in ns)])
 
 
 # the bytes.translate tables that shift a byte right by 0..7 bits

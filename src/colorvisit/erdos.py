@@ -54,18 +54,15 @@ def build_erdos(coloring: Coloring, size: int) -> FiniteColorTree:
         raise ErdosError(f"size {size} must be at least 1")
     parent: list[Optional[int]] = [None] * size
     edge_color: list[Optional[int]] = [None] * size
-    k = coloring.k
-    children: list[dict[int, int]] = [{} for _ in range(k)]
     work: list[tuple[int, Sequence[int]]] = [(0, range(1, size))]
     while work:
         x, below = work.pop()
         for i, group in coloring.split(x, below).items():
             child = group[0]
             parent[child], edge_color[child] = x, i
-            children[i][x] = child
             if len(group) > 1:
                 work.append((child, group[1:]))
-    return FiniteColorTree(k, parent, edge_color, children)
+    return FiniteColorTree(coloring.k, parent, edge_color)
 
 
 class HomogeneousReport(Record):

@@ -7,9 +7,9 @@ exists to cross-check the efficient code paths, and only the ``check``
 suites and the tests import it.  These functions share nothing with the
 generator beyond the core word and tree types: agreement between the two
 routes is evidence, not a tautology.  The references reach a tree through
-``k`` and ``contains``, which takes a word, or spell a finite tree's words
-with :func:`tree_words`.  All of it is exponential or quadratic and meant
-for desk-scale inputs only.
+``k`` and ``node``, which takes a word and gives None off the tree, or
+spell a finite tree's words with :func:`tree_words`.  All of it is
+exponential or quadratic and meant for desk-scale inputs only.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def visit_by_definition(
     V(P) from w is V(P[1:]) from w; then, for each base of that segment in
     ``sorted`` word order that has a P[0]-child, V(rotate(P)) from that
     child.  V(()) from w is w alone.  The tree is reached only through
-    ``tree.contains``, and the priority and the root are taken as valid.
+    ``tree.node``, a word's membership test, and the priority and the root
+    are taken as valid.
     It shares no code with ``visit.visit_nodes``: no frames, no
     ``lex_order``, no index arrays.
 
@@ -88,7 +89,7 @@ def _defined_visit(tree: ColorTree, prio: Word, w: Word) -> Iterator[Word]:
         yield v
     for base in sorted(segment):
         child = base + (prio[0],)
-        if tree.contains(child):
+        if tree.node(child) is not None:
             yield from _defined_visit(tree, prio[1:] + prio[:1], child)
 
 
@@ -107,7 +108,7 @@ def is_complete_for(
     for c in priority:
         for w in entries:
             child = w + (c,)
-            if tree.contains(child) and child not in entry_set:
+            if tree.node(child) is not None and child not in entry_set:
                 return False
     return True
 
@@ -126,7 +127,7 @@ def nth_expansion(
     hits = 0
     for base in sorted(bases):
         child = base + (color,)
-        if tree.contains(child):
+        if tree.node(child) is not None:
             if hits == n:
                 return child
             hits += 1
@@ -161,9 +162,9 @@ def check_visit(
         # A visit is a nonempty, repetition-free enumeration; duplicated or
         # empty lists can never satisfy the recursive definition.
         return False
-    if any(not tree.contains(w) for w in L):
+    if any(tree.node(w) is None for w in L):
         return False
-    if not tree.contains(root):
+    if tree.node(root) is None:
         return False
     return _Checker(tree, L).accepts(0, len(L), prio, root)
 
@@ -298,14 +299,14 @@ def in_restricted(
 ) -> bool:
     """Membership in the subtree above ``root`` whose extra letters all come
     from the priority list's color set."""
-    if not tree.contains(root):
+    if tree.node(root) is None:
         raise TreeError(f"root {root} is not in the tree")
     if len(node) < len(root) or node[: len(root)] != root:
         return False
     allowed = set(priority)
     if any(letter not in allowed for letter in node[len(root) :]):
         return False
-    return tree.contains(node)
+    return tree.node(node) is not None
 
 
 def restricted_nodes(
@@ -313,7 +314,7 @@ def restricted_nodes(
 ) -> frozenset[Word]:
     """The words of the restricted subtree above the root: a scan of the
     tree's words for those that extend the root by priority colors."""
-    if not tree.contains(root):
+    if tree.node(root) is None:
         raise TreeError(f"root {root} is not in the tree")
     n, allowed = len(root), set(priority)
     return frozenset(
@@ -374,7 +375,8 @@ def build_by_insertion(coloring: Coloring, size: int) -> FiniteColorTree:
     root along the colors of its edges to the nodes it passes, and attaches
     at the first node that has no child of that color."""
     # each pair (x, n) is one call of the row function, as ``coloring(x, n)``
-    # would make it, and its checks are spelled out here
+    # would make it, and its checks are spelled out here; the descent looks
+    # children up in maps of its own, one per color
     row, k = coloring.row, coloring.k
     parent: list[Optional[int]] = [None]
     edge_color: list[Optional[int]] = [None]
@@ -394,7 +396,7 @@ def build_by_insertion(coloring: Coloring, size: int) -> FiniteColorTree:
         children[i][x] = n
         parent.append(x)
         edge_color.append(i)
-    return FiniteColorTree(k, parent, edge_color, children)
+    return FiniteColorTree(k, parent, edge_color)
 
 
 def _row_list(coloring: Coloring, lo: int, his: Sequence[int]) -> list[int]:

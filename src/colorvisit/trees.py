@@ -1,19 +1,19 @@
 """Prefix-closed color trees.
 
 A run builds one of two trees, which share one interface (``k``,
-``contains``, ``node``, ``step``):
+``node``, ``step``):
 
 * :class:`FiniteColorTree` -- node ids: a tree file, the comparison tree
   of :mod:`colorvisit.erdos` and the seeded corpus trees.
 * :class:`FullColorTree` -- every word over ``0..k-1``, the builtins
   ``full:k`` and ``unary`` (k = 1); its nodes are depths.
 
-``contains`` takes a word.  The run path calls it to check a visit's
-root; the references in ``oracles`` probe words with it directly.  A visit
-starts from ``node(root)``, the node the root word names, and fetches
-``step(c)`` once per color: a function of one node that returns its
-``c``-child or None, one C call that builds no word.  Nothing changes a
-tree once it is built, so trees are safe to share.
+``node(w)`` takes a word and returns the node it names, or None for a
+word off the tree.  The run path calls it once, for a visit's root; the
+references in ``oracles`` probe words with it directly.  A visit then
+fetches ``step(c)`` once per color: a function of one node that returns
+its ``c``-child or None, one C call that builds no word.  Nothing changes
+a tree once it is built, so trees are safe to share.
 """
 
 from __future__ import annotations
@@ -31,29 +31,26 @@ class TreeError(ValueError):
 class FiniteColorTree(Record):
     """Rooted tree on ids ``0..size-1``, node 0 the root and a parent's id
     below its children's.  ``parent[n]`` and ``edge_color[n]`` are node
-    n's parent and the color of the edge to it (None at the root), and
-    ``children[c]`` maps each node that has a ``c``-child to that child.
-    A tree file's ids are breadth-first, children in color order, so two
-    files with the same words load into equal trees.
+    n's parent and the color of the edge to it (None at the root).  The
+    two arrays are the whole tree: ``__init__`` derives ``children[c]``,
+    which maps each node that has a ``c``-child to that child.  A tree
+    file's ids are breadth-first, children in color order, so two files
+    with the same words load into equal trees.
     """
 
     __slots__ = ("k", "parent", "edge_color", "children")
 
     def __init__(
-        self,
-        k: int,
-        parent: list[Optional[int]],
-        edge_color: list[Optional[int]],
-        children: list[dict[int, int]],
+        self, k: int, parent: list[Optional[int]], edge_color: list[Optional[int]]
     ) -> None:
+        children: list[dict[int, int]] = [{} for _ in range(k)]
+        for n in range(1, len(parent)):
+            children[edge_color[n]][parent[n]] = n
         super().__init__(k, parent, edge_color, children)
 
     @property
     def size(self) -> int:
         return len(self.parent)
-
-    def contains(self, w: Word) -> bool:
-        return self.node(w) is not None
 
     def node(self, w: Word) -> Optional[int]:
         """The node ``w`` leads to from node 0, one child-map lookup per
@@ -84,12 +81,9 @@ class FullColorTree(Record):
     def __init__(self, k: int) -> None:
         super().__init__(k)
 
-    def contains(self, w: Word) -> bool:
+    def node(self, w: Word) -> Optional[int]:
         # min and max run in C, a letter-by-letter test would not
-        return not w or (min(w) >= 0 and max(w) < self.k)
-
-    def node(self, w: Word) -> int:
-        return len(w)
+        return len(w) if not w or (min(w) >= 0 and max(w) < self.k) else None
 
     def step(self, c: int) -> Callable[[int], Optional[int]]:
         # both run in C; an empty dict's get gives None for every depth
@@ -106,8 +100,9 @@ def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
     letter that is not, then for a missing root, then for the least node
     with a letter not below ``k``, then for the least node whose immediate
     prefix is missing, and last for a ``k`` above ``MAX_COLORS``, before
-    any per-color map is made.  Ids go a level at a time, each level by
-    parent id and then letter: breadth-first, children in color order.
+    the tree makes its per-color maps.  Ids go a level at a time, each
+    level by parent id and then letter: breadth-first, children in color
+    order.
     """
     if k < 1:
         raise TreeError(f"color count k={k} must be at least 1")
@@ -142,10 +137,7 @@ def validate_tree(nodes: Iterable[Iterable[int]], k: int) -> FiniteColorTree:
         raise TreeError(f"node {w} present but its prefix {w[:-1]} is missing")
     if k > MAX_COLORS:
         raise TreeError(f"color count k={k} exceeds the limit of {MAX_COLORS}")
-    children: list[dict[int, int]] = [{} for _ in range(k)]
-    for n in range(1, len(parent)):
-        children[edge_color[n]][parent[n]] = n
-    return FiniteColorTree(k, parent, edge_color, children)
+    return FiniteColorTree(k, parent, edge_color)
 
 
 # --- built-in trees -----------------------------------------------------------

@@ -245,13 +245,13 @@ def enumerate_visit(
 
     Deterministic: identical inputs give identical outputs.  ``terminated``
     is True only when completion was actually observed within the budget.
-    The loop starts from ``tree.node(root)`` and keeps no word.
+    The loop starts from ``tree.node(root)``, the root's one word lookup,
+    and keeps no word; a root off the tree, whose node is None, raises.
     """
     prio = validate_priority(priority, tree.k)
     root = tuple(root)
-    if not tree.contains(root):
+    head = tree.node(root)
+    if head is None:
         raise VisitError(f"root {root} is not in the tree")
-    _, parent, letter, terminated = visit_nodes(
-        tree, prio, tree.node(root), budget
-    )
+    _, parent, letter, terminated = visit_nodes(tree, prio, head, budget)
     return Visit(tree.k, root, prio, terminated, tuple(parent), tuple(letter))

@@ -20,7 +20,7 @@ from colorvisit.visit import Visit, enumerate_visit
 
 @dataclass
 class CountingTree:
-    """Tree wrapper that counts membership probes."""
+    """Tree wrapper that counts membership probes: its ``node`` calls."""
 
     inner: object
     probes: int = 0
@@ -29,37 +29,36 @@ class CountingTree:
     def k(self) -> int:
         return self.inner.k
 
-    def contains(self, w) -> bool:
+    def node(self, w):
         self.probes += 1
-        return self.inner.contains(w)
+        return self.inner.node(w)
 
 
 class PredicateTree:
     """A possibly infinite word tree given by a pure membership predicate,
     which must accept the root and be closed under prefix.  Its nodes are
-    its words, and a step builds the child's word and asks the predicate
-    once.  It shares no code with the package's trees, so a visit of it is
-    an independent spelling of the same tree."""
+    its words, None off the tree, and a step builds the child's word and
+    asks the predicate once.  It shares no code with the package's trees,
+    so a visit of it is an independent spelling of the same tree."""
 
     def __init__(self, k: int, membership) -> None:
         self.k = k
-        self.contains = membership
+        self.membership = membership
 
     def node(self, w):
-        return w
+        return w if self.membership(w) else None
 
     def step(self, c: int):
         def step(w):
-            v = w + (c,)
-            return v if self.contains(v) else None
+            return self.node(w + (c,))
 
         return step
 
 
 class ProbeLog:
     """Tree wrapper whose steps log every probe ``(node, c)`` in call order;
-    the rest of the tree interface (``k``, ``contains``, ``node``) is the
-    inner tree's, unlogged."""
+    the rest of the tree interface (``k`` and ``node``) is the inner
+    tree's, unlogged."""
 
     def __init__(self, inner) -> None:
         self.inner = inner

@@ -186,7 +186,7 @@ def insertion_by_pairs(coloring, size):
         children[i][x] = n
         parent.append(x)
         edge_color.append(i)
-    return FiniteColorTree(coloring.k, parent, edge_color, children)
+    return FiniteColorTree(coloring.k, parent, edge_color)
 
 
 def erdos_suite_colorings(seed, cases):
@@ -355,6 +355,23 @@ def test_known_answer_family_class_sizes(size):
         assert report.verified is True
 
 
+@pytest.mark.parametrize("coloring", [
+    # homog-hash's expression, at pool variant 0
+    dsl_coloring("((x * 56340 + y) * (y * 26247 + x) + 49673) % 65521", 3),
+    dsl_coloring("if x < 5 then x + y else 0", 3),
+    # the min-chain
+    dsl_coloring("if x < y then x else y", 3),
+    random_coloring(17, 3, 300),
+], ids=["hash", "known-answer", "min-chain", "random"])
+def test_a_horizon_is_the_prefix_of_a_longer_one(coloring):
+    # node n's place depends only on the pairs within 0..n, so the tree at
+    # horizon N is the first N entries of both arrays of any longer one
+    tree = build_erdos(coloring, 300)
+    for size in (1, 2, 17, 150, 299, 300):
+        assert build_erdos(coloring, size) == FiniteColorTree(
+            coloring.k, tree.parent[:size], tree.edge_color[:size])
+
+
 # a spread of coloring sources, with colors, blocks and chains of every k
 SURVEY = [("constant:0", 2), ("sum-mod", 2), ("sum-mod", 3), ("diff-mod", 4),
           ("block:7", 3), ("(x * y + x) % 3", 3), ("if x < y then x else y", 4),
@@ -414,12 +431,7 @@ def test_erdos_property_holds_for_construction(monkeypatch):
 def test_erdos_property_detects_violation():
     # hand-built path 0 < 1 < 2 with both edges color 0, against a coloring
     # where the skipped edge {0,2} is color 1
-    tree = FiniteColorTree(
-        k=2,
-        parent=[None, 0, 1],
-        edge_color=[None, 0, 0],
-        children=[{0: 1, 1: 2}, {}],
-    )
+    tree = FiniteColorTree(k=2, parent=[None, 0, 1], edge_color=[None, 0, 0])
     bad = [[0, 1, 0], [1, 2, 0], [0, 2, 1]]
     assert check_erdos_property(tree, table_coloring(bad, 2)) is False
 
@@ -483,12 +495,12 @@ def test_word_tree_examples():
     # a node's word is the edge colors on its root path
     chain = build_erdos(builtin_coloring("constant:0", 2), 3)
     assert [chain.node(w) for w in [(), (0,), (0, 0)]] == [0, 1, 2]
-    assert not any(map(chain.contains, [(1,), (0, 1), (0, 0, 0), (-1,), (2,)]))
+    assert [chain.node(w) for w in [(1,), (0, 1), (0, 0, 0), (-1,), (2,)]] == [None] * 5
 
     parity = build_erdos(builtin_coloring("sum-mod", 2), 5)
     words = [(), (1,), (0,), (1, 0), (0, 0)]
     assert [parity.node(w) for w in words] == [0, 1, 2, 3, 4]
-    assert not any(map(parity.contains, [(1, 1), (0, 1), (0, 0, 0), (0, -1)]))
+    assert [parity.node(w) for w in [(1, 1), (0, 1), (0, 0, 0), (0, -1)]] == [None] * 4
 
     single = build_erdos(builtin_coloring("sum-mod", 2), 1)
     assert single.node(()) == 0

@@ -13,9 +13,10 @@ the suites, the oracles, ``dataclasses`` or ``random``.  No package module
 imports ``dataclasses``, so ``check`` loads it neither.  Only the readers
 of table and tree files import ``json``, inside the reader, so neither a
 ``homog`` run from an expression nor a ``check`` run loads it.  Only
-``trees`` defines a class with a ``step``, so a run has one finite tree.  The front end reads its options from
-tables, so no run loads ``argparse``, or the ``gettext`` and ``locale``
-that argparse's messages load.
+``trees`` defines a class with a ``step``, so a run has one finite tree,
+and only ``trees`` reads that tree's child maps.  The front end reads its
+options from tables, so no run loads ``argparse``, or the ``gettext`` and
+``locale`` that argparse's messages load.
 """
 
 import ast
@@ -30,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import colorvisit
+from colorvisit.trees import FiniteColorTree
 
 PACKAGE = Path(colorvisit.__file__).parent
 REFERENCE = {"oracles", "suites", "corpus"}
@@ -137,15 +139,31 @@ def test_references_are_defined_only_in_oracles():
 
 def test_only_trees_defines_a_tree():
     """A class with a ``step`` method is a color tree, and every color tree
-    is defined in ``trees``: a second finite tree class does not return."""
+    is defined in ``trees``: a second finite tree class does not return.
+    A tree answers ``node`` and ``step`` and, if finite, ``size``: no
+    second membership query such as ``contains`` returns."""
     with_step = {
-        (path.stem, node.name)
+        (path.stem, node.name): {f.name for f in node.body
+                                 if isinstance(f, ast.FunctionDef)
+                                 and not f.name.startswith("_")}
         for path in PACKAGE.glob("*.py")
         for node in ast.walk(parse(path.stem))
         if isinstance(node, ast.ClassDef)
         and any(isinstance(f, ast.FunctionDef) and f.name == "step"
                 for f in node.body)}
-    assert with_step == {("trees", "FiniteColorTree"), ("trees", "FullColorTree")}
+    assert with_step == {("trees", "FiniteColorTree"): {"size", "node", "step"},
+                         ("trees", "FullColorTree"): {"node", "step"}}
+    assert isinstance(vars(FiniteColorTree)["size"], property)
+
+
+def test_only_trees_reads_a_finite_trees_child_maps():
+    """``trees`` alone builds and reads the per-color child maps: every
+    other module hands a finite tree its ``parent`` and ``edge_color`` and
+    reaches children through ``step``."""
+    readers = {path.stem for path in PACKAGE.glob("*.py")
+               for node in ast.walk(parse(path.stem))
+               if isinstance(node, ast.Attribute) and node.attr == "children"}
+    assert readers == {"trees"}
 
 
 def callers(module: str, names: set[str]) -> set[tuple]:

@@ -171,7 +171,7 @@ def test_shrinker_minimizes_to_the_failing_core():
     tree = validate_tree([(), (0,), (1,), (0, 0), (0, 1), (1, 1)], 2)
 
     def failing(t: FiniteColorTree) -> bool:
-        return t.contains((0, 1))
+        return t.node((0, 1)) is not None
 
     small = _shrink_tree(tree, failing)
     # everything removable without losing the witness (or its prefixes) goes

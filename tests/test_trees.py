@@ -32,7 +32,7 @@ from conftest import save_tree
 def test_validate_accepts_root_only():
     tree = validate_tree([()], 2)
     assert tree_words(tree) == ((),)
-    assert tree.contains(())
+    assert tree.node(()) == 0
 
 
 def test_validate_missing_root():
@@ -146,7 +146,8 @@ def test_visit_of_a_deep_chain_file_spells_no_word(tmp_path):
 @given(params=st_params, extra=st.lists(st.integers(0, 3), max_size=6).map(tuple))
 def test_in_restricted_full_priority_agrees_with_membership(params, extra):
     tree = random_tree(params)
-    assert in_restricted(tree, range(tree.k), (), extra) == tree.contains(extra)
+    assert in_restricted(tree, range(tree.k), (), extra) == (
+        tree.node(extra) is not None)
 
 
 @given(params=st_params, data=st.data())
@@ -166,9 +167,9 @@ def test_in_restricted_is_prefix_closed_above_root(params, data):
 
 def test_oracle_trees():
     u = full_tree(1)
-    assert u.contains((0, 0, 0)) and not u.contains((1,))
+    assert u.node((0, 0, 0)) == 3 and u.node((1,)) is None
     f3 = full_tree(3)
-    assert f3.contains((2, 1, 0)) and not f3.contains((3,))
+    assert f3.node((2, 1, 0)) == 3 and f3.node((3,)) is None
     assert builtin_tree("unary").k == 1
     assert builtin_tree("full:4").k == 4
     with pytest.raises(TreeError):
@@ -211,31 +212,30 @@ def test_step_is_one_probe():
     assert tree.step(2)(0) is tree.step(-1)(0) is None
 
 
-def test_builtin_step_agrees_with_contains(monkeypatch):
+def test_builtin_step_agrees_with_node(monkeypatch):
+    # a step tests no word: it never calls ``node``
     probed = []
-    contains = FullColorTree.contains
+    node = FullColorTree.node
     monkeypatch.setattr(
-        FullColorTree, "contains",
-        lambda self, w: probed.append(w) or contains(self, w),
+        FullColorTree, "node",
+        lambda self, w: probed.append(w) or node(self, w),
     )
     for tree in [full_tree(k) for k in (1, 2, 3, 4)] + [builtin_tree("unary")]:
         words = [w for n in range(4) for w in itertools.product(range(tree.k), repeat=n)]
         steps = {
-            (w, c): tree.step(c)(tree.node(w))
+            (w, c): tree.step(c)(len(w))
             for w in words for c in range(-3, 7)
         }
         assert probed == []
-        for (w, c), node in steps.items():
-            assert (node is not None) == contains(tree, w + (c,))
-            if node is not None:
-                assert node == tree.node(w + (c,))
+        for (w, c), depth in steps.items():
+            assert depth == node(tree, w + (c,))
 
 
-def test_every_kind_of_node_answers_contains_and_node_by_its_steps():
-    # words for a tree file, depths for a full tree, ids for a comparison
-    # tree: a word is in the tree exactly when the steps along it from the
-    # root's node never leave the tree, and then it names the node they
-    # reach; each tree with its count of words up to depth 4
+def test_every_kind_of_node_answers_node_by_its_steps():
+    # ids for a corpus tree and a comparison tree, depths for a full tree:
+    # a word names the node that the steps along it from the root's node
+    # reach, and None once a step leaves the tree; each tree with its count
+    # of words up to depth 4
     trees = [
         random_tree(TreeGenParams(k=3, max_depth=4, max_nodes=30, branching=0.8,
                                   seed=5)),
@@ -251,10 +251,8 @@ def test_every_kind_of_node_answers_contains_and_node_by_its_steps():
                 for c in w:
                     if node is not None:
                         node = tree.step(c)(node)
-                assert tree.contains(w) is (node is not None), (tree, w)
-                if node is not None:
-                    assert tree.node(w) == node
-                    inside += 1
+                assert tree.node(w) == node, (tree, w)
+                inside += node is not None
         assert inside == count
 
 
@@ -263,8 +261,9 @@ def test_every_kind_of_node_answers_contains_and_node_by_its_steps():
     w=st.lists(st.integers(-3, 6), max_size=8).map(tuple),
 )
 def test_builtin_predicates_match_their_letter_by_letter_form(k, w):
-    assert full_tree(k).contains(w) == all(0 <= c < k for c in w)
-    assert builtin_tree("unary").contains(w) == all(c == 0 for c in w)
+    depth = len(w)
+    assert full_tree(k).node(w) == (depth if all(0 <= c < k for c in w) else None)
+    assert builtin_tree("unary").node(w) == (depth if all(c == 0 for c in w) else None)
 
 
 def test_tree_json_round_trip(tmp_path, binary_depth2):
@@ -304,6 +303,10 @@ def test_validate_tree_rejects_non_integer_letters():
         [(), (0,), (0, 1.0)],
         [(), ("1",)],
         [(), (0,), (0.0,)],
+        # each equals (1, 0), and its prefix equals (1,), which is present:
+        # only the type of every letter tells them from a word of ints
+        [(), (1,), (True, 0)],
+        [(), (1,), (1.0, 0)],
     ):
         with pytest.raises(TreeError, match="not an integer"):
             validate_tree(nodes, 2)
